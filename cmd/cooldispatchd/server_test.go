@@ -317,6 +317,41 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsFactorCounters: the dispatcher's local platform cache
+// serves the shared-factor counters under /v1/metrics platform_cache,
+// and a repeated batch adds hits but no factorization.
+func TestMetricsFactorCounters(t *testing.T) {
+	_, ts := newTestDispatcher(t, "")
+	body := fmt.Sprintf(`{"scenarios":[%s,%s]}`, quickBody, quickBody)
+	batch := func() coolsim.PlatformCacheStats {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/batches", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch: %d", resp.StatusCode)
+		}
+		mresp, err := http.Get(ts.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mresp.Body.Close()
+		var m metricsView
+		if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m.PlatformCache
+	}
+	cold := batch()
+	warm := batch()
+	if cold.FactorBuilds == 0 || warm.FactorBuilds != cold.FactorBuilds || warm.FactorHits <= cold.FactorHits {
+		t.Errorf("factor counters cold builds=%d hits=%d, warm builds=%d hits=%d; want builds > 0 and unchanged, hits grown",
+			cold.FactorBuilds, cold.FactorHits, warm.FactorBuilds, warm.FactorHits)
+	}
+}
+
 // TestRejectsBadRequests: the hardened decode path and the fault
 // validation both surface as structured 4xx errors.
 func TestRejectsBadRequests(t *testing.T) {

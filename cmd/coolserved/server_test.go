@@ -440,6 +440,63 @@ func TestMetricsWarmSecondJob(t *testing.T) {
 	}
 }
 
+// TestMetricsWarmBatchNoRefactor is the shared-factor contract of the
+// platform cache: the runs of a batch factorize each (pump setting, dt)
+// system once per platform, and a second, identical batch solves
+// entirely through those factors — /v1/metrics shows factor_builds
+// unchanged and factor_hits grown.
+func TestMetricsWarmBatchNoRefactor(t *testing.T) {
+	_, ts := testServer(t)
+	sc := `{"workload":"Web-med","cooling":"%s","policy":"%s","layers":2,
+		"duration":1,"warmup":0.5,"grid_nx":12,"grid_ny":10,"seed":%d}`
+	body := `{"workers":2,"scenarios":[` +
+		fmt.Sprintf(sc, "max", "lb", 1) + `,` + fmt.Sprintf(sc, "var", "talb", 1) + `,` +
+		fmt.Sprintf(sc, "max", "mig", 2) + `,` + fmt.Sprintf(sc, "var", "lb", 2) + `]}`
+	batch := func() coolsim.PlatformCacheStats {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/batches", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/batches = %d", resp.StatusCode)
+		}
+		mresp, err := http.Get(ts.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mresp.Body.Close()
+		raw, err := io.ReadAll(mresp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{`"factor_builds":`, `"factor_hits":`} {
+			if !bytes.Contains(raw, []byte(key)) {
+				t.Fatalf("metrics lack %s: %s", key, raw)
+			}
+		}
+		var m metricsView
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.PlatformCache
+	}
+	cold := batch()
+	if cold.FactorBuilds == 0 || cold.FactorHits == 0 {
+		t.Fatalf("cold batch: factor_builds=%d factor_hits=%d, want both > 0",
+			cold.FactorBuilds, cold.FactorHits)
+	}
+	warm := batch()
+	if warm.FactorBuilds != cold.FactorBuilds {
+		t.Errorf("warm batch factorized: factor_builds %d -> %d, want unchanged",
+			cold.FactorBuilds, warm.FactorBuilds)
+	}
+	if warm.FactorHits <= cold.FactorHits {
+		t.Errorf("warm batch: factor_hits %d -> %d, want growth", cold.FactorHits, warm.FactorHits)
+	}
+}
+
 // TestBatchEndpoint: POST /v1/batches runs platform-sharing scenarios
 // through the gang scheduler, returns reports identical to solo runs,
 // and surfaces the batching statistics on /v1/metrics.

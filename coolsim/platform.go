@@ -11,13 +11,13 @@ import (
 )
 
 // PlatformCache shares the expensive per-stack artifacts — floorplan,
-// thermal grid, pump model, the direct solver's symbolic analysis, the
-// flow-rate controller's lookup table and the TALB weight table — across
-// every Run, RunMany call and Session that uses it (WithPlatformCache).
-// Scenarios that only differ in policy, workload, seed, duration or
-// faults share one platform; each artifact is built at most once, by the
-// first run that needs it, while concurrent runs of the same shape wait
-// for that build instead of repeating it.
+// thermal grid, pump model, the direct solver's symbolic analysis and
+// numeric factors, the flow-rate controller's lookup table and the TALB
+// weight table — across every Run, RunMany call and Session that uses it
+// (WithPlatformCache). Scenarios that only differ in policy, workload,
+// seed, duration or faults share one platform; each artifact is built at
+// most once, by the first run that needs it, while concurrent runs of the
+// same shape wait for that build instead of repeating it.
 //
 // A PlatformCache is safe for unlimited concurrent use and is designed to
 // live for the whole process (cmd/coolserved keeps one so a second job on
@@ -67,6 +67,14 @@ type PlatformCacheStats struct {
 	// WeightDiskLoads the same for TALB weight tables.
 	LUTDiskLoads    int `json:"lut_disk_loads"`
 	WeightDiskLoads int `json:"weight_disk_loads"`
+	// FactorBuilds counts the numeric LDLᵀ factorizations the runs'
+	// thermal models performed: one per distinct (pump setting, dt) key
+	// per platform, shared by every later run on it. FactorHits counts
+	// the per-model factor requests served by a factor another run had
+	// already built. A warm second batch of the same shape leaves
+	// FactorBuilds unchanged.
+	FactorBuilds int `json:"factor_builds"`
+	FactorHits   int `json:"factor_hits"`
 	// Supernodes is the total supernode count of the built symbolic
 	// analyses across the live platforms; MeanPanelWidth the node-weighted
 	// mean panel width of the direct solver's supernodal partitions
@@ -89,6 +97,8 @@ func (pc *PlatformCache) Stats() PlatformCacheStats {
 		WeightBuilds:    st.Builds.WeightBuilds,
 		LUTDiskLoads:    st.Builds.LUTDiskLoads,
 		WeightDiskLoads: st.Builds.WeightDiskLoads,
+		FactorBuilds:    st.Builds.FactorBuilds,
+		FactorHits:      st.Builds.FactorHits,
 		Supernodes:      st.Builds.Supernodes,
 		MeanPanelWidth:  st.Builds.MeanPanelWidth,
 	}

@@ -36,8 +36,9 @@
 // parallel experiment engine (the -workers flag on cmd/repro and
 // cmd/coolsim, experiments.Options.Workers, sim.RunAll) and the thermal
 // solver: a cached sparse LDLᵀ direct factorization (symbolic analysis
-// once per stack shape, numeric factors cached per flow setting and time
-// step, two allocation-free triangular sweeps per tick) with
+// once per stack shape, numeric factors once per flow setting and time
+// step per stack shape — shared, immutable, by every run on it — and
+// two allocation-free triangular sweeps per tick) with
 // preconditioned CG as the selectable cross-check and automatic fallback
 // (-solver, rcnet.Config.Solver). On grids where the amalgamated
 // elimination tree yields wide enough supernodes (the paper's 115×100

@@ -53,8 +53,10 @@ func Fig5(ctx context.Context, o Options) ([]Fig5Result, error) {
 			return err
 		}
 		// The bisection sweeps mutate model state, so this study gets its
-		// own model; the LUT and full-load map come warm from the platform.
-		m, err := p.NewModel(ctx)
+		// own model — with private factors, as its steady-state keys at
+		// arbitrary flows are one-off; the LUT and full-load map come warm
+		// from the platform.
+		m, err := p.NewScratchModel(ctx)
 		if err != nil {
 			return err
 		}

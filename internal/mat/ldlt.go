@@ -95,6 +95,23 @@ type LDLNumeric struct {
 	super bool
 }
 
+// View returns a factor that solves through f's values with s's scratch:
+// the numeric arrays (L, D, D⁻¹) are shared, not copied, so any number of
+// clones of one analysis can solve through one factorization
+// concurrently — each through its own view. s must be f's analysis or a
+// Clone of it in the same kernel mode; View panics otherwise (the panel
+// and column layouts of L are not interchangeable). The factor must not
+// be handed back to Factorize for reuse while views of it are live.
+func (f *LDLNumeric) View(s *LDLSymbolic) *LDLNumeric {
+	if s.n != f.s.n || s.NNZL() != f.s.NNZL() || (s.n > 0 && &s.lp[0] != &f.s.lp[0]) {
+		panic("mat: LDL View through a different symbolic analysis")
+	}
+	if s.superOn != f.super {
+		panic("mat: LDL View kernel mode mismatch")
+	}
+	return &LDLNumeric{s: s, lx: f.lx, d: f.d, invd: f.invd, super: f.super}
+}
+
 // N returns the system dimension.
 func (s *LDLSymbolic) N() int { return s.n }
 

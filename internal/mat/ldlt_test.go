@@ -309,3 +309,79 @@ func TestMatchesRejectsDifferentPattern(t *testing.T) {
 		t.Error("clone must carry the pattern fingerprint")
 	}
 }
+
+// TestLDLViewSharedFactor checks that clones of one analysis solve
+// through one factorization concurrently, each through its own view,
+// bit-identically to the factor itself, in both kernel modes; and that a
+// view refuses a mismatched kernel mode or a different analysis.
+func TestLDLViewSharedFactor(t *testing.T) {
+	a := gridLaplacian(24, 20, 0.7)
+	for _, super := range []bool{false, true} {
+		s, err := AnalyzeLDL(a, OrderND)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetSupernodal(super)
+		f, err := s.Factorize(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bvec := make([]float64, a.N)
+		for i := range bvec {
+			bvec[i] = math.Cos(float64(3 * i))
+		}
+		want := make([]float64, a.N)
+		f.Solve(want, bvec)
+
+		const clones = 4
+		got := make([][]float64, clones)
+		done := make(chan int)
+		for c := range clones {
+			sc := s.Clone()
+			if c%2 == 1 {
+				sc.SetWorkers(2)
+			}
+			v := f.View(sc)
+			go func() {
+				x := make([]float64, a.N)
+				for range 20 {
+					v.Solve(x, bvec)
+				}
+				got[c] = x
+				done <- c
+			}()
+		}
+		for range clones {
+			<-done
+		}
+		for c, x := range got {
+			for i := range x {
+				if x[i] != want[i] {
+					t.Fatalf("super=%v clone %d: x[%d]=%g, factor %g", super, c, i, x[i], want[i])
+				}
+			}
+		}
+
+		mismatch := s.Clone()
+		mismatch.SetSupernodal(!super)
+		if mismatch.Supernodal() != super {
+			mustPanic(t, "kernel mode mismatch", func() { f.View(mismatch) })
+		}
+		other, err := AnalyzeLDL(a, OrderND)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other.SetSupernodal(super)
+		mustPanic(t, "different analysis", func() { f.View(other) })
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: View did not panic", what)
+		}
+	}()
+	fn()
+}

@@ -57,7 +57,9 @@ func NewDiskCache(max int, dir string) *Cache {
 // miss. Artifact builds (symbolic analysis, LUT, weights) remain lazy and
 // deduplicated on the returned platform itself, so concurrent Gets of the
 // same spec never duplicate work. An evicted platform stays valid for the
-// runs already holding it; it is simply no longer handed out.
+// runs already holding it; it is simply no longer handed out, and its
+// shared numeric factors are released (those runs keep the ones they
+// hold).
 func (c *Cache) Get(spec Spec) (*Platform, error) {
 	spec = spec.Canonical()
 	c.mu.Lock()
@@ -90,6 +92,7 @@ func (c *Cache) Get(spec Spec) (*Platform, error) {
 	for c.max > 0 && len(c.order) > c.max {
 		oldest := c.order[0]
 		c.order = c.order[1:]
+		c.entries[oldest].factors.Release()
 		delete(c.entries, oldest)
 		c.evictions++
 	}
@@ -139,6 +142,8 @@ func (c *Cache) Stats() CacheStats {
 		st.Builds.Models += ps.Models
 		st.Builds.LUTDiskLoads += ps.LUTDiskLoads
 		st.Builds.WeightDiskLoads += ps.WeightDiskLoads
+		st.Builds.FactorBuilds += ps.FactorBuilds
+		st.Builds.FactorHits += ps.FactorHits
 		st.Builds.Supernodes += ps.Supernodes
 		nodes += ps.MeanPanelWidth * float64(ps.Supernodes)
 	}

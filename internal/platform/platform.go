@@ -15,10 +15,16 @@
 // failed build (a canceled context) is not cached, so a later caller
 // retries. Build counters make "was this warm?" testable.
 //
-// A Platform is immutable after construction and safe for unlimited
-// concurrent use. Mutable solver state is never shared: NewModel hands
-// every caller its own rcnet.Model, seeded with a private clone of the
-// shared symbolic analysis.
+// The numeric LDLᵀ factors of the transient systems are platform
+// artifacts too: the backward-Euler matrix depends only on the platform,
+// the pump setting and dt, so every run model solves through one shared
+// factor per (flow, dt) key, factorized once by the first model that
+// needs it.
+//
+// A Platform is safe for unlimited concurrent use. Mutable solver state
+// is never shared: NewModel hands every caller its own rcnet.Model,
+// seeded with a private clone of the shared symbolic analysis and
+// solving through its own views of the shared, immutable factors.
 package platform
 
 import (
@@ -106,6 +112,13 @@ type Stats struct {
 	// persistence directory instead of analyzed (excluded from
 	// WeightBuilds).
 	WeightDiskLoads int
+	// FactorBuilds counts the numeric LDLᵀ factorizations of the run
+	// models' shared factor cache: one per distinct (flow, dt) key, not
+	// per run. FactorHits counts run-model requests served by a factor
+	// another model had already built. The LUT and weight sweeps factor
+	// privately and are counted in neither.
+	FactorBuilds int
+	FactorHits   int
 	// Supernodes and MeanPanelWidth describe the supernodal partition of
 	// the built symbolic analysis (0 before the analysis exists). The
 	// mean panel width n/supernodes is the amortization factor of the
@@ -192,6 +205,7 @@ type Platform struct {
 	lut             once[*controller.LUT]
 	weights         once[*controller.WeightTable]
 	fullLoad        once[[][]float64]
+	factors         *rcnet.Factors // run models' numeric factors, per (flow, dt)
 	models          int
 	diskLoads       int // LUTs warm-started from dir instead of swept
 	weightDiskLoads int // weight tables warm-started from dir
@@ -225,7 +239,7 @@ func NewWithDir(spec Spec, dir string) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Platform{spec: spec, stack: stack, grid: g, dir: dir}
+	p := &Platform{spec: spec, stack: stack, grid: g, dir: dir, factors: rcnet.NewFactors()}
 	if spec.Liquid {
 		p.pump, err = pump.New(stack.NumCavities())
 		if err != nil {
@@ -288,11 +302,27 @@ func (p *Platform) Warm(ctx context.Context, lut, weights bool) error {
 }
 
 // NewModel returns a fresh thermal model on the shared grid. Every model
-// owns its mutable state (temperatures, factors, scratch); with the
-// direct solver it is seeded with a private clone of the shared symbolic
-// analysis, so per-model construction skips the ordering and fill
-// analysis entirely. ctx bounds the wait on a concurrent symbolic build.
+// owns its mutable state (temperatures, scratch); with the direct solver
+// it is seeded with a private clone of the shared symbolic analysis, so
+// per-model construction skips the ordering and fill analysis entirely,
+// and it solves through the platform's shared numeric factors. ctx
+// bounds the wait on a concurrent symbolic build.
 func (p *Platform) NewModel(ctx context.Context) (*rcnet.Model, error) {
+	return p.newModel(ctx, p.factors)
+}
+
+// NewScratchModel is NewModel with a private numeric factor cache, for
+// one-off analyses — the LUT and weight sweeps, a flow bisection — whose
+// steady-state (dt = 0) keys are set-up scratch: their factors are
+// dropped with the model instead of kept for the platform's lifetime,
+// and they never churn the run models' shared factors out.
+func (p *Platform) NewScratchModel(ctx context.Context) (*rcnet.Model, error) {
+	return p.newModel(ctx, nil)
+}
+
+// newModel builds a model drawing its numeric factors from factors (nil:
+// a private cache).
+func (p *Platform) newModel(ctx context.Context, factors *rcnet.Factors) (*rcnet.Model, error) {
 	var symb *mat.LDLSymbolic
 	if p.spec.RC.Solver != rcnet.SolverCG {
 		s, err := p.symbolic(ctx)
@@ -301,7 +331,7 @@ func (p *Platform) NewModel(ctx context.Context) (*rcnet.Model, error) {
 		}
 		symb = s
 	}
-	m, err := rcnet.NewWithSymbolic(p.grid, p.spec.RC, symb)
+	m, err := rcnet.NewWithSymbolic(p.grid, p.spec.RC, symb, factors)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +369,7 @@ func (p *Platform) LUT(ctx context.Context) (*controller.LUT, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := p.NewModel(ctx)
+		m, err := p.NewScratchModel(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -364,7 +394,7 @@ func (p *Platform) Weights(ctx context.Context) (*controller.WeightTable, error)
 			p.mu.Unlock()
 			return wt, nil
 		}
-		m, err := p.NewModel(ctx)
+		m, err := p.NewScratchModel(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -512,6 +542,7 @@ func (p *Platform) Stats() Stats {
 		LUTDiskLoads:    p.diskLoads,
 		WeightDiskLoads: p.weightDiskLoads,
 	}
+	st.FactorBuilds, st.FactorHits = p.factors.Counts()
 	if p.symb.built {
 		st.Supernodes = p.symb.val.Supernodes()
 		st.MeanPanelWidth = p.symb.val.MeanPanelWidth()

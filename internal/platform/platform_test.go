@@ -2,6 +2,7 @@ package platform
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -175,5 +176,61 @@ func TestOncePanicReleasesWaiters(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("once cell wedged after a panicking build")
+	}
+}
+
+// TestSharedFactorPlatformArtifact: run models share the platform's
+// numeric factors — the second model on a key factorizes nothing and
+// Stats counts one build and one hit — while the LUT and weight sweeps
+// factor privately and leave nothing in the shared cache; an LRU
+// eviction releases the shared factors.
+func TestSharedFactorPlatformArtifact(t *testing.T) {
+	ctx := context.Background()
+	c := NewCache(1)
+	p, err := c.Get(quickSpec(2, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Warm(ctx, true, true); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.FactorBuilds != 0 || st.FactorHits != 0 {
+		t.Fatalf("set-up used the shared factors: builds=%d hits=%d", st.FactorBuilds, st.FactorHits)
+	}
+	step := func() (*rcnet.Model, []float64) {
+		t.Helper()
+		m, err := p.NewModel(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetFlow(0.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Step(0.1); err != nil {
+			t.Fatal(err)
+		}
+		return m, m.TempsCopy()
+	}
+	var temps [][]float64
+	for i := range 2 {
+		m, temp := step()
+		if want := 1 - i; m.Factorizations() != want {
+			t.Errorf("model %d factorized %d times, want %d", i, m.Factorizations(), want)
+		}
+		temps = append(temps, temp)
+	}
+	if !reflect.DeepEqual(temps[0], temps[1]) {
+		t.Error("models on one shared factor disagree")
+	}
+	if st := c.Stats(); st.Builds.FactorBuilds != 1 || st.Builds.FactorHits != 1 {
+		t.Errorf("cache stats: factor builds=%d hits=%d, want 1 and 1",
+			st.Builds.FactorBuilds, st.Builds.FactorHits)
+	}
+	if _, err := c.Get(quickSpec(2, false)); err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := step(); m.Factorizations() != 1 {
+		t.Errorf("model on the evicted platform factorized %d times, want 1 (factors released)",
+			m.Factorizations())
 	}
 }

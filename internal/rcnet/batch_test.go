@@ -29,7 +29,7 @@ func buildFleet(t *testing.T, n int) []*Model {
 	}
 	models := []*Model{first}
 	for i := 1; i < n; i++ {
-		m, err := NewWithSymbolic(g, DefaultConfig(), symb)
+		m, err := NewWithSymbolic(g, DefaultConfig(), symb, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

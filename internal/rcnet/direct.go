@@ -82,31 +82,13 @@ func (k SolverKind) applyKernelMode(s *mat.LDLSymbolic) {
 	}
 }
 
-// factorKey identifies one system matrix: the backward-Euler matrix
-// A = G + diag(boundG) + diag(C/dt) depends only on the flow setting
-// (through the convective boundary conductances) and on dt (0 for steady
-// state). Power and coolant-temperature updates only touch the RHS, so a
-// controller stepping through its discrete pump ladder revisits a handful
-// of keys and never re-factors.
-type factorKey struct {
-	flow float64
-	dt   float64
-}
-
-// maxCachedFactors bounds the per-model factor cache. The working set is
-// one key per (pump setting, tick dt) plus the steady-state dt=0 keys of a
-// LUT sweep — pump.NumSettings plus a few; 16 leaves slack for mixed
-// transient/steady use. Eviction is FIFO and the evicted numeric buffer is
-// recycled into the replacement factorization.
-const maxCachedFactors = 16
-
 // solveDirect attempts the cached-factorization direct solve of the
 // current system (m.sys, m.rhs) into m.temp. It reports whether the solve
 // happened; (false, nil) means the caller should run the CG fallback. The
-// symbolic analysis is done once per model (the sparsity never changes);
-// numeric factors are cached per (flow, dt) key, so the per-tick cost
-// after the first solve of a key is two triangular sweeps — and zero
-// allocations.
+// symbolic analysis is done once per model (or shared, see
+// NewWithSymbolic); numeric factors are cached per (flow, dt) key in the
+// model's factor source, so the per-tick cost after the first solve of a
+// key is two triangular sweeps — and zero allocations.
 func (m *Model) solveDirect(dt float64) (bool, error) {
 	num, err := m.factorFor(dt)
 	if err != nil || num == nil {
@@ -116,10 +98,14 @@ func (m *Model) solveDirect(dt float64) (bool, error) {
 	return true, nil
 }
 
-// factorFor returns the numeric factors for the current (flow, dt) key,
-// factorizing (and caching) on a miss. A nil factor with a nil error
-// means the caller should take the CG fallback — the solver is SolverCG,
-// or a factorization failed under SolverAuto (the key is then cached as
+// factorFor returns the model's view of the numeric factors for the
+// current (flow, dt) key. A miss in the model's memo asks the factor
+// source, which factorizes on its own miss (through this model's
+// symbolic analysis and system matrix) and otherwise hands back the
+// factor another model built; the view over it is allocated once per key
+// and memoized. A nil factor with a nil error means the caller should
+// take the CG fallback — the solver is SolverCG, or the key's
+// factorization failed under SolverAuto (the key is then memoized as
 // broken). This is solveDirect minus the solve itself, shared with the
 // gang scheduler's BatchStepper, which solves many models through one
 // factor.
@@ -128,54 +114,52 @@ func (m *Model) factorFor(dt float64) (*mat.LDLNumeric, error) {
 		return nil, nil
 	}
 	key := factorKey{float64(m.flow), dt}
-	if num, ok := m.factors[key]; ok {
-		return num, nil // num == nil: factorization failed before; stay on CG
+	if v, ok := m.views[key]; ok {
+		return v, nil // v == nil: factorization failed before; stay on CG
 	}
-	if m.symb == nil {
-		if _, err := m.EnsureSymbolic(); err != nil {
-			return nil, m.factorFailedErr(key, err)
+	var view *mat.LDLNumeric
+	_, err := m.EnsureSymbolic()
+	if err == nil {
+		var num *mat.LDLNumeric
+		num, err = m.factors.get(key, func() (*mat.LDLNumeric, error) {
+			num, err := m.symb.Factorize(m.sys, nil)
+			if err == nil {
+				m.nFactor++
+			}
+			return num, err
+		})
+		if err == nil {
+			view = num.View(m.symb)
 		}
 	}
-	var reuse *mat.LDLNumeric
-	if len(m.factorSeq) >= maxCachedFactors {
-		oldest := m.factorSeq[0]
-		m.factorSeq = m.factorSeq[1:]
-		reuse = m.factors[oldest]
-		delete(m.factors, oldest)
+	// Under the forced LDLᵀ kinds (SolverDirect, SolverScalar,
+	// SolverSupernodal) a failure is surfaced; under SolverAuto the key
+	// is memoized as broken so every later solve of it goes straight to
+	// CG.
+	if err != nil && m.Cfg.Solver != SolverAuto {
+		return nil, err
 	}
-	num, err := m.symb.Factorize(m.sys, reuse)
-	if err != nil {
-		return nil, m.factorFailedErr(key, err)
+	if len(m.viewSeq) >= maxCachedFactors {
+		delete(m.views, m.viewSeq[0])
+		m.viewSeq = m.viewSeq[1:]
 	}
-	m.factors[key] = num
-	m.factorSeq = append(m.factorSeq, key)
-	m.nFactor++
-	return num, nil
-}
-
-// factorFailedErr records a failed factorization. Under the forced LDLᵀ
-// kinds (SolverDirect, SolverScalar, SolverSupernodal) the error is
-// surfaced; under SolverAuto the key is cached as broken so every later
-// solve of this configuration goes straight to CG.
-func (m *Model) factorFailedErr(key factorKey, err error) error {
-	if m.Cfg.Solver != SolverAuto {
-		return err
-	}
-	if _, ok := m.factors[key]; !ok {
-		m.factors[key] = nil
-		m.factorSeq = append(m.factorSeq, key)
-	}
-	return nil
+	m.views[key] = view
+	m.viewSeq = append(m.viewSeq, key)
+	return view, nil
 }
 
 // Factorizations returns how many numeric LDLᵀ factorizations this model
-// has performed — diagnostics for the factor cache: it grows only when a
-// (flow setting, dt) combination is solved for the first time (or after
-// eviction), never on repeated ticks or same-value SetFlow calls.
+// has performed itself — diagnostics for the factor cache: it grows only
+// when a (flow setting, dt) combination is solved for the first time (or
+// after eviction) and no other model sharing the factor source has
+// factorized it already, never on repeated ticks or same-value SetFlow
+// calls. Factors served by the shared source are not counted (see
+// Factors.Counts).
 func (m *Model) Factorizations() int { return m.nFactor }
 
-// CachedFactors returns the number of live entries in the factor cache.
-func (m *Model) CachedFactors() int { return len(m.factors) }
+// CachedFactors returns the number of live entries in the model's memo
+// of factor views.
+func (m *Model) CachedFactors() int { return len(m.views) }
 
 // SupernodeStats reports the supernodal partition of the model's direct
 // solver: the supernode count, the mean panel width (nodes/supernodes —

@@ -210,8 +210,8 @@ func TestFactorCacheReuse(t *testing.T) {
 }
 
 // TestFactorCacheEviction drives more distinct keys than the cache holds
-// and checks the solver keeps producing correct answers (FIFO eviction
-// recycles the oldest numeric buffer).
+// and checks the solver keeps producing correct answers and the model's
+// memo stays bounded (FIFO eviction drops the oldest key).
 func TestFactorCacheEviction(t *testing.T) {
 	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(12, 10))
 	if err != nil {

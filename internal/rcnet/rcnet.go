@@ -17,12 +17,13 @@
 // factorization: the system matrix depends only on the pump's flow setting
 // and the time step, so it is analyzed symbolically once (fill-reducing
 // nested-dissection or RCM ordering), factored numerically the first time
-// each (flow, dt) combination is solved, and every subsequent tick costs
-// just two triangular sweeps — allocation-free. Preconditioned conjugate
-// gradient (SSOR by default, Jacobi optional) remains available as a
-// cross-check (Config.Solver) and as the automatic fallback; steady states
-// are fixed-point iterations between the conduction solve and the coolant
-// march.
+// each (flow, dt) combination is solved — once for all the models that
+// share a factor cache (Factors; a platform's run models do) — and every
+// subsequent tick costs just two triangular sweeps, allocation-free.
+// Preconditioned conjugate gradient (SSOR by default, Jacobi optional)
+// remains available as a cross-check (Config.Solver) and as the automatic
+// fallback; steady states are fixed-point iterations between the
+// conduction solve and the coolant march.
 package rcnet
 
 import (
@@ -137,10 +138,14 @@ type Model struct {
 	ssPrev   []float64       // SteadyState fixed-point scratch
 
 	// Direct-solver state: one symbolic analysis per model (the sparsity
-	// is fixed at assembly), numeric factors cached per (flow, dt) key.
+	// is fixed at assembly; a clone of a shared one under
+	// NewWithSymbolic), numeric factors per (flow, dt) key from a factor
+	// source — private, or shared by every model of a platform — and a
+	// memo of this model's views into them.
 	symb         *mat.LDLSymbolic
-	factors      map[factorKey]*mat.LDLNumeric
-	factorSeq    []factorKey // insertion order, for FIFO eviction
+	factors      *Factors
+	views        map[factorKey]*mat.LDLNumeric
+	viewSeq      []factorKey // insertion order, for FIFO eviction
 	nFactor      int         // numeric factorizations performed (diagnostics)
 	solveWorkers int         // SetSolveWorkers; applied when symb exists
 
@@ -170,7 +175,8 @@ func New(g *grid.Grid, cfg Config) (*Model, error) {
 	m.invRatio = make([]float64, m.n)
 	m.rhs = make([]float64, m.n)
 	m.old = make([]float64, m.n)
-	m.factors = make(map[factorKey]*mat.LDLNumeric)
+	m.factors = NewFactors()
+	m.views = make(map[factorKey]*mat.LDLNumeric)
 	for i := range m.temp {
 		m.temp[i] = float64(cfg.InitTemp)
 	}
@@ -201,9 +207,12 @@ func New(g *grid.Grid, cfg Config) (*Model, error) {
 // direct solver with a private clone of a previously computed symbolic
 // analysis (see Model.EnsureSymbolic), so the per-model ordering and fill
 // analysis is skipped. Any number of models may be built from one source
-// analysis concurrently — each clone owns its scratch. A nil symb behaves
-// exactly like New.
-func NewWithSymbolic(g *grid.Grid, cfg Config, symb *mat.LDLSymbolic) (*Model, error) {
+// analysis concurrently — each clone owns its scratch. A non-nil factors
+// makes the model draw its numeric factors from that shared cache, which
+// must only ever serve models built from the same analysis and cfg (a
+// platform's); nil keeps a private cache, as does a nil symb, which
+// behaves exactly like New.
+func NewWithSymbolic(g *grid.Grid, cfg Config, symb *mat.LDLSymbolic, factors *Factors) (*Model, error) {
 	m, err := New(g, cfg)
 	if err != nil {
 		return nil, err
@@ -215,6 +224,9 @@ func NewWithSymbolic(g *grid.Grid, cfg Config, symb *mat.LDLSymbolic) (*Model, e
 		}
 		m.symb = symb.Clone()
 		cfg.Solver.applyKernelMode(m.symb)
+		if factors != nil {
+			m.factors = factors
+		}
 	}
 	return m, nil
 }

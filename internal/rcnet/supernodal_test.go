@@ -133,7 +133,7 @@ func TestSupernodalKernelForcing(t *testing.T) {
 	}
 	cfg2 := DefaultConfig()
 	cfg2.Solver = SolverScalar
-	m2, err := NewWithSymbolic(g, cfg2, symb)
+	m2, err := NewWithSymbolic(g, cfg2, symb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
