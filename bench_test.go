@@ -396,43 +396,19 @@ func BenchmarkSolveBatch8(b *testing.B) {
 	b.Run("sequential", benchutil.SolveSequential8)
 }
 
-// BenchmarkFactorizePaperResolution compares the serial and
-// level-parallel refactorize+solve at the paper's 115×100 grid — the
-// flow-transition cost a running simulation pays. The parallel schedule
-// is bit-identical to serial (mat.TestFactorizeParallelBitIdentical);
-// acceptance is ≥ 2× at GOMAXPROCS ≥ 4 with the serial body unchanged.
+// BenchmarkFactorizePaperResolution measures the refactorize+solve at
+// the paper's 115×100 grid — the flow-transition cost a running
+// simulation pays — on the supernodal kernels the size gate picks there;
+// 0 B/op in steady state.
 func BenchmarkFactorizePaperResolution(b *testing.B) {
-	b.Run("serial", benchutil.FactorizePaper(1))
-	b.Run("parallel", benchutil.FactorizePaper(0))
+	benchutil.FactorizePaper(b)
 }
 
-// BenchmarkFactorizePaperSupernodal pins the LDLᵀ kernel family on the
-// serial paper-resolution refactorize+solve: the supernodal dense-panel
-// kernels vs the scalar column kernels the auto gate replaces at this
-// size. Acceptance: supernodal ≥ 1.3× on the factorize-dominated body,
-// both sub-benchmarks 0 B/op in steady state, and the supernodal factor
-// within 1e-9 of scalar entry-wise (mat.TestSupernodalMatchesScalar).
-func BenchmarkFactorizePaperSupernodal(b *testing.B) {
-	b.Run("supernodal", benchutil.FactorizePaperKernel(true))
-	b.Run("scalar", benchutil.FactorizePaperKernel(false))
-}
-
-// BenchmarkSolveSupernodal is the per-tick counterpart: one cached-factor
-// triangular solve at paper resolution, kernel family pinned. The
-// supernodal gather-form panel sweep is what every thermal tick pays
-// after the auto gate flips the paper grid supernodal.
-func BenchmarkSolveSupernodal(b *testing.B) {
-	b.Run("supernodal", benchutil.SolveKernel(true))
-	b.Run("scalar", benchutil.SolveKernel(false))
-}
-
-// BenchmarkSolveBatchSupernodal8 tracks the blocked 8-RHS sweep with the
-// kernel family pinned — the gang-scheduler path on the supernodal
-// factor. Lanes are bit-identical to sequential solves
-// (mat.TestSupernodalSolveBatchMatchesSequential).
-func BenchmarkSolveBatchSupernodal8(b *testing.B) {
-	b.Run("supernodal", benchutil.SolveBatchKernel8(true))
-	b.Run("scalar", benchutil.SolveBatchKernel8(false))
+// BenchmarkSolvePaperResolution is the per-tick counterpart: one
+// cached-factor triangular solve at paper resolution, the supernodal
+// gather-form panel sweep every thermal tick pays there.
+func BenchmarkSolvePaperResolution(b *testing.B) {
+	benchutil.SolvePaper(b)
 }
 
 // BenchmarkRunManySharedFactor tracks the co-scheduled batch path: four

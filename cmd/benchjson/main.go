@@ -11,11 +11,8 @@
 //	                     # (symbolic analysis + first factorization at
 //	                     # 115×100, with the L fill, supernode count and
 //	                     # mean panel width reported, plus the
-//	                     # serial-vs-level-parallel refactorize+solve
-//	                     # pair and the supernodal-vs-scalar kernel
-//	                     # pairs for factorize, lone solve and the 8-RHS
-//	                     # batch sweep) — the opt-in nightly CI job's
-//	                     # configuration
+//	                     # refactorize+solve and lone-solve bodies) — the
+//	                     # opt-in nightly CI job's configuration
 //
 // The benchmark bodies are the ones bench_test.go runs (shared through
 // internal/benchutil): ThermalStepCoarse, ThermalStepPaperResolution plus
@@ -76,10 +73,11 @@ func main() {
 		"add the paper-resolution (115x100) factor/fill trackers (nightly CI configuration)")
 	flag.Parse()
 
-	benches := []struct {
+	type bench struct {
 		name string
 		fn   func(b *testing.B)
-	}{
+	}
+	benches := []bench{
 		{"ThermalStepCoarse", benchutil.ThermalStep(23, 20, rcnet.SolverAuto)},
 		{"ThermalStepPaperResolution", benchutil.ThermalStep(115, 100, rcnet.SolverAuto)},
 		{"ThermalStepPaperResolutionCG", benchutil.ThermalStep(115, 100, rcnet.SolverCG)},
@@ -101,38 +99,9 @@ func main() {
 	}
 	if *paper {
 		benches = append(benches,
-			struct {
-				name string
-				fn   func(b *testing.B)
-			}{"AnalyzePaperResolution", benchutil.AnalyzePaper},
-			struct {
-				name string
-				fn   func(b *testing.B)
-			}{"FactorizePaperSerial", benchutil.FactorizePaper(1)},
-			struct {
-				name string
-				fn   func(b *testing.B)
-			}{"FactorizePaperParallel", benchutil.FactorizePaper(0)},
-			struct {
-				name string
-				fn   func(b *testing.B)
-			}{"FactorizePaperSupernodal", benchutil.FactorizePaperKernel(true)},
-			struct {
-				name string
-				fn   func(b *testing.B)
-			}{"FactorizePaperScalar", benchutil.FactorizePaperKernel(false)},
-			struct {
-				name string
-				fn   func(b *testing.B)
-			}{"SolveSupernodal", benchutil.SolveKernel(true)},
-			struct {
-				name string
-				fn   func(b *testing.B)
-			}{"SolveScalar", benchutil.SolveKernel(false)},
-			struct {
-				name string
-				fn   func(b *testing.B)
-			}{"SolveBatchSupernodal8", benchutil.SolveBatchKernel8(true)},
+			bench{"AnalyzePaperResolution", benchutil.AnalyzePaper},
+			bench{"FactorizePaperResolution", benchutil.FactorizePaper},
+			bench{"SolvePaperResolution", benchutil.SolvePaper},
 		)
 	}
 

@@ -40,7 +40,7 @@ func main() {
 		workers = flag.Int("workers", 0,
 			"scenario-level worker goroutines (0 = NumCPU); output is byte-identical for any value")
 		solver = flag.String("solver", "auto",
-			"thermal linear solver: auto (cached LDLT direct, CG fallback)|direct|cg|scalar|supernodal (scalar/supernodal force the LDLT kernel family)")
+			"thermal linear solver: auto (cached LDLT direct, CG fallback)|direct|cg")
 		stepperMode = flag.String("stepper", "fixed",
 			"time-advance engine for every simulation run: fixed (paper-exact)|adaptive (thermal macro-steps, <=0.05C tolerance)")
 	)

@@ -100,20 +100,3 @@ func TestControlEveryRuns(t *testing.T) {
 		t.Fatalf("WithControlEvery(1) should match the default cadence\n got: %+v\nwant: %+v", r2, ref)
 	}
 }
-
-// TestSolveParallelismBitIdentical: per-solve parallelism never changes
-// a report.
-func TestSolveParallelismBitIdentical(t *testing.T) {
-	sc := warmScenario("Web-high", 3)
-	ref, err := Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(context.Background(), sc, WithSolveParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatalf("WithSolveParallelism(4) changed the report\n got: %+v\nwant: %+v", got, ref)
-	}
-}

@@ -18,9 +18,8 @@
 // within one simulated tick. Configuration is a Scenario value plus
 // functional options (WithWorkers, WithGrid, WithSolver, WithTick,
 // WithStepper, WithObserver, WithPlatformCache, WithControlEvery,
-// WithSolveParallelism, WithBatchCounters); failures surface as typed
-// errors (ErrUnknownWorkload, ErrUnknownCooling, ...) that wrap into
-// errors.Is. Scenario.Stepping/WithStepper select the time-advance
+// WithBatchCounters); failures surface as typed errors
+// (ErrUnknownWorkload, ErrUnknownCooling, ...) that wrap into errors.Is. Scenario.Stepping/WithStepper select the time-advance
 // engine: the default fixed 100 ms loop, or adaptive thermal
 // macro-stepping (≤ 0.1 °C from fixed, several-fold faster through
 // thermally quiet phases), with samples at the base tick either way.
@@ -32,9 +31,6 @@
 // thermal solves ride one blocked multi-RHS sweep of the shared factor
 // — reports stay byte-identical to solo runs at any worker count, and
 // Report.BatchedSolves / WithBatchCounters expose what was ganged.
-// WithSolveParallelism enables level-parallel factorization and solves
-// inside a single run (bit-identical to serial) for paper-resolution
-// grids.
 package coolsim
 
 import (
@@ -525,7 +521,6 @@ func (sc Scenario) simConfig(rc config) (sim.Config, error) {
 		MaxStep:      units.Second(stepping.MaxStepS),
 		ControlEvery: controlEvery,
 	}
-	cfg.SolveWorkers = rc.solveWorkers
 	if rc.batch != nil {
 		cfg.BatchCounters = &rc.batch.inner
 	}

@@ -40,6 +40,7 @@ func TestTypedScenarioErrors(t *testing.T) {
 		{func(sc *Scenario) { sc.Policy = "rr" }, ErrUnknownPolicy},
 		{func(sc *Scenario) { sc.Layers = 5 }, ErrBadLayers},
 		{func(sc *Scenario) { sc.Solver = "gauss" }, ErrUnknownSolver},
+		{func(sc *Scenario) { sc.Solver = "scalar" }, ErrUnknownSolver},
 	}
 	for _, c := range cases {
 		sc := quickScenario()

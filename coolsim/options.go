@@ -15,7 +15,6 @@ type config struct {
 	memberObserver func(member int, smp *Sample)
 	pcache         *PlatformCache
 	controlEvery   int
-	solveWorkers   int
 	batch          *BatchCounters
 }
 
@@ -98,15 +97,6 @@ func WithMemberObserver(fn func(member int, smp *Sample)) Option {
 // own setting); negative values fail with ErrBadControlEvery.
 func WithControlEvery(n int) Option {
 	return func(c *config) { c.controlEvery = n }
-}
-
-// WithSolveParallelism enables level-parallel LDLᵀ factorization and
-// triangular solves inside each scenario's thermal model, using up to n
-// workers per solve. Results are bit-identical to the serial solver at
-// any n; n ≤ 1 (the default) keeps the serial sweeps, which are faster
-// below roughly the paper's 115×100 resolution.
-func WithSolveParallelism(n int) Option {
-	return func(c *config) { c.solveWorkers = n }
 }
 
 // WithBatchCounters makes the call report batched-solve statistics into

@@ -46,7 +46,7 @@
 // dense panels — blocked rank-k factorization updates and dense panel
 // triangular sweeps — matching the scalar kernels to 1e-9 entry-wise
 // and 1e-6 K end-to-end while roughly doubling factorization and solve
-// throughput; -solver supernodal|scalar forces the kernel family.
+// throughput.
 // EXPERIMENTS.md documents the experiment knobs and
 // calibration; cmd/benchjson snapshots the substrate benchmarks to
 // BENCH_<date>.json per PR (the opt-in nightly workflow adds the

@@ -6,7 +6,6 @@ package benchutil
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"repro/coolsim"
@@ -249,46 +248,11 @@ func QuietPhase(kind stepper.Kind, nx, ny int) func(b *testing.B) {
 	}
 }
 
-// AnalyzePaper measures the direct solver's symbolic analysis (ordering +
-// elimination tree + fill pattern + supernode amalgamation) and first
-// numeric factorization on the paper-resolution 115×100 grid, reporting
-// the L-factor fill, the supernode count and the mean panel width as
-// metrics. The nightly CI job tracks these — the ROADMAP's
-// paper-resolution trajectory item.
-func AnalyzePaper(b *testing.B) {
-	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(115, 100))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := rcnet.New(g, rcnet.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := m.SetFlow(0.5); err != nil {
-		b.Fatal(err)
-	}
-	var fill, supers int
-	var meanW float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		symb, num, err := m.AnalyzeAndFactor(0.1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fill = symb.NNZL()
-		supers = symb.Supernodes()
-		meanW = symb.MeanPanelWidth()
-		_ = num
-	}
-	b.ReportMetric(float64(fill), "nnzL")
-	b.ReportMetric(float64(supers), "supernodes")
-	b.ReportMetric(meanW, "mean-panel-width")
-}
-
-// paperFactor builds the paper-resolution (115×100) thermal system and
-// returns its fresh numeric factor — the shared setup of the multi-RHS
-// solve benchmarks.
-func paperFactor(b *testing.B) (*mat.LDLNumeric, int) {
+// paperSystem builds the paper-resolution (115×100) backward-Euler
+// system at mid flow — the setup of the analysis, factorization and
+// solve benchmarks. The returned matrix aliases the model's assembly
+// buffer, which nothing else touches afterwards.
+func paperSystem(b *testing.B) *mat.CSR {
 	b.Helper()
 	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(115, 100))
 	if err != nil {
@@ -301,11 +265,55 @@ func paperFactor(b *testing.B) (*mat.LDLNumeric, int) {
 	if err := m.SetFlow(0.5); err != nil {
 		b.Fatal(err)
 	}
-	_, num, err := m.AnalyzeAndFactor(0.1)
+	sys, err := m.SystemCSR(0.1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return num, m.NumNodes()
+	return sys
+}
+
+// paperFactor analyzes and factorizes the paper-resolution system. At
+// this size the analysis picks the supernodal dense-panel kernels, so
+// every benchmark built on it measures them.
+func paperFactor(b *testing.B) (*mat.LDLSymbolic, *mat.LDLNumeric, *mat.CSR) {
+	b.Helper()
+	sys := paperSystem(b)
+	symb, err := mat.AnalyzeLDL(sys, mat.OrderAuto)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !symb.Supernodal() {
+		b.Fatal("paper-resolution analysis did not pick the supernodal kernels")
+	}
+	num, err := symb.Factorize(sys, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return symb, num, sys
+}
+
+// AnalyzePaper measures the direct solver's symbolic analysis (ordering +
+// elimination tree + fill pattern + supernode amalgamation) and first
+// numeric factorization on the paper-resolution 115×100 grid, reporting
+// the L-factor fill, the supernode count and the mean panel width as
+// metrics. The nightly CI job tracks these — the ROADMAP's
+// paper-resolution trajectory item.
+func AnalyzePaper(b *testing.B) {
+	sys := paperSystem(b)
+	var symb *mat.LDLSymbolic
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if symb, err = mat.AnalyzeLDL(sys, mat.OrderAuto); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := symb.Factorize(sys, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(symb.NNZL()), "nnzL")
+	b.ReportMetric(float64(symb.Supernodes()), "supernodes")
+	b.ReportMetric(symb.MeanPanelWidth(), "mean-panel-width")
 }
 
 // batchRHS allocates k solution buffers and k distinct right-hand sides
@@ -328,11 +336,14 @@ func batchRHS(n, k int) (xs, bs [][]float64) {
 // resolution factor: a single SolveBatch over 8 right-hand sides per op.
 // Against SolveSequential8 — the identical 8 systems as individual Solve
 // calls — it tracks the per-RHS win of traversing the factor once for
-// the whole block (acceptance: per-RHS cost ≤ 50% of a lone Solve).
+// the whole block (acceptance: per-RHS cost ≤ 50% of a lone Solve). The
+// supernodal batch body mirrors the sequential solve's operation order
+// lane by lane, so its lanes are bit-identical to 8 lone Solves
+// (mat.TestSupernodalSolveBatchMatchesSequential).
 func SolveBatch8(b *testing.B) {
-	num, n := paperFactor(b)
-	xs, bs := batchRHS(n, 8)
-	num.SolveBatch(xs, bs) // warm sweep: allocates the width-8 panel buffer
+	_, num, sys := paperFactor(b)
+	xs, bs := batchRHS(sys.N, 8)
+	num.SolveBatch(xs, bs) // warm sweep: allocates the width-8 panel buffers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		num.SolveBatch(xs, bs)
@@ -342,8 +353,8 @@ func SolveBatch8(b *testing.B) {
 // SolveSequential8 is the unblocked reference for SolveBatch8: the same
 // factor and the same 8 right-hand sides, solved one at a time.
 func SolveSequential8(b *testing.B) {
-	num, n := paperFactor(b)
-	xs, bs := batchRHS(n, 8)
+	_, num, sys := paperFactor(b)
+	xs, bs := batchRHS(sys.N, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range bs {
@@ -352,171 +363,43 @@ func SolveSequential8(b *testing.B) {
 	}
 }
 
-// paperSystem builds the paper-resolution (115×100) backward-Euler
-// system and its analyzed symbolic with the LDLᵀ kernel family pinned:
-// super forces the supernodal dense-panel kernels on or the scalar
-// column kernels, overriding the profitability auto-selection — the
-// setup of the kernel-comparison benchmarks.
-func paperSystem(b *testing.B, super bool) (*mat.LDLSymbolic, *mat.CSR) {
-	b.Helper()
-	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(115, 100))
-	if err != nil {
-		b.Fatal(err)
+// unitRHS returns a fixed non-trivial right-hand side of size n.
+func unitRHS(n int) []float64 {
+	rhs := make([]float64, n)
+	for i := range rhs {
+		rhs[i] = 1 + float64(i%5)
 	}
-	m, err := rcnet.New(g, rcnet.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := m.SetFlow(0.5); err != nil {
-		b.Fatal(err)
-	}
-	sys, err := m.SystemCSR(0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	symb, err := mat.AnalyzeLDL(sys, mat.OrderAuto)
-	if err != nil {
-		b.Fatal(err)
-	}
-	symb.SetSupernodal(super)
-	if super && !symb.Supernodal() {
-		b.Fatal("paper-resolution analysis has no supernodal partition")
-	}
-	return symb, sys
+	return rhs
 }
 
-// FactorizePaperKernel returns the serial paper-resolution
-// refactorize+solve benchmark with the LDLᵀ kernel family pinned:
-// super=true runs the supernodal dense-panel kernels, super=false the
-// scalar column kernels the auto gate would otherwise replace at this
-// size. The pair isolates the supernodal factorization win from the
-// auto-selection policy (acceptance: supernodal ≥ 1.3× on the serial
-// factorize; both bodies 0 B/op in steady state).
-func FactorizePaperKernel(super bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		symb, sys := paperSystem(b, super)
-		num, err := symb.Factorize(sys, nil)
-		if err != nil {
+// FactorizePaper benchmarks the paper-resolution refactorize+solve: each
+// op is one numeric factorization of the 115×100 backward-Euler system
+// into a reused factor plus one triangular solve — the flow-transition
+// cost a running simulation pays. Steady state is 0 B/op.
+func FactorizePaper(b *testing.B) {
+	symb, num, sys := paperFactor(b)
+	x, rhs := make([]float64, sys.N), unitRHS(sys.N)
+	num.Solve(x, rhs) // warm the solve scratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if num, err = symb.Factorize(sys, num); err != nil {
 			b.Fatal(err)
 		}
-		x := make([]float64, sys.N)
-		rhs := make([]float64, sys.N)
-		for i := range rhs {
-			rhs[i] = 1 + float64(i%5)
-		}
-		num.Solve(x, rhs) // warm the solve scratch
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if num, err = symb.Factorize(sys, num); err != nil {
-				b.Fatal(err)
-			}
-			num.Solve(x, rhs)
-		}
+		num.Solve(x, rhs)
 	}
 }
 
-// SolveKernel returns the lone-triangular-solve benchmark on the
-// paper-resolution factor with the kernel family pinned (see
-// FactorizePaperKernel) — the per-tick cost of a cached-factor thermal
-// step. The supernodal body sweeps dense panels in gather form and must
-// stay 0 B/op after the first warmed call.
-func SolveKernel(super bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		symb, sys := paperSystem(b, super)
-		num, err := symb.Factorize(sys, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x := make([]float64, sys.N)
-		rhs := make([]float64, sys.N)
-		for i := range rhs {
-			rhs[i] = 1 + float64(i%5)
-		}
-		num.Solve(x, rhs) // warm the solve scratch
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			num.Solve(x, rhs)
-		}
-	}
-}
-
-// SolveBatchKernel8 returns the blocked 8-RHS sweep benchmark on the
-// paper-resolution factor with the kernel family pinned (see
-// FactorizePaperKernel). The supernodal batch body mirrors the
-// sequential supernodal solve's operation order lane by lane, so its
-// lanes are bit-identical to 8 lone Solves
-// (mat.TestSupernodalSolveBatchMatchesSequential).
-func SolveBatchKernel8(super bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		symb, sys := paperSystem(b, super)
-		num, err := symb.Factorize(sys, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		xs, bs := batchRHS(sys.N, 8)
-		num.SolveBatch(xs, bs) // warm sweep: allocates the panel buffers
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			num.SolveBatch(xs, bs)
-		}
-	}
-}
-
-// FactorizePaper returns the paper-resolution refactorize+solve
-// benchmark at a worker count: each op is one numeric factorization of
-// the 115×100 backward-Euler system into a reused factor plus one
-// triangular solve — the flow-transition cost a running simulation pays.
-// workers <= 0 uses NumCPU. The workers=1 serial body is the baseline;
-// the level-parallel body must be bit-identical to it (pinned by
-// mat.TestFactorizeParallelBitIdentical) and ≥ 2× faster at
-// GOMAXPROCS ≥ 4 on the paper grid. The analysis auto-selects the
-// kernel family, so at this size both bodies run the supernodal
-// dense-panel kernels (FactorizePaperKernel pins the family explicitly).
-func FactorizePaper(workers int) func(b *testing.B) {
-	return func(b *testing.B) {
-		g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(115, 100))
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := rcnet.New(g, rcnet.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.SetFlow(0.5); err != nil {
-			b.Fatal(err)
-		}
-		sys, err := m.SystemCSR(0.1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		symb, err := mat.AnalyzeLDL(sys, mat.OrderAuto)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if workers <= 0 {
-			workers = runtime.NumCPU()
-			if workers == 1 {
-				b.Log("single-CPU host: the parallel body degenerates to serial, timing is parity-only")
-			}
-		}
-		symb.SetWorkers(workers)
-		num, err := symb.Factorize(sys, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x := make([]float64, sys.N)
-		rhs := make([]float64, sys.N)
-		for i := range rhs {
-			rhs[i] = 1 + float64(i%5)
-		}
-		num.Solve(x, rhs) // warm the parallel solve's level buffers
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if num, err = symb.Factorize(sys, num); err != nil {
-				b.Fatal(err)
-			}
-			num.Solve(x, rhs)
-		}
+// SolvePaper benchmarks one cached-factor triangular solve at paper
+// resolution — the per-tick cost of a thermal step there: the supernodal
+// gather-form panel sweep, 0 B/op after the first warmed call.
+func SolvePaper(b *testing.B) {
+	_, num, sys := paperFactor(b)
+	x, rhs := make([]float64, sys.N), unitRHS(sys.N)
+	num.Solve(x, rhs) // warm the solve scratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		num.Solve(x, rhs)
 	}
 }
 

@@ -41,25 +41,8 @@ type LDLSymbolic struct {
 	// (int32 halves the index traffic of the two solve sweeps, the
 	// per-tick hot path; 2³¹ nodes is far beyond any grid here)
 
-	// Level schedule of the elimination tree: level 0 holds the leaves,
-	// level l the nodes whose longest descendant path has length l. All
-	// rows of one level can be factorized (and their triangular-sweep
-	// contributions applied) independently; levels are barriers. Nodes
-	// are stored ascending within each level, so a level-ordered pass
-	// touches rows in exactly the serial elimination order.
-	lvlPtr  []int32 // len nLevels+1
-	lvlNode []int32 // len n; level l = lvlNode[lvlPtr[l]:lvlPtr[l+1]]
-
-	// Row-major view of L's pattern (the forward sweep in gather form):
-	// row i's below-diagonal entries are rcol[rp[i]:rp[i+1]] (columns,
-	// ascending — the serial scatter's update order) and the matching
-	// value positions in lx are rpos[rp[i]:rp[i+1]].
-	rp   []int32
-	rcol []int32
-	rpos []int32
-
 	// Supernode partition and padded panel structure (immutable, shared
-	// by Clone); superOn selects the dense-panel kernels per instance.
+	// by Clone); superOn selects the dense-panel kernels.
 	super   *superState
 	superOn bool
 
@@ -77,8 +60,6 @@ type LDLSymbolic struct {
 	stmp    []float64 // supernodal solve: below-row gather buffer
 	sbacc   []float64 // supernodal batch solve accumulator, grown on demand
 	sbtmp   []float64 // supernodal batch below-row gather, grown on demand
-
-	par *parState // level-parallel state; nil = serial (SetWorkers)
 }
 
 // LDLNumeric holds the numeric factors of one matrix: PAPᵀ = L·D·Lᵀ with
@@ -117,15 +98,14 @@ func (s *LDLSymbolic) N() int { return s.n }
 
 // Clone returns a symbolic analysis that shares the immutable products of
 // AnalyzeLDL — the fill-reducing permutation, the permuted upper triangle,
-// the elimination tree, the complete pattern of L (column pointers, row
-// indices, the level schedule and the row-major view) — but owns its
-// scratch buffers. The clone can therefore factorize and solve
-// concurrently with the original (and with other clones), which is what
-// lets one expensive analysis serve every model of a shared platform.
+// the elimination tree, the complete pattern of L (column pointers and
+// row indices) — but owns its scratch buffers. The clone can therefore
+// factorize and solve concurrently with the original (and with other
+// clones), which is what lets one expensive analysis serve every model
+// of a shared platform.
 // Cloning costs a handful of O(n) allocations; the ordering and symbolic
 // passes are not repeated. The supernode partition is shared too and the
-// mode flag copied; worker configuration (SetWorkers) is per instance
-// and not inherited.
+// kernel-mode flag copied.
 func (s *LDLSymbolic) Clone() *LDLSymbolic {
 	return &LDLSymbolic{
 		n:      s.n,
@@ -137,9 +117,6 @@ func (s *LDLSymbolic) Clone() *LDLSymbolic {
 		parent:  s.parent,
 		lp:      s.lp,
 		li:      s.li,
-		lvlPtr:  s.lvlPtr,
-		lvlNode: s.lvlNode,
-		rp:      s.rp, rcol: s.rcol, rpos: s.rpos,
 		super:   s.super,
 		superOn: s.superOn,
 		y:       make([]float64, s.n),
@@ -276,60 +253,9 @@ func AnalyzeLDL(a *CSR, ord Ordering) (*LDLSymbolic, error) {
 		}
 	}
 
-	// Level schedule: lev(k) = longest path from a descendant leaf.
-	// parent[k] > k always, so one ascending pass settles every level.
-	lev := make([]int32, n)
-	maxLev := int32(0)
-	for k := 0; k < n; k++ {
-		if p := s.parent[k]; p >= 0 && lev[k]+1 > lev[p] {
-			lev[p] = lev[k] + 1
-		}
-		if lev[k] > maxLev {
-			maxLev = lev[k]
-		}
-	}
-	s.lvlPtr = make([]int32, maxLev+2)
-	for k := 0; k < n; k++ {
-		s.lvlPtr[lev[k]+1]++
-	}
-	for l := 0; l < len(s.lvlPtr)-1; l++ {
-		s.lvlPtr[l+1] += s.lvlPtr[l]
-	}
-	s.lvlNode = make([]int32, n)
-	next2 := make([]int32, maxLev+1)
-	for k := 0; k < n; k++ { // ascending k ⇒ ascending within each level
-		l := lev[k]
-		s.lvlNode[s.lvlPtr[l]+next2[l]] = int32(k)
-		next2[l]++
-	}
-
-	// Row-major view of L (forward sweep in gather form). Iterating
-	// columns ascending yields ascending column indices within each row —
-	// the serial scatter's per-row update order.
-	s.rp = make([]int32, n+1)
-	for _, r := range s.li {
-		s.rp[r+1]++
-	}
-	for i := 0; i < n; i++ {
-		s.rp[i+1] += s.rp[i]
-	}
-	s.rcol = make([]int32, len(s.li))
-	s.rpos = make([]int32, len(s.li))
-	rnext := make([]int32, n)
-	for j := 0; j < n; j++ {
-		for p := s.lp[j]; p < s.lp[j+1]; p++ {
-			r := s.li[p]
-			t := s.rp[r] + rnext[r]
-			rnext[r]++
-			s.rcol[t] = int32(j)
-			s.rpos[t] = int32(p)
-		}
-	}
-
 	// Supernode partition (dense-panel layer): computed once here from
 	// the finished etree/pattern, shared by Clone. The dense-panel
-	// kernels are selected by default exactly when the partition is
-	// profitable; SetSupernodal overrides per instance.
+	// kernels are selected exactly when the partition is profitable.
 	s.buildSupernodes(maxSuperWidth, true)
 	s.superOn = s.SupernodalProfitable()
 
@@ -364,13 +290,7 @@ func (s *LDLSymbolic) Factorize(a *CSR, f *LDLNumeric) (*LDLNumeric, error) {
 		}
 	}
 	if s.superOn {
-		if s.par != nil {
-			return s.factorizeSuperParallel(a, f)
-		}
 		return s.factorizeSuper(a, f)
-	}
-	if s.par != nil {
-		return s.factorizeParallel(a, f)
 	}
 	n := s.n
 	y, pattern, flag, lnz := s.y, s.pattern, s.flag, s.lnz
@@ -436,28 +356,16 @@ func (f *LDLNumeric) Solve(x, b []float64) {
 	if len(x) != n || len(b) != n {
 		panic("mat: LDL Solve dimension mismatch")
 	}
+	w := s.w
+	for k := 0; k < n; k++ {
+		w[k] = b[s.perm[k]]
+	}
 	if f.super {
-		if s.par != nil {
-			f.solveSuperParallel(x, b)
-			return
-		}
-		w := s.w
-		for k := 0; k < n; k++ {
-			w[k] = b[s.perm[k]]
-		}
 		f.solveSuper()
 		for k := 0; k < n; k++ {
 			x[s.perm[k]] = w[k]
 		}
 		return
-	}
-	if s.par != nil {
-		f.solveParallel(x, b)
-		return
-	}
-	w := s.w
-	for k := 0; k < n; k++ {
-		w[k] = b[s.perm[k]]
 	}
 	for j := 0; j < n; j++ {
 		wj := w[j]

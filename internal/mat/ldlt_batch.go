@@ -7,8 +7,10 @@ package mat
 // the whole batch instead of once per RHS — the index and L traffic that
 // dominates a single Solve is amortized k ways. Per-RHS results are
 // bit-identical to sequential Solve calls, except that the blocked
-// forward sweep does not reproduce Solve's skip of exact-zero
-// multipliers (see ldlt_par.go; only -0 accumulators could ever tell).
+// forward sweep does not reproduce the scalar Solve's skip of exact-zero
+// multipliers. Subtracting the skipped ±0 products changes a result bit
+// only when an accumulator holds -0 — never the case for the strictly
+// positive thermal systems this package serves.
 //
 // Each xs[r]/bs[r] must have length N; xs[r] may alias bs[r]. Like
 // Solve, SolveBatch allocates nothing in steady state: the panel scratch
@@ -57,7 +59,7 @@ func (f *LDLNumeric) SolveBatch(xs, bs [][]float64) {
 		}
 		return
 	}
-	// Forward sweep, scatter form over columns (the serial order).
+	// Forward sweep, scatter form over columns (Solve's order).
 	for j := 0; j < n; j++ {
 		wj := wb[j*k : j*k+k]
 		for p := s.lp[j]; p < s.lp[j+1]; p++ {

@@ -1,0 +1,109 @@
+package mat
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// TestSolveBatchMatchesSolve is the batch-path property test: for every
+// batch width, SolveBatch must reproduce k sequential Solve calls — on
+// these strictly positive systems, bit for bit (far inside the ≤ 1e-12
+// contract the gang scheduler depends on).
+func TestSolveBatchMatchesSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 4; trial++ {
+		n := 40 + rng.Intn(160)
+		a := randSPD(n, 1+rng.Intn(3), rng)
+		s, err := AnalyzeLDL(a, OrderAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := s.Factorize(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 2, 3, 5, 8, 17} {
+			bs := make([][]float64, k)
+			xs := make([][]float64, k)
+			want := make([][]float64, k)
+			for r := 0; r < k; r++ {
+				bs[r] = make([]float64, n)
+				for i := range bs[r] {
+					bs[r][i] = 250 + 100*rng.Float64()
+				}
+				xs[r] = make([]float64, n)
+				want[r] = make([]float64, n)
+				f.Solve(want[r], bs[r])
+			}
+			f.SolveBatch(xs, bs)
+			for r := 0; r < k; r++ {
+				for i := 0; i < n; i++ {
+					if xs[r][i] != want[r][i] {
+						t.Fatalf("n=%d k=%d rhs %d node %d: batch %g vs solve %g",
+							n, k, r, i, xs[r][i], want[r][i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSolveBatchAliasing: xs[r] may alias bs[r] (the thermal stepper
+// solves into the state vector the RHS was built from).
+func TestSolveBatchAliasing(t *testing.T) {
+	a := gridLaplacian(9, 7, 1.5)
+	s, err := AnalyzeLDL(a, OrderAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := s.Factorize(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 3
+	var xs, bs, want [][]float64
+	for r := 0; r < k; r++ {
+		v := make([]float64, a.N)
+		for i := range v {
+			v[i] = float64(i%11) + float64(r)
+		}
+		w := make([]float64, a.N)
+		f.Solve(w, v)
+		want = append(want, w)
+		xs = append(xs, v) // alias: solve in place
+		bs = append(bs, v)
+	}
+	f.SolveBatch(xs, bs)
+	for r := 0; r < k; r++ {
+		for i := range xs[r] {
+			if xs[r][i] != want[r][i] {
+				t.Fatalf("aliased batch rhs %d node %d: %g vs %g", r, i, xs[r][i], want[r][i])
+			}
+		}
+	}
+}
+
+// TestSolveBatchAllocFree extends the allocation contract to the scalar
+// batch path: after the first SolveBatch of a given width, SolveBatch
+// allocates nothing.
+func TestSolveBatchAllocFree(t *testing.T) {
+	a := gridLaplacian(40, 32, 2)
+	s, err := AnalyzeLDL(a, OrderAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := s.Factorize(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bvec := make([]float64, a.N)
+	for i := range bvec {
+		bvec[i] = 1
+	}
+	xs := [][]float64{make([]float64, a.N), make([]float64, a.N), make([]float64, a.N)}
+	bs := [][]float64{bvec, bvec, bvec}
+	f.SolveBatch(xs, bs) // size the panel
+	if allocs := testing.AllocsPerRun(10, func() { f.SolveBatch(xs, bs) }); allocs != 0 {
+		t.Errorf("SolveBatch allocates %v objects, want 0", allocs)
+	}
+}

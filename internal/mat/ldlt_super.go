@@ -33,10 +33,8 @@ import (
 // compute the same values the scalar kernels do up to floating-point
 // reassociation (the property tests pin ≤1e-9 relative on L/D).
 //
-// Determinism: each supernode's kernel runs a fixed loop nest, serial and
-// parallel paths share the same per-supernode functions, and the parallel
-// schedule only chunks whole supernodes within elimination-tree levels —
-// so results are bit-identical at any worker count and run-to-run, and
+// Determinism: each supernode's kernel runs a fixed loop nest over a
+// fixed supernode order, so results are bit-identical run-to-run, and
 // SolveBatch reproduces sequential supernodal Solve bit-for-bit.
 
 const (
@@ -51,9 +49,9 @@ const (
 	relaxWidth1, relaxPad1 = 8, 0.50
 	relaxWidth2, relaxPad2 = 16, 0.30
 	relaxPad3              = 0.15
-	// supernodalMinN and supernodalMinMeanWidth gate the automatic mode
-	// pick: below either bound the scalar kernels win (or the difference
-	// is noise) and flipping modes would churn small-system results for
+	// supernodalMinN and supernodalMinMeanWidth gate the kernel pick:
+	// below either bound the scalar kernels win (or the difference is
+	// noise) and flipping modes would churn small-system results for
 	// nothing.
 	supernodalMinN         = 4096
 	supernodalMinMeanWidth = 1.8
@@ -93,11 +91,6 @@ type superState struct {
 	aPtr []int32
 	aOff []int32
 	aSrc []int32
-
-	// Level schedule over supernodes (longest descendant path in the
-	// supernodal elimination tree), same shape as the column-level one.
-	lvlPtr  []int32
-	lvlNode []int32
 
 	maxNr    int // widest panel row count (scratch sizing)
 	maxW     int // widest panel column count
@@ -208,7 +201,6 @@ func (s *LDLSymbolic) buildSupernodes(maxW int, relax bool) {
 	// no search).
 	sp.rowPtr = make([]int32, nsn+1)
 	sp.rows = make([]int32, 0, s.lp[n]+n)
-	snParent := make([]int32, nsn)
 	childHead := make([]int32, nsn)
 	childNext := make([]int32, nsn)
 	for sn := range childHead {
@@ -253,10 +245,8 @@ func (s *LDLSymbolic) buildSupernodes(maxW int, relax bool) {
 		}
 		sp.rows = append(sp.rows, below...)
 		sp.rowPtr[sn+1] = int32(len(sp.rows))
-		snParent[sn] = -1
 		if len(below) > 0 {
 			p := sp.snOf[below[0]]
-			snParent[sn] = p
 			childNext[sn] = childHead[p]
 			childHead[p] = int32(sn)
 		}
@@ -372,40 +362,15 @@ func (s *LDLSymbolic) buildSupernodes(maxW int, relax bool) {
 			sp.aOff[e] = mark[tmpRow[e]] + (tmpCol[e]-int32(c0))*int32(nr)
 		}
 	}
-
-	// --- Level schedule over the supernodal elimination tree.
-	lev := make([]int32, nsn)
-	maxLev := int32(0)
-	for sn := 0; sn < nsn; sn++ {
-		if p := snParent[sn]; p >= 0 && lev[sn]+1 > lev[p] {
-			lev[p] = lev[sn] + 1
-		}
-		if lev[sn] > maxLev {
-			maxLev = lev[sn]
-		}
-	}
-	sp.lvlPtr = make([]int32, maxLev+2)
-	for sn := 0; sn < nsn; sn++ {
-		sp.lvlPtr[lev[sn]+1]++
-	}
-	for l := 0; l < len(sp.lvlPtr)-1; l++ {
-		sp.lvlPtr[l+1] += sp.lvlPtr[l]
-	}
-	sp.lvlNode = make([]int32, nsn)
-	nxt := make([]int32, maxLev+1)
-	for sn := 0; sn < nsn; sn++ {
-		l := lev[sn]
-		sp.lvlNode[sp.lvlPtr[l]+nxt[l]] = int32(sn)
-		nxt[l]++
-	}
 }
 
-// SetSupernodal selects the dense-panel kernels (true) or the scalar
-// column kernels (false) for this symbolic object's Factorize/Solve/
-// SolveBatch. AnalyzeLDL defaults the mode through SupernodalProfitable;
-// clones inherit the setting. Switching modes re-lays-out the numeric
-// factor on the next Factorize (a reused LDLNumeric is reallocated once).
-func (s *LDLSymbolic) SetSupernodal(on bool) {
+// setSupernodal overrides the kernel pick of AnalyzeLDL: the dense-panel
+// kernels (true) or the scalar column kernels (false) for this symbolic
+// object's Factorize/Solve/SolveBatch. Only the cross-family reference
+// tests call it; clones inherit the setting. Switching modes re-lays-out
+// the numeric factor on the next Factorize (a reused LDLNumeric is
+// reallocated once).
+func (s *LDLSymbolic) setSupernodal(on bool) {
 	s.superOn = on && s.super != nil
 }
 
@@ -443,14 +408,13 @@ func (s *LDLSymbolic) PanelNNZ() int {
 // SupernodalProfitable reports whether the partition is worth the panel
 // kernels: the system is large enough to be sweep-bound and the mean
 // panel width amortizes enough index traffic to beat the scalar path.
-// AnalyzeLDL uses this to default the mode; callers force either path
-// with SetSupernodal.
+// AnalyzeLDL picks the kernel family with it.
 func (s *LDLSymbolic) SupernodalProfitable() bool {
 	return s.super != nil && s.n >= supernodalMinN &&
 		s.MeanPanelWidth() >= supernodalMinMeanWidth
 }
 
-// ensureSuperSolveScratch sizes the serial supernodal solve scratch
+// ensureSuperSolveScratch sizes the supernodal solve scratch
 // (amortized: grown once, then the per-tick path allocates nothing).
 func (s *LDLSymbolic) ensureSuperSolveScratch() {
 	sp := s.super
@@ -462,8 +426,7 @@ func (s *LDLSymbolic) ensureSuperSolveScratch() {
 	}
 }
 
-// ensureSuperFactorScratch sizes the serial supernodal factorization
-// scratch: the global row map, the local-index list and the dense
+// ensureSuperFactorScratch sizes the supernodal factorization scratch: the global row map, the local-index list and the dense
 // Schur-update buffer.
 func (s *LDLSymbolic) ensureSuperFactorScratch() {
 	sp := s.super
@@ -478,12 +441,12 @@ func (s *LDLSymbolic) ensureSuperFactorScratch() {
 	}
 }
 
-// factorizeSuper is the serial supernodal numeric factorization:
-// left-looking over supernodes in elimination order.
+// factorizeSuper is the supernodal numeric factorization: left-looking
+// over supernodes in elimination order.
 func (s *LDLSymbolic) factorizeSuper(a *CSR, f *LDLNumeric) (*LDLNumeric, error) {
 	s.ensureSuperFactorScratch()
 	for sn := 0; sn < s.super.nsn; sn++ {
-		if k, dk := f.factorSupernode(sn, a, s.ssmap[:s.n], s.sidx, s.supd); k >= 0 {
+		if k, dk := f.factorSupernode(sn, a); k >= 0 {
 			return nil, fmt.Errorf("%w: pivot %g at permuted index %d", ErrNotPositiveDefinite, dk, k)
 		}
 	}
@@ -494,13 +457,12 @@ func (s *LDLSymbolic) factorizeSuper(a *CSR, f *LDLNumeric) (*LDLNumeric, error)
 // values, subtract each descendant's dense rank-k Schur update
 // (ascending — the fixed summation order), then factor the panel with a
 // small dense LDLᵀ. On a non-positive pivot it records the first failing
-// column, poisons invd with 0 (as the scalar parallel path does) and
-// finishes the panel deterministically; the caller turns failK ≥ 0 into
-// ErrNotPositiveDefinite. smap/idx/upd are caller-owned scratch, which
-// is what lets the parallel schedule hand each worker its own.
-func (f *LDLNumeric) factorSupernode(sn int, a *CSR, smap, idx []int32, upd []float64) (failK int, failDk float64) {
+// column, poisons invd with 0 and finishes the panel deterministically;
+// the caller turns failK ≥ 0 into ErrNotPositiveDefinite.
+func (f *LDLNumeric) factorSupernode(sn int, a *CSR) (failK int, failDk float64) {
 	s := f.s
 	sp := s.super
+	smap, idx, upd := s.ssmap, s.sidx, s.supd
 	c0 := int(sp.snPtr[sn])
 	w := int(sp.snPtr[sn+1]) - c0
 	r0 := int(sp.rowPtr[sn])
@@ -601,10 +563,12 @@ func (f *LDLNumeric) factorSupernode(sn int, a *CSR, smap, idx []int32, upd []fl
 // forwardSuper applies supernode sn's slice of the forward sweep to the
 // permuted work vector w: gather each ascending descendant's
 // contribution (accumulated first, subtracted once — the fixed order
-// shared by serial, parallel and batch paths), then the dense unit-lower
-// solve on the diagonal block. acc is caller-owned scratch of maxW.
-func (f *LDLNumeric) forwardSuper(sn int, w, acc []float64) {
-	sp := f.s.super
+// shared with the batch path), then the dense unit-lower solve on the
+// diagonal block.
+func (f *LDLNumeric) forwardSuper(sn int) {
+	s := f.s
+	sp := s.super
+	w, acc := s.w, s.sacc
 	c0 := int(sp.snPtr[sn])
 	wid := int(sp.snPtr[sn+1]) - c0
 	for u := sp.updPtr[sn]; u < sp.updPtr[sn+1]; u++ {
@@ -646,9 +610,11 @@ func (f *LDLNumeric) forwardSuper(sn int, w, acc []float64) {
 // backwardSuper applies supernode sn's slice of the backward (Lᵀ) sweep:
 // gather the already-final ancestor values of the below rows into tmp,
 // subtract each column's dot product, then the transposed dense solve on
-// the diagonal block. tmp is caller-owned scratch of maxNr.
-func (f *LDLNumeric) backwardSuper(sn int, w, tmp []float64) {
-	sp := f.s.super
+// the diagonal block.
+func (f *LDLNumeric) backwardSuper(sn int) {
+	s := f.s
+	sp := s.super
+	w, tmp := s.w, s.stmp
 	c0 := int(sp.snPtr[sn])
 	wid := int(sp.snPtr[sn+1]) - c0
 	r0 := int(sp.rowPtr[sn])
@@ -678,21 +644,21 @@ func (f *LDLNumeric) backwardSuper(sn int, w, tmp []float64) {
 	}
 }
 
-// solveSuper is the serial supernodal Solve body over the permuted work
-// vector (permutation handled by the caller).
+// solveSuper is the supernodal Solve body over the permuted work vector
+// (permutation handled by the caller).
 func (f *LDLNumeric) solveSuper() {
 	s := f.s
 	s.ensureSuperSolveScratch()
 	sp := s.super
 	w := s.w
 	for sn := 0; sn < sp.nsn; sn++ {
-		f.forwardSuper(sn, w, s.sacc)
+		f.forwardSuper(sn)
 	}
 	for j := 0; j < s.n; j++ {
 		w[j] *= f.invd[j]
 	}
 	for sn := sp.nsn - 1; sn >= 0; sn-- {
-		f.backwardSuper(sn, w, s.stmp)
+		f.backwardSuper(sn)
 	}
 }
 

@@ -222,14 +222,35 @@ func TestLDLNotPositiveDefinite(t *testing.T) {
 	if _, err := s.Factorize(a, nil); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("got %v, want ErrNotPositiveDefinite", err)
 	}
-	// The workspace must remain usable after the failure.
-	good := gridLaplacian(1, 3, 1)
-	s2, err := AnalyzeLDL(good, OrderNatural)
+	// A failed factorization leaves the symbolic's scratch clean: the
+	// same analysis then factors an SPD system with the same structure
+	// bit-identically to a fresh one.
+	good := gridLaplacian(30, 20, 2)
+	bad := gridLaplacian(30, 20, 2)
+	bad.AddAt(215, 215, -1e6)
+	s, err = AnalyzeLDL(good, OrderAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Factorize(good, nil); err != nil {
+	if _, err := s.Factorize(bad, nil); !errors.Is(err, ErrNotPositiveDefinite) {
+		t.Fatalf("grid: got %v, want ErrNotPositiveDefinite", err)
+	}
+	f, err := s.Factorize(good, nil)
+	if err != nil {
 		t.Fatalf("factorize after failure: %v", err)
+	}
+	fresh, err := AnalyzeLDL(good, OrderAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Factorize(good, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.d {
+		if f.d[i] != want.d[i] {
+			t.Fatalf("d[%d] = %g after failure, fresh analysis %g", i, f.d[i], want.d[i])
+		}
 	}
 }
 
@@ -321,7 +342,7 @@ func TestLDLViewSharedFactor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetSupernodal(super)
+		s.setSupernodal(super)
 		f, err := s.Factorize(a, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -337,11 +358,7 @@ func TestLDLViewSharedFactor(t *testing.T) {
 		got := make([][]float64, clones)
 		done := make(chan int)
 		for c := range clones {
-			sc := s.Clone()
-			if c%2 == 1 {
-				sc.SetWorkers(2)
-			}
-			v := f.View(sc)
+			v := f.View(s.Clone())
 			go func() {
 				x := make([]float64, a.N)
 				for range 20 {
@@ -363,7 +380,7 @@ func TestLDLViewSharedFactor(t *testing.T) {
 		}
 
 		mismatch := s.Clone()
-		mismatch.SetSupernodal(!super)
+		mismatch.setSupernodal(!super)
 		if mismatch.Supernodal() != super {
 			mustPanic(t, "kernel mode mismatch", func() { f.View(mismatch) })
 		}
@@ -371,7 +388,7 @@ func TestLDLViewSharedFactor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		other.SetSupernodal(super)
+		other.setSupernodal(super)
 		mustPanic(t, "different analysis", func() { f.View(other) })
 	}
 }

@@ -22,16 +22,6 @@ const (
 	// behavior), kept as a cross-check and for configurations whose
 	// matrix changes every solve.
 	SolverCG
-	// SolverScalar forces the LDLᵀ path with the scalar column kernels,
-	// overriding the profitability-based kernel pick. Kept as the
-	// reference implementation and an escape hatch; like SolverDirect,
-	// factorization failure is a hard error.
-	SolverScalar
-	// SolverSupernodal forces the LDLᵀ path with the supernodal
-	// dense-panel kernels even on systems the automatic gate deems too
-	// small to profit. Results match the scalar kernels to floating-point
-	// reassociation (≤1e-6 K end-to-end; see the property tests).
-	SolverSupernodal
 )
 
 // String implements fmt.Stringer.
@@ -43,10 +33,6 @@ func (k SolverKind) String() string {
 		return "direct"
 	case SolverCG:
 		return "cg"
-	case SolverScalar:
-		return "scalar"
-	case SolverSupernodal:
-		return "supernodal"
 	default:
 		return fmt.Sprintf("SolverKind(%d)", int(k))
 	}
@@ -61,24 +47,8 @@ func ParseSolver(s string) (SolverKind, error) {
 		return SolverDirect, nil
 	case "cg", "iterative":
 		return SolverCG, nil
-	case "scalar":
-		return SolverScalar, nil
-	case "supernodal", "super":
-		return SolverSupernodal, nil
 	default:
-		return 0, fmt.Errorf("rcnet: unknown solver %q (want auto|direct|cg|scalar|supernodal)", s)
-	}
-}
-
-// applyKernelMode forces the symbolic analysis onto the kernel family the
-// solver kind demands. SolverAuto and SolverDirect keep the analysis'
-// own profitability-based pick.
-func (k SolverKind) applyKernelMode(s *mat.LDLSymbolic) {
-	switch k {
-	case SolverScalar:
-		s.SetSupernodal(false)
-	case SolverSupernodal:
-		s.SetSupernodal(true)
+		return 0, fmt.Errorf("rcnet: unknown solver %q (want auto|direct|cg)", s)
 	}
 }
 
@@ -132,8 +102,7 @@ func (m *Model) factorFor(dt float64) (*mat.LDLNumeric, error) {
 			view = num.View(m.symb)
 		}
 	}
-	// Under the forced LDLᵀ kinds (SolverDirect, SolverScalar,
-	// SolverSupernodal) a failure is surfaced; under SolverAuto the key
+	// Under SolverDirect a failure is surfaced; under SolverAuto the key
 	// is memoized as broken so every later solve of it goes straight to
 	// CG.
 	if err != nil && m.Cfg.Solver != SolverAuto {

@@ -14,16 +14,10 @@ import (
 // fields (ISSUE 2 acceptance: ≤ 1e-6 K).
 const directTol = 1e-6
 
-func buildSolverPair(t *testing.T, liquid bool, nx, ny int) (direct, cg *Model) {
+func buildSolverPair(t *testing.T, newStack func(liquid bool) *floorplan.Stack, liquid bool, nx, ny int) (direct, cg *Model) {
 	t.Helper()
 	mk := func(solver SolverKind) *Model {
-		var stack *floorplan.Stack
-		if liquid {
-			stack = floorplan.NewT1Stack2(true)
-		} else {
-			stack = floorplan.NewT1Stack2(false)
-		}
-		g, err := grid.Build(stack, grid.DefaultParams(nx, ny))
+		g, err := grid.Build(newStack(liquid), grid.DefaultParams(nx, ny))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +56,7 @@ func TestDirectMatchesCGProperty(t *testing.T) {
 	grids := [][2]int{{12, 10}, {23, 20}}
 	for _, liquid := range []bool{true, false} {
 		for _, dims := range grids {
-			md, mc := buildSolverPair(t, liquid, dims[0], dims[1])
+			md, mc := buildSolverPair(t, floorplan.NewT1Stack2, liquid, dims[0], dims[1])
 			rng := rand.New(rand.NewSource(int64(dims[0]) + 31*int64(dims[1])))
 			setPower := func(m *Model, seed int64) {
 				r := rand.New(rand.NewSource(seed))
@@ -300,8 +294,12 @@ func TestParseSolver(t *testing.T) {
 			t.Errorf("ParseSolver(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseSolver("nope"); err == nil {
-		t.Error("ParseSolver(nope) did not fail")
+	// The LDLᵀ kernel family is not user-selectable: the analysis picks
+	// it by system size, so the former forcing names are rejected.
+	for _, in := range []string{"nope", "scalar", "supernodal", "super"} {
+		if _, err := ParseSolver(in); err == nil {
+			t.Errorf("ParseSolver(%q) did not fail", in)
+		}
 	}
 	for _, k := range []SolverKind{SolverAuto, SolverDirect, SolverCG} {
 		if rt, err := ParseSolver(k.String()); err != nil || rt != k {

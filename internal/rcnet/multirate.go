@@ -47,33 +47,11 @@ func (m *Model) RestoreTransient(st *TransientState) error {
 	return nil
 }
 
-// AnalyzeAndFactor performs a fresh symbolic analysis (fill-reducing
-// ordering, elimination tree, fill pattern) and numeric factorization of
-// the backward-Euler system at dt, bypassing the model's caches — the
-// benchmark/diagnostic path behind the nightly paper-resolution
-// factor/fill trajectory. The model's cached solver state is untouched.
-func (m *Model) AnalyzeAndFactor(dt units.Second) (*mat.LDLSymbolic, *mat.LDLNumeric, error) {
-	if dt <= 0 {
-		return nil, nil, fmt.Errorf("rcnet: non-positive dt %v", dt)
-	}
-	m.buildSystem(float64(dt))
-	symb, err := mat.AnalyzeLDL(m.sys, mat.OrderAuto)
-	if err != nil {
-		return nil, nil, err
-	}
-	num, err := symb.Factorize(m.sys, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return symb, num, nil
-}
-
 // SystemCSR assembles the backward-Euler system matrix at dt and returns
-// it — the diagnostic companion of AnalyzeAndFactor for benchmarks that
-// analyze and refactorize outside the model's solver cache (the nightly
-// level-parallel factorization tracker). The returned matrix aliases the
-// model's assembly buffer: it stays valid until the next Step,
-// SteadyState, AnalyzeAndFactor or SystemCSR call and must not be
+// it, for benchmarks that analyze and refactorize outside the model's
+// solver cache (the nightly paper-resolution factor/fill trackers). The
+// returned matrix aliases the model's assembly buffer: it stays valid
+// until the next Step, SteadyState or SystemCSR call and must not be
 // mutated.
 func (m *Model) SystemCSR(dt units.Second) (*mat.CSR, error) {
 	if dt <= 0 {

@@ -68,10 +68,9 @@ type Config struct {
 	// Solver selects the linear solver: the zero value SolverAuto uses
 	// the cached sparse LDLᵀ direct solver (factor once per flow setting
 	// and dt, two triangular sweeps per tick) with CG as the fallback;
-	// SolverCG forces the iterative path. SolverScalar and
-	// SolverSupernodal force the LDLᵀ kernel family (scalar columns vs
-	// dense supernodal panels) instead of letting the analysis pick by
-	// profitability.
+	// SolverCG forces the iterative path. The analysis picks the LDLᵀ
+	// kernel family (scalar columns vs dense supernodal panels) by
+	// system size (mat.LDLSymbolic.SupernodalProfitable).
 	Solver SolverKind
 }
 
@@ -142,12 +141,11 @@ type Model struct {
 	// NewWithSymbolic), numeric factors per (flow, dt) key from a factor
 	// source — private, or shared by every model of a platform — and a
 	// memo of this model's views into them.
-	symb         *mat.LDLSymbolic
-	factors      *Factors
-	views        map[factorKey]*mat.LDLNumeric
-	viewSeq      []factorKey // insertion order, for FIFO eviction
-	nFactor      int         // numeric factorizations performed (diagnostics)
-	solveWorkers int         // SetSolveWorkers; applied when symb exists
+	symb    *mat.LDLSymbolic
+	factors *Factors
+	views   map[factorKey]*mat.LDLNumeric
+	viewSeq []factorKey // insertion order, for FIFO eviction
+	nFactor int         // numeric factorizations performed (diagnostics)
 
 	// Step-doubling estimator scratch (StepWithEstimate).
 	estState TransientState
@@ -223,7 +221,6 @@ func NewWithSymbolic(g *grid.Grid, cfg Config, symb *mat.LDLSymbolic, factors *F
 				symb.N(), m.n)
 		}
 		m.symb = symb.Clone()
-		cfg.Solver.applyKernelMode(m.symb)
 		if factors != nil {
 			m.factors = factors
 		}
@@ -243,22 +240,8 @@ func (m *Model) EnsureSymbolic() (*mat.LDLSymbolic, error) {
 			return nil, err
 		}
 		m.symb = s
-		m.symb.SetWorkers(m.solveWorkers)
-		m.Cfg.Solver.applyKernelMode(m.symb)
 	}
 	return m.symb, nil
-}
-
-// SetSolveWorkers configures level-parallel direct factorization and
-// triangular solves for this model (see mat.LDLSymbolic.SetWorkers);
-// n ≤ 1 keeps the serial paths. Results are bit-identical at every
-// worker count. The setting survives a not-yet-performed symbolic
-// analysis and is applied when it happens.
-func (m *Model) SetSolveWorkers(n int) {
-	m.solveWorkers = n
-	if m.symb != nil {
-		m.symb.SetWorkers(n)
-	}
 }
 
 // conductivity returns the (lateral, vertical) conductivities of a cell.

@@ -5,42 +5,38 @@ import (
 	"testing"
 
 	"repro/internal/floorplan"
-	"repro/internal/grid"
 	"repro/internal/units"
 )
 
-func buildKernelPair(t *testing.T, liquid bool, nx, ny int) (super, scalar *Model) {
-	t.Helper()
-	mk := func(solver SolverKind) *Model {
-		stack := floorplan.NewT1Stack2(liquid)
-		g, err := grid.Build(stack, grid.DefaultParams(nx, ny))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.Solver = solver
-		m, err := New(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	return mk(SolverSupernodal), mk(SolverScalar)
+// gateSides are the two 23×20 liquid-cooled stacks that straddle the
+// kernel-family gate (mat.LDLSymbolic.SupernodalProfitable): the 2-layer
+// stack (n = 2300) stays on the scalar column kernels and the 4-layer
+// stack (n = 4140) crosses to the supernodal dense panels.
+var gateSides = []struct {
+	name      string
+	newStack  func(liquid bool) *floorplan.Stack
+	n         int
+	wantSuper bool
+}{
+	{"2-layer", floorplan.NewT1Stack2, 2300, false},
+	{"4-layer", floorplan.NewT1Stack4, 4140, true},
 }
 
 // TestSupernodalMatchesScalarEndToEnd is the end-to-end kernel-equivalence
-// property: across liquid- and air-cooled stacks, random power maps,
-// random flow switches and both test grid resolutions, transient
-// trajectories and steady states computed through the dense-panel kernels
-// match the scalar-kernel reference within 1e-6 K. (Both sides are exact
-// direct solves; the gap is pure floating-point reassociation, orders of
-// magnitude below the bound.)
+// property: both kernel families are held to the same tightened CG
+// reference, one on each side of the gate. Across random power maps and
+// random flow switches, transient trajectories and steady states agree
+// with CG within 1e-6 K, so the supernodal and scalar paths agree with
+// each other to within twice that.
 func TestSupernodalMatchesScalarEndToEnd(t *testing.T) {
-	grids := [][2]int{{12, 10}, {23, 20}}
-	for _, liquid := range []bool{true, false} {
-		for _, dims := range grids {
-			ms, mc := buildKernelPair(t, liquid, dims[0], dims[1])
-			rng := rand.New(rand.NewSource(int64(dims[0]) + 57*int64(dims[1])))
+	const nx, ny = 23, 20
+	for _, side := range gateSides {
+		t.Run(side.name, func(t *testing.T) {
+			md, mc := buildSolverPair(t, side.newStack, true, nx, ny)
+			if md.NumNodes() != side.n {
+				t.Fatalf("n = %d, want %d", md.NumNodes(), side.n)
+			}
+			rng := rand.New(rand.NewSource(int64(md.NumNodes())))
 			setPower := func(m *Model, seed int64) {
 				r := rand.New(rand.NewSource(seed))
 				for li, layer := range m.Grid.Stack.Layers {
@@ -56,91 +52,91 @@ func TestSupernodalMatchesScalarEndToEnd(t *testing.T) {
 			for step := 0; step < 20; step++ {
 				if step%5 == 0 {
 					seed := rng.Int63()
-					setPower(ms, seed)
+					setPower(md, seed)
 					setPower(mc, seed)
-					if liquid {
-						flow := units.LitersPerMinute(0.1 + 0.9*rng.Float64())
-						if err := ms.SetFlow(flow); err != nil {
-							t.Fatal(err)
-						}
-						if err := mc.SetFlow(flow); err != nil {
-							t.Fatal(err)
-						}
+					flow := units.LitersPerMinute(0.1 + 0.9*rng.Float64())
+					if err := md.SetFlow(flow); err != nil {
+						t.Fatal(err)
+					}
+					if err := mc.SetFlow(flow); err != nil {
+						t.Fatal(err)
 					}
 				}
-				if err := ms.Step(0.1); err != nil {
+				if err := md.Step(0.1); err != nil {
 					t.Fatal(err)
 				}
 				if err := mc.Step(0.1); err != nil {
 					t.Fatal(err)
 				}
-				if d := maxAbsDiff(ms.Temps(), mc.Temps()); d > directTol {
-					t.Fatalf("liquid=%v %dx%d step %d: |T_super − T_scalar| = %g K > %g",
-						liquid, dims[0], dims[1], step, d, directTol)
+				if d := maxAbsDiff(md.Temps(), mc.Temps()); d > directTol {
+					t.Fatalf("step %d: |T_direct − T_CG| = %g K > %g", step, d, directTol)
 				}
 			}
-			if err := ms.SteadyState(); err != nil {
+			if err := md.SteadyState(); err != nil {
 				t.Fatal(err)
 			}
 			if err := mc.SteadyState(); err != nil {
 				t.Fatal(err)
 			}
-			if d := maxAbsDiff(ms.Temps(), mc.Temps()); d > directTol {
-				t.Errorf("liquid=%v %dx%d steady: |T_super − T_scalar| = %g K",
-					liquid, dims[0], dims[1], d)
+			// The fixed point stops at a 1e-5 K outer delta, so two
+			// independently converged runs get that margin on top of
+			// the linear solve tolerance (as in TestDirectMatchesCGProperty).
+			if d := maxAbsDiff(md.Temps(), mc.Temps()); d > 5e-5 {
+				t.Errorf("steady: |T_direct − T_CG| = %g K", d)
 			}
-			if _, _, active := ms.SupernodeStats(); !active {
-				t.Errorf("liquid=%v %dx%d: SolverSupernodal did not activate the panel kernels",
-					liquid, dims[0], dims[1])
-			}
-			if _, _, active := mc.SupernodeStats(); active {
-				t.Errorf("liquid=%v %dx%d: SolverScalar left the panel kernels on",
-					liquid, dims[0], dims[1])
-			}
-		}
+		})
 	}
 }
 
-// TestSupernodalKernelForcing pins the knob semantics: the forced kinds
-// override the profitability gate in both directions, the stats accessor
-// reports a coherent partition, and a shared symbolic analysis passed
-// through NewWithSymbolic picks up the clone's own forced mode.
+// TestSupernodalKernelForcing pins how the kernel family is chosen now
+// that no knob forces it: the size gate alone decides, SupernodeStats
+// reports the gate's pick with a coherent partition, a sibling seeded
+// with the shared analysis through NewWithSymbolic runs the same family
+// and reproduces the seed model's step bit for bit, and a CG model reports no
+// direct-solver partition.
 func TestSupernodalKernelForcing(t *testing.T) {
-	stack := floorplan.NewT1Stack2(true)
-	g, err := grid.Build(stack, grid.DefaultParams(12, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Solver = SolverSupernodal
-	m, err := New(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Step(0.1); err != nil {
-		t.Fatal(err)
-	}
-	sn, width, active := m.SupernodeStats()
-	if !active || sn <= 0 || width < 1 {
-		t.Fatalf("forced supernodal: stats = (%d, %g, %v)", sn, width, active)
-	}
+	const nx, ny = 23, 20
+	for _, side := range gateSides {
+		t.Run(side.name, func(t *testing.T) {
+			md, mc := buildSolverPair(t, side.newStack, true, nx, ny)
+			if md.NumNodes() != side.n {
+				t.Fatalf("n = %d, want %d", md.NumNodes(), side.n)
+			}
+			if err := md.Step(0.1); err != nil {
+				t.Fatal(err)
+			}
+			symb, err := md.EnsureSymbolic()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := symb.SupernodalProfitable(); got != side.wantSuper {
+				t.Fatalf("gate picks supernodal = %v, want %v", got, side.wantSuper)
+			}
+			sn, width, active := md.SupernodeStats()
+			if active != side.wantSuper {
+				t.Errorf("supernodal kernels active = %v, want %v", active, side.wantSuper)
+			}
+			if sn <= 0 || width < 1 {
+				t.Errorf("incoherent partition stats (%d supernodes, mean width %g)", sn, width)
+			}
 
-	// The same analysis seeds a scalar-forced sibling: the clone must not
-	// inherit the forced panel mode.
-	symb, err := m.EnsureSymbolic()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := DefaultConfig()
-	cfg2.Solver = SolverScalar
-	m2, err := NewWithSymbolic(g, cfg2, symb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Step(0.1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, active := m2.SupernodeStats(); active {
-		t.Fatal("scalar-forced clone runs the panel kernels")
+			sib, err := NewWithSymbolic(md.Grid, md.Cfg, symb, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sib.Step(0.1); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, a := sib.SupernodeStats(); a != active {
+				t.Errorf("NewWithSymbolic sibling: supernodal active = %v, want %v", a, active)
+			}
+			if d := maxAbsDiff(sib.Temps(), md.Temps()); d != 0 {
+				t.Errorf("NewWithSymbolic sibling differs from its seed model by %g K", d)
+			}
+
+			if sn, _, active := mc.SupernodeStats(); sn != 0 || active {
+				t.Errorf("SolverCG model reports a direct-solver partition")
+			}
+		})
 	}
 }

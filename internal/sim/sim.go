@@ -118,11 +118,6 @@ type Config struct {
 	// simulator; stepper.Adaptive takes long thermal macro-steps through
 	// thermally quiet stretches (see internal/stepper).
 	Stepper stepper.Config
-	// SolveWorkers > 1 enables level-parallel LDLᵀ factorization and
-	// triangular solves inside the thermal model, bit-identical to the
-	// serial sweeps at any worker count (see rcnet.Model.SetSolveWorkers).
-	// 0 or 1 keeps the serial solver.
-	SolveWorkers int
 	// BatchCounters, when non-nil, accumulates multi-RHS batch-solve
 	// statistics whenever this run is co-scheduled with platform-sharing
 	// runs by RunAll (see rcnet.BatchCounters). Safe to share across
@@ -344,9 +339,6 @@ func New(ctx context.Context, cfg Config) (*Sim, error) {
 	model, err := p.NewModel(ctx)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.SolveWorkers > 1 {
-		model.SetSolveWorkers(cfg.SolveWorkers)
 	}
 	s := &Sim{Cfg: cfg, Stack: stack, Model: model, cores: stack.Cores()}
 
