@@ -134,7 +134,7 @@ func main() {
 
 	done := make(chan struct{})
 	go func() { d.drain(*grace); close(done) }()
-	shutCtx, cancel := signalAwareTimeout(sigCh, *grace+10*time.Second)
+	shutCtx, cancel := fleet.SignalAwareTimeout(sigCh, *grace+10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "cooldispatchd: shutdown:", err)

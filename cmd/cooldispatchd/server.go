@@ -429,7 +429,8 @@ type batchResponse struct {
 // handleBatch submits every scenario as a fleet job and holds the
 // request open until all of them resolve, returning the reports in
 // input order — the dispatch-level analogue of coolserved's synchronous
-// batch. Client disconnect cancels the outstanding jobs.
+// batch. Client disconnect or a failed member cancels the outstanding
+// jobs.
 func (d *dispatcher) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !fleet.DecodeJSON(w, r, 0, &req) {
@@ -466,15 +467,23 @@ func (d *dispatcher) handleBatch(w http.ResponseWriter, r *http.Request) {
 		fleet.WriteError(w, http.StatusServiceUnavailable, fleet.CodeDraining, "dispatcher is draining")
 		return
 	}
-	ids := make([]string, len(entries))
-	for i, e := range entries {
+	// The response carries reports, never job IDs, so a member left
+	// behind by any early return could never be collected: cancel every
+	// submitted member on the way out (a no-op once it is terminal).
+	ids := make([]string, 0, len(entries))
+	defer func() {
+		for _, id := range ids {
+			d.q.Cancel(id)
+		}
+	}()
+	for _, e := range entries {
 		j, err := d.q.Submit(e.raw, e.key, fleet.SubmitOptions{})
 		if err != nil {
 			fleet.WriteError(w, http.StatusInternalServerError, fleet.CodeInternal,
 				fmt.Sprintf("journal write failed: %v", err))
 			return
 		}
-		ids[i] = j.ID
+		ids = append(ids, j.ID)
 	}
 
 	t := time.NewTicker(50 * time.Millisecond)
@@ -482,9 +491,6 @@ func (d *dispatcher) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case <-r.Context().Done():
-			for _, id := range ids {
-				d.q.Cancel(id)
-			}
 			return
 		case <-t.C:
 		}
@@ -497,16 +503,16 @@ func (d *dispatcher) handleBatch(w http.ResponseWriter, r *http.Request) {
 					fmt.Sprintf("job %s vanished", id))
 				return
 			}
-			if !j.State.Terminal() {
+			switch {
+			case !j.State.Terminal():
 				done = false
-				break
-			}
-			if j.State != fleet.StateCompleted {
+			case j.State != fleet.StateCompleted:
 				fleet.WriteError(w, http.StatusInternalServerError, fleet.CodeInternal,
 					fmt.Sprintf("job %s %s: %s", id, j.State, j.Error))
 				return
+			default:
+				reports[i] = j.Report
 			}
-			reports[i] = j.Report
 		}
 		if done {
 			w.Header().Set("Content-Type", "application/json")

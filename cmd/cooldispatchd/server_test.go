@@ -317,6 +317,77 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestBatchFailureCancelsSiblings: when one batch member fails, the 500
+// response names no job IDs, so the dispatcher must cancel the members
+// still in flight rather than leave them running with no one to collect
+// them. The failing member comes second, so the batch must also notice a
+// failure behind a still-running member.
+func TestBatchFailureCancelsSiblings(t *testing.T) {
+	d, ts := newTestDispatcher(t, "")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &fleet.Worker{
+		Dispatcher:   ts.URL,
+		Capacity:     2,
+		PollInterval: 20 * time.Millisecond,
+		Runner: func(ctx context.Context, wj fleet.WireJob) (json.RawMessage, error) {
+			sc, err := fleet.DecodeScenario(wj.Scenario)
+			if err != nil {
+				return nil, err
+			}
+			if sc.Seed == 2 {
+				panic("synthetic member failure")
+			}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		},
+	}
+	done := make(chan struct{})
+	go func() { w.Run(ctx); close(done) }()
+	defer func() { cancel(); <-done }()
+	// Wait for the worker, so the local fallback never books a member.
+	deadline := time.Now().Add(5 * time.Second)
+	for d.q.ReachableWorkers() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never registered")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	blocker := strings.Replace(quickBody, `"workload"`, `"seed":1,"workload"`, 1)
+	failer := strings.Replace(quickBody, `"workload"`, `"seed":2,"workload"`, 1)
+	body := fmt.Sprintf(`{"scenarios":[%s,%s]}`, blocker, failer)
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/batches", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("batch with a failed member: %d, want 500", resp.StatusCode)
+	}
+
+	jobs := d.q.List()
+	if len(jobs) != 2 {
+		t.Fatalf("queue holds %d jobs, want 2", len(jobs))
+	}
+	for _, j := range jobs {
+		sc, err := fleet.DecodeScenario(j.Scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.Seed != 1 {
+			continue
+		}
+		v := waitStatus(t, ts.URL, j.ID, "canceled", 10*time.Second)
+		if v.State != string(fleet.StateCanceled) {
+			t.Fatalf("sibling state = %s, want canceled", v.State)
+		}
+		return
+	}
+	t.Fatal("blocking sibling not found in the queue")
+}
+
 // TestMetricsFactorCounters: the dispatcher's local platform cache
 // serves the shared-factor counters under /v1/metrics platform_cache,
 // and a repeated batch adds hits but no factorization.

@@ -40,12 +40,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/par"
 	"repro/internal/stream"
 )
 
@@ -99,10 +99,7 @@ func main() {
 	if *dispatcher != "" {
 		cap := *capacity
 		if cap <= 0 {
-			cap = *workers
-		}
-		if cap <= 0 {
-			cap = runtime.NumCPU()
+			cap = par.Workers(*workers)
 		}
 		wctx, wcancel := context.WithCancel(context.Background())
 		wk := &fleet.Worker{
@@ -124,7 +121,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "coolserved: listening on %s (%d workers)\n", *addr, *workers)
+	fmt.Fprintf(os.Stderr, "coolserved: listening on %s (%d workers)\n", *addr, par.Workers(*workers))
 
 	select {
 	case err := <-errCh:
@@ -143,7 +140,7 @@ func main() {
 	// lets Shutdown complete.
 	done := make(chan struct{})
 	go func() { s.drain(*grace); close(done) }()
-	shutCtx, cancel := signalAwareTimeout(sigCh, *grace+10*time.Second)
+	shutCtx, cancel := fleet.SignalAwareTimeout(sigCh, *grace+10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "coolserved: shutdown:", err)

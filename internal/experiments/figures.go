@@ -279,11 +279,6 @@ func Fig6Layers(ctx context.Context, o Options, layers int) ([]ComboResult, erro
 	return o.runMatrix(ctx, layers, Fig6Combos(), false)
 }
 
-// Fig7Layers parameterizes Fig. 7 by layer count.
-func Fig7Layers(ctx context.Context, o Options, layers int) ([]ComboResult, error) {
-	return o.runMatrix(ctx, layers, Fig6Combos(), true)
-}
-
 // WriteFig6 renders Fig. 6.
 func WriteFig6(ctx context.Context, w io.Writer, o Options) error {
 	res, err := Fig6(ctx, o)

@@ -77,6 +77,13 @@ func EffectiveHeatTransferCoeff() float64 {
 	return HeatTransferCoeff * 2 * (ChannelWidth + ChannelHeight) / ChannelPitch
 }
 
+// nusselt is the geometry-fixed Nusselt number implied by the paper's
+// water h: Nu = h·Dh/k_water ≈ 4.1, consistent with developed laminar
+// flow in a rectangular duct.
+func nusselt() float64 {
+	return HeatTransferCoeff * hydraulicDiameter() / WaterConductivity
+}
+
 // DeltaTCond returns the conduction temperature rise across the BEOL for a
 // heat flux q1 in W/m² (Eqn. 2): ΔTcond = Rth-BEOL · q̇1. It does not
 // depend on the flow rate.

@@ -23,6 +23,15 @@ func TestEffectiveHeatTransferCoeff(t *testing.T) {
 	}
 }
 
+func TestNusseltPlausible(t *testing.T) {
+	// Developed laminar rectangular-duct Nu is ~3-6; the paper's h and
+	// geometry must land inside that physical band.
+	nu := nusselt()
+	if nu < 3 || nu > 6 {
+		t.Errorf("implied Nusselt %v outside laminar band", nu)
+	}
+}
+
 func TestDeltaTCondKnown(t *testing.T) {
 	// 200 W/cm² (the paper's headline interlayer heat flux) through the
 	// BEOL: ΔTcond = 5.333e-6 · 2e6 ≈ 10.7 K.

@@ -22,6 +22,11 @@ import (
 // operating point (Pa·s at ~60 °C).
 const WaterViscosity = 4.66e-4
 
+// hydraulicDiameter is Dh = 2·wc·tc/(wc+tc) of the Table I channel.
+func hydraulicDiameter() float64 {
+	return 2 * ChannelWidth * ChannelHeight / (ChannelWidth + ChannelHeight)
+}
+
 // laminarFRe returns the laminar f·Re product for a rectangular duct of
 // aspect ratio α (short/long side), from the standard Shah–London
 // polynomial fit.

@@ -13,6 +13,13 @@ func perChannelAt(mlMin float64) units.CubicMeterPerSecond {
 	return v
 }
 
+func TestHydraulicDiameter(t *testing.T) {
+	// Dh = 2·50·100/(50+100) µm = 66.7 µm.
+	if units.RelativeError(hydraulicDiameter(), 66.67e-6) > 1e-3 {
+		t.Errorf("Dh = %v", hydraulicDiameter())
+	}
+}
+
 func TestReynoldsMonotoneAndLaminarAtMinSetting(t *testing.T) {
 	// At the lowest delivered flow the channels are laminar, validating
 	// the paper's developed-boundary-layer (constant h) assumption

@@ -664,11 +664,6 @@ func (m *Model) SetUniformTemp(t units.Kelvin) {
 	}
 }
 
-// CellTemp returns the temperature of one grid cell.
-func (m *Model) CellTemp(slab, iy, ix int) units.Kelvin {
-	return units.Kelvin(m.temp[m.Grid.NodeIndex(slab, iy, ix)])
-}
-
 // BlockTemp returns the mean temperature over the cells of block bi on
 // stack layer li.
 func (m *Model) BlockTemp(li, bi int) units.Kelvin {

@@ -256,10 +256,10 @@ func (s *Sim) runTick(decide bool) (stepper.Events, error) {
 	to := s.tick0 + units.Second(s.fSteps+1)*dt
 
 	// Workload arrivals (UtilSchedule may modulate generator intensity).
-	if s.Cfg.UtilSchedule != nil && s.Gen != nil {
+	if s.Cfg.UtilSchedule != nil {
 		s.Gen.UtilScale = s.Cfg.UtilSchedule(from)
 	}
-	arrivals := s.Source.Arrivals(from, to)
+	arrivals := s.Gen.Arrivals(from, to)
 
 	// Policies act on observed (possibly faulty) temperatures; metrics
 	// later use ground truth.

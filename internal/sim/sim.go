@@ -108,11 +108,6 @@ type Config struct {
 	// (e.g. controller.IncDec, the prior-work reactive baseline). Nil
 	// selects the paper's LUT controller.
 	FlowPolicy FlowPolicy
-	// Arrivals overrides the thread source (e.g. a captured
-	// workload.TracePlayer for bit-identical cross-tool workloads). Nil
-	// selects a workload.Generator seeded with Seed. UtilSchedule only
-	// applies to the generator.
-	Arrivals ArrivalSource
 	// Stepper selects and tunes the time-advance engine. The zero value
 	// is the fixed base-tick loop, bit-identical to the pre-stepper
 	// simulator; stepper.Adaptive takes long thermal macro-steps through
@@ -128,12 +123,6 @@ type Config struct {
 	// simulation positioned at that tick. It runs on the simulation
 	// goroutine: read the accessors, copy what you need, return quickly.
 	Observer func(s *Sim, measured bool)
-}
-
-// ArrivalSource produces the thread arrivals of consecutive windows.
-// *workload.Generator and *workload.TracePlayer both implement it.
-type ArrivalSource interface {
-	Arrivals(from, to units.Second) []workload.Thread
 }
 
 // FlowPolicy is the decision interface of a variable-flow controller.
@@ -201,19 +190,18 @@ type Result struct {
 // Sim is a stepped simulation; Run drives it to completion, and the
 // examples use Step directly for custom scenarios.
 type Sim struct {
-	Cfg    Config
-	Stack  *floorplan.Stack
-	Model  *rcnet.Model
-	Pump   *pump.Pump
-	Sched  *sched.Scheduler
-	Power  *power.Model
-	Gen    *workload.Generator // nil when Cfg.Arrivals overrides
-	Source ArrivalSource
-	DPM    *dpm.Policy
-	Ctrl   *controller.Controller // the paper's controller (nil when overridden)
-	Flow   FlowPolicy             // active flow policy for LiquidVar
-	WTab   *controller.WeightTable
-	Stats  *stats.Collector
+	Cfg   Config
+	Stack *floorplan.Stack
+	Model *rcnet.Model
+	Pump  *pump.Pump
+	Sched *sched.Scheduler
+	Power *power.Model
+	Gen   *workload.Generator // the thread arrival source, seeded with Cfg.Seed
+	DPM   *dpm.Policy
+	Ctrl  *controller.Controller // the paper's controller (nil when overridden)
+	Flow  FlowPolicy             // active flow policy for LiquidVar
+	WTab  *controller.WeightTable
+	Stats *stats.Collector
 
 	// cores caches Stack.Cores() (which allocates per call) for the
 	// per-tick temperature read.
@@ -347,12 +335,7 @@ func New(ctx context.Context, cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	s.Power = power.New(stack)
-	if cfg.Arrivals != nil {
-		s.Source = cfg.Arrivals
-	} else {
-		s.Gen = workload.NewGenerator(cfg.Bench, len(s.cores), cfg.Seed)
-		s.Source = s.Gen
-	}
+	s.Gen = workload.NewGenerator(cfg.Bench, len(s.cores), cfg.Seed)
 	if cfg.DPMEnabled {
 		s.DPM = dpm.New()
 	} else {
@@ -560,11 +543,6 @@ func (s *Sim) AppliedSetting() pump.Setting { return s.applied }
 // Migrations returns the scheduler's cumulative migration count as of the
 // latest emitted tick.
 func (s *Sim) Migrations() int64 { return s.outMigrations }
-
-// CoreTemperatures returns a copy of the latest per-core temperatures.
-func (s *Sim) CoreTemperatures() []units.Celsius {
-	return append([]units.Celsius(nil), s.coreTemps...)
-}
 
 // ChipPower returns the chip power drawn during the latest tick (0 before
 // the first Step).

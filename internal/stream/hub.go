@@ -441,11 +441,3 @@ func (s *Sub) Pos() uint64 {
 	defer s.h.mu.Unlock()
 	return s.next
 }
-
-// Lag returns how many frames the subscriber currently trails the
-// producer (diagnostics and tests).
-func (s *Sub) Lag() uint64 {
-	s.h.mu.Lock()
-	defer s.h.mu.Unlock()
-	return s.h.seq - s.next
-}

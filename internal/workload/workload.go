@@ -184,6 +184,3 @@ func (g *Generator) Arrivals(from, to units.Second) []Thread {
 	g.buf = out
 	return out
 }
-
-// Reseed resets the generator's random stream (keeping position in time).
-func (g *Generator) Reseed(seed int64) { g.rng = rand.New(rand.NewSource(seed)) }
