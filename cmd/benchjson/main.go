@@ -5,7 +5,9 @@
 //
 // Usage:
 //
-//	benchjson            # writes BENCH_<yyyy-mm-dd>.json in the cwd
+//	benchjson            # writes BENCH_<yyyy-mm-dd>.json in the cwd; fails
+//	                     # up front if that file exists (a same-day
+//	                     # snapshot is never overwritten — name it with -o)
 //	benchjson -o out.json
 //	benchjson -paper     # adds the paper-resolution factor/fill trackers
 //	                     # (symbolic analysis + first factorization at
@@ -32,8 +34,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"runtime"
 	"testing"
@@ -72,7 +76,17 @@ func main() {
 	paper := flag.Bool("paper", false,
 		"add the paper-resolution (115x100) factor/fill trackers (nightly CI configuration)")
 	flag.Parse()
+	path, err := run(*out, *paper)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	fmt.Println(path)
+}
 
+// run measures the benchmarks and writes the snapshot to out (or to the
+// per-day default name), returning the path written.
+func run(out string, paper bool) (path string, err error) {
 	type bench struct {
 		name string
 		fn   func(b *testing.B)
@@ -97,7 +111,7 @@ func main() {
 		{"StreamFanout64", benchutil.StreamFanout(64)},
 		{"StreamFanout1024", benchutil.StreamFanout(1024)},
 	}
-	if *paper {
+	if paper {
 		benches = append(benches,
 			bench{"AnalyzePaperResolution", benchutil.AnalyzePaper},
 			bench{"FactorizePaperResolution", benchutil.FactorizePaper},
@@ -105,8 +119,35 @@ func main() {
 		)
 	}
 
+	date := time.Now().Format("2006-01-02")
+	path = out
+	var f *os.File
+	if path == "" {
+		// The default name is per day: refuse to clobber an earlier
+		// snapshot of the same day, and say so before the long run.
+		path = fmt.Sprintf("BENCH_%s.json", date)
+		f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if errors.Is(err, fs.ErrExist) {
+			return "", fmt.Errorf("%s already exists; choose another name with -o", path)
+		}
+	} else {
+		f, err = os.Create(path)
+	}
+	if err != nil {
+		return "", err
+	}
+	// Until the snapshot is written the file is only a reservation: drop
+	// it on any failure, a panicking benchmark included.
+	written := false
+	defer func() {
+		if !written {
+			f.Close()
+			os.Remove(path)
+		}
+	}()
+
 	snap := Snapshot{
-		Date:      time.Now().Format("2006-01-02"),
+		Date:      date,
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
@@ -134,19 +175,17 @@ func main() {
 			bench.name, r.N, float64(r.NsPerOp())/1e6, r.AllocedBytesPerOp(), r.AllocsPerOp())
 	}
 
-	path := *out
-	if path == "" {
-		path = fmt.Sprintf("BENCH_%s.json", snap.Date)
-	}
 	buf, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return "", err
 	}
 	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+	if _, err := f.Write(buf); err != nil {
+		return "", err
 	}
-	fmt.Println(path)
+	if err := f.Close(); err != nil {
+		return "", err
+	}
+	written = true
+	return path, nil
 }

@@ -441,7 +441,7 @@ func TestMetricsWarmSecondJob(t *testing.T) {
 }
 
 // TestMetricsWarmBatchNoRefactor is the shared-factor contract of the
-// platform cache: the runs of a batch factorize each (pump setting, dt)
+// platform cache: the runs of a batch factorize each (flow > 0, dt)
 // system once per platform, and a second, identical batch solves
 // entirely through those factors — /v1/metrics shows factor_builds
 // unchanged and factor_hits grown.

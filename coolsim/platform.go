@@ -68,8 +68,9 @@ type PlatformCacheStats struct {
 	LUTDiskLoads    int `json:"lut_disk_loads"`
 	WeightDiskLoads int `json:"weight_disk_loads"`
 	// FactorBuilds counts the numeric LDLᵀ factorizations the runs'
-	// thermal models performed: one per distinct (pump setting, dt) key
-	// per platform, shared by every later run on it. FactorHits counts
+	// thermal models performed: one per distinct (flow > 0, dt) key per
+	// platform — every non-zero pump setting gives the same matrix —
+	// shared by every later run on it. FactorHits counts
 	// the per-model factor requests served by a factor another run had
 	// already built. A warm second batch of the same shape leaves
 	// FactorBuilds unchanged.

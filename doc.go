@@ -25,7 +25,7 @@
 // simulator exposes its tick phases and an engine sequences them. The
 // default Fixed engine reproduces the paper's 100 ms lock-step loop byte
 // for byte (golden-pinned); the Adaptive engine exploits the solver's
-// cached per-(flow, dt) factors to advance the thermal network in
+// cached per-(flow > 0, dt) factors to advance the thermal network in
 // macro-steps of up to 1.6 s through thermally quiet stretches, under a
 // step-doubling error estimate, refining to the base tick on power and
 // flow transitions and near policy thresholds — per-layer temperatures

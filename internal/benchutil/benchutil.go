@@ -26,7 +26,7 @@ import (
 // warmed by one tick so the timed loop measures the steady per-tick path
 // — with the default direct solver the first Step pays the one-time
 // symbolic analysis and factorization that every later tick reuses from
-// the (flow, dt) cache.
+// the (flow > 0, dt) cache.
 func StepModel(nx, ny int, solver rcnet.SolverKind) (*rcnet.Model, error) {
 	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(nx, ny))
 	if err != nil {
@@ -141,7 +141,7 @@ func SessionStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm ticks: the first tick factors the (flow, dt) system and the
+	// Warm ticks: the first tick factors the (flow > 0, dt) system and the
 	// controller's predictor fills its lags; the timed loop measures the
 	// steady allocation-free path.
 	for i := 0; i < 10; i++ {

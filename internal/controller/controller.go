@@ -63,10 +63,10 @@ func DefaultLadder() []float64 {
 // temperature); ladder scales it.
 //
 // The sweep leans on the model's factorization cache: the steady-state
-// system matrix depends only on the pump setting, so with the default
-// direct solver each of the pump.NumSettings settings is factored exactly
-// once and all len(ladder) power points at that setting (and their inner
-// fixed-point iterations) reuse the cached factors.
+// system matrix is the same at every non-zero pump setting, so with the
+// default direct solver it is factored exactly once and all
+// pump.NumSettings × len(ladder) sweep cells (and their inner fixed-point
+// iterations) reuse the cached factors.
 // ctx is checked between sweep cells, so cancellation aborts the build
 // within one steady-state solve and returns ctx.Err().
 func BuildLUT(ctx context.Context, m *rcnet.Model, pm *pump.Pump, fullLoad [][]float64, target units.Celsius, ladder []float64) (*LUT, error) {

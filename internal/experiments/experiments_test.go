@@ -76,6 +76,32 @@ func TestFig3Shape(t *testing.T) {
 	}
 }
 
+// TestFig5FactorizesOnce: every flow Fig5's bisection probes gives the
+// same steady-state system matrix, so one stack's whole study — a
+// bisection per ladder point — factorizes it exactly once.
+func TestFig5FactorizesOnce(t *testing.T) {
+	ctx := context.Background()
+	o := QuickOptions()
+	p, err := o.cacheOrNew().Get(o.spec(2, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.NewScratchModel(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fig5Stack(ctx, p, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) < 5 {
+		t.Fatalf("only %d rows", len(res.Rows))
+	}
+	if got := m.Factorizations(); got != 1 {
+		t.Errorf("Fig5 bisection performed %d factorizations, want 1", got)
+	}
+}
+
 func TestFig5Shape(t *testing.T) {
 	o := QuickOptions()
 	res, err := Fig5(context.Background(), o)

@@ -8,7 +8,9 @@ import (
 
 	"repro/internal/controller"
 	"repro/internal/par"
+	"repro/internal/platform"
 	"repro/internal/pump"
+	"repro/internal/rcnet"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -47,78 +49,84 @@ func Fig5(ctx context.Context, o Options) ([]Fig5Result, error) {
 	out := make([]Fig5Result, len(stacks))
 	cache := o.cacheOrNew()
 	err := par.ForEach(ctx, o.Workers, len(stacks), func(si int) error {
-		layers := stacks[si]
-		p, err := cache.Get(o.spec(layers, true))
+		p, err := cache.Get(o.spec(stacks[si], true))
 		if err != nil {
 			return err
 		}
 		// The bisection sweeps mutate model state, so this study gets its
-		// own model — with private factors, as its steady-state keys at
-		// arbitrary flows are one-off; the LUT and full-load map come warm
-		// from the platform.
+		// own model — with private factors: its steady-state key is set-up
+		// scratch, not a run model's. Every flow the bisection probes
+		// gives the same steady matrix, so the study factorizes once.
 		m, err := p.NewScratchModel(ctx)
 		if err != nil {
 			return err
 		}
-		pm := p.Pump()
-		lut, err := p.LUT(ctx)
-		if err != nil {
-			return err
-		}
-		full, err := p.FullLoadPowers(ctx)
-		if err != nil {
-			return err
-		}
-		res := Fig5Result{Layers: layers}
-		maxFlow := float64(pm.PerCavityFlow(pump.MaxSetting()))
-		for k, lambda := range lut.Ladder {
-			if lambda == 0 {
-				continue
-			}
-			scaled := make([][]float64, len(full))
-			for li := range full {
-				scaled[li] = make([]float64, len(full[li]))
-				for bi := range full[li] {
-					scaled[li][bi] = full[li][bi] * lambda
-				}
-				if err := m.SetLayerPower(li, scaled[li]); err != nil {
-					return err
-				}
-			}
-			tmaxAt := func(flowLPM float64) (units.Celsius, error) {
-				if err := m.SetFlow(units.LitersPerMinute(flowLPM)); err != nil {
-					return 0, err
-				}
-				if err := m.SteadyState(); err != nil {
-					return 0, fmt.Errorf("fig5: %d-layer load %.2f flow %.4f l/min: %w",
-						layers, lambda, flowLPM, err)
-				}
-				return m.MaxDieTemp().ToCelsius(), nil
-			}
-			required, err := bisectFlow(tmaxAt, lut.Target, 0.005, maxFlow)
-			if err != nil {
-				return err
-			}
-			row := Fig5Row{
-				PowerScale:      lambda,
-				TmaxObserved:    lut.TmaxAt[0][k],
-				RequiredSetting: lut.Required[k],
-				SettingFlowML:   pm.PerCavityFlow(lut.Required[k]).MilliLitersPerMinute(),
-			}
-			if math.IsNaN(required) {
-				row.RequiredFlowML = math.NaN()
-			} else {
-				row.RequiredFlowML = units.LitersPerMinute(required).MilliLitersPerMinute()
-			}
-			res.Rows = append(res.Rows, row)
-		}
-		out[si] = res
-		return nil
+		out[si], err = fig5Stack(ctx, p, m)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// fig5Stack runs one stack's bisection study on m, a model of p; the LUT
+// and full-load map come warm from the platform.
+func fig5Stack(ctx context.Context, p *platform.Platform, m *rcnet.Model) (Fig5Result, error) {
+	layers := p.Spec().Layers
+	res := Fig5Result{Layers: layers}
+	pm := p.Pump()
+	lut, err := p.LUT(ctx)
+	if err != nil {
+		return res, err
+	}
+	full, err := p.FullLoadPowers(ctx)
+	if err != nil {
+		return res, err
+	}
+	maxFlow := float64(pm.PerCavityFlow(pump.MaxSetting()))
+	for k, lambda := range lut.Ladder {
+		if lambda == 0 {
+			continue
+		}
+		scaled := make([][]float64, len(full))
+		for li := range full {
+			scaled[li] = make([]float64, len(full[li]))
+			for bi := range full[li] {
+				scaled[li][bi] = full[li][bi] * lambda
+			}
+			if err := m.SetLayerPower(li, scaled[li]); err != nil {
+				return res, err
+			}
+		}
+		tmaxAt := func(flowLPM float64) (units.Celsius, error) {
+			if err := m.SetFlow(units.LitersPerMinute(flowLPM)); err != nil {
+				return 0, err
+			}
+			if err := m.SteadyState(); err != nil {
+				return 0, fmt.Errorf("fig5: %d-layer load %.2f flow %.4f l/min: %w",
+					layers, lambda, flowLPM, err)
+			}
+			return m.MaxDieTemp().ToCelsius(), nil
+		}
+		required, err := bisectFlow(tmaxAt, lut.Target, 0.005, maxFlow)
+		if err != nil {
+			return res, err
+		}
+		row := Fig5Row{
+			PowerScale:      lambda,
+			TmaxObserved:    lut.TmaxAt[0][k],
+			RequiredSetting: lut.Required[k],
+			SettingFlowML:   pm.PerCavityFlow(lut.Required[k]).MilliLitersPerMinute(),
+		}
+		if math.IsNaN(required) {
+			row.RequiredFlowML = math.NaN()
+		} else {
+			row.RequiredFlowML = units.LitersPerMinute(required).MilliLitersPerMinute()
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res, nil
 }
 
 // bisectFlow finds the minimum flow (l/min) with tmaxAt(flow) ≤ target.

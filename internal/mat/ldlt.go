@@ -255,8 +255,9 @@ func AnalyzeLDL(a *CSR, ord Ordering) (*LDLSymbolic, error) {
 
 	// Supernode partition (dense-panel layer): computed once here from
 	// the finished etree/pattern, shared by Clone. The dense-panel
-	// kernels are selected exactly when the partition is profitable.
-	s.buildSupernodes(maxSuperWidth, true)
+	// kernels are selected exactly when the partition is profitable; only
+	// then is its index structure kept.
+	s.buildSupernodes(maxSuperWidth, true, false)
 	s.superOn = s.SupernodalProfitable()
 
 	s.y = make([]float64, n)

@@ -59,7 +59,8 @@ const (
 
 // superState is the supernode partition and its padded structure —
 // immutable once built, shared by Clone like the rest of the symbolic
-// analysis.
+// analysis. When the scalar kernels are selected only the counts (nsn,
+// panelNNZ, padNNZ) are kept.
 type superState struct {
 	nsn   int
 	snPtr []int32 // len nsn+1; supernode s covers permuted columns snPtr[s]..snPtr[s+1]
@@ -99,17 +100,22 @@ type superState struct {
 }
 
 // buildSupernodes computes the supernode partition and its padded
-// structure from the finished scalar analysis (parent, per-column counts
-// in lnz, and the full pattern lp/li). AnalyzeLDL runs it once with the
-// production bounds; tests rebuild with maxW=1/relax=false to pin the
-// degenerate partition against the scalar path.
-func (s *LDLSymbolic) buildSupernodes(maxW int, relax bool) {
+// structure from the finished scalar analysis (parent and the full
+// pattern lp/li). AnalyzeLDL runs it once with the production bounds;
+// tests rebuild with maxW=1/relax=false to pin the degenerate partition
+// against the scalar path. The index structure the panel kernels run on
+// is kept when index is set or the partition is profitable; otherwise
+// only the counts that Supernodes, MeanPanelWidth and PanelNNZ report
+// survive (setSupernodal rebuilds the rest on demand).
+func (s *LDLSymbolic) buildSupernodes(maxW int, relax, index bool) {
 	n := s.n
 	if n == 0 {
 		return
 	}
 	sp := &superState{}
 	s.super = sp
+	// colCount is the below-diagonal entry count of column j of L.
+	colCount := func(j int) int { return s.lp[j+1] - s.lp[j] }
 
 	// --- Fundamental supernodes, split at maxSuperWidth. Column j
 	// extends the run when its struct is the run's struct shifted by one:
@@ -118,7 +124,7 @@ func (s *LDLSymbolic) buildSupernodes(maxW int, relax bool) {
 	width := 0
 	for j := 0; j < n; j++ {
 		if j == 0 || width == maxW ||
-			s.parent[j-1] != j || s.lnz[j-1] != s.lnz[j]+1 {
+			s.parent[j-1] != j || colCount(j-1) != colCount(j)+1 {
 			starts = append(starts, int32(j))
 			width = 1
 		} else {
@@ -142,9 +148,9 @@ func (s *LDLSymbolic) buildSupernodes(maxW int, relax bool) {
 		w := int(starts[i+1]) - c0
 		entries := 0
 		for j := c0; j < c0+w; j++ {
-			entries += s.lnz[j] + 1
+			entries += colCount(j) + 1
 		}
-		b := s.lnz[c0] - (w - 1)
+		b := colCount(c0) - (w - 1)
 		minB := -1
 		if b > 0 {
 			minB = int(s.li[s.lp[c0]+w-1])
@@ -159,9 +165,9 @@ func (s *LDLSymbolic) buildSupernodes(maxW int, relax bool) {
 			}
 			nEntries := 0
 			for j := nc0; j < nc0+nw; j++ {
-				nEntries += s.lnz[j] + 1
+				nEntries += colCount(j) + 1
 			}
-			nb := s.lnz[nc0] - (nw - 1)
+			nb := colCount(nc0) - (nw - 1)
 			mw := w + nw
 			nr := mw + nb
 			stored := mw*nr - mw*(mw-1)/2
@@ -269,6 +275,10 @@ func (s *LDLSymbolic) buildSupernodes(maxW int, relax bool) {
 	}
 	sp.panelNNZ = sp.panelPtr[nsn]
 	sp.padNNZ = lowerStored - (s.lp[n] + n)
+	if !index && !s.SupernodalProfitable() {
+		s.super = &superState{nsn: nsn, panelNNZ: sp.panelNNZ, padNNZ: sp.padNNZ}
+		return
+	}
 
 	// --- Update lists: segment each supernode's below rows by owning
 	// supernode (contiguous, rows ascending). Iterating descendants
@@ -367,10 +377,15 @@ func (s *LDLSymbolic) buildSupernodes(maxW int, relax bool) {
 // setSupernodal overrides the kernel pick of AnalyzeLDL: the dense-panel
 // kernels (true) or the scalar column kernels (false) for this symbolic
 // object's Factorize/Solve/SolveBatch. Only the cross-family reference
-// tests call it; clones inherit the setting. Switching modes re-lays-out
-// the numeric factor on the next Factorize (a reused LDLNumeric is
-// reallocated once).
+// tests call it; clones inherit the setting. Selecting the panel kernels
+// on an analysis that kept only the partition counts builds the index
+// structure first (for this object only; clones made before keep
+// theirs). Switching modes re-lays-out the numeric factor on the next
+// Factorize (a reused LDLNumeric is reallocated once).
 func (s *LDLSymbolic) setSupernodal(on bool) {
+	if on && s.super != nil && s.super.aPtr == nil {
+		s.buildSupernodes(maxSuperWidth, true, true)
+	}
 	s.superOn = on && s.super != nil
 }
 

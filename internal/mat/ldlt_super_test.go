@@ -137,7 +137,7 @@ func TestSupernodalDegenerateWidthOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.buildSupernodes(1, false)
+	s.buildSupernodes(1, false, true)
 	if s.super.nsn != s.n {
 		t.Fatalf("width-1 partition has %d supernodes, want %d", s.super.nsn, s.n)
 	}

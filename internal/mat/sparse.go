@@ -67,13 +67,19 @@ func (b *Builder) Build() *CSR {
 		}
 		return ci.Col - cj.Col
 	})
+	// Count the distinct entries first, so the matrix — often kept for a
+	// platform's lifetime — holds exactly its nnz, not the duplicates.
+	nnz := 0
+	for i := range b.coords {
+		if i == 0 || b.coords[i].Row != b.coords[i-1].Row || b.coords[i].Col != b.coords[i-1].Col {
+			nnz++
+		}
+	}
 	m := &CSR{
 		N:      b.n,
 		RowPtr: make([]int, b.n+1),
-		// len(coords) over-counts duplicates, but one right-sized pair of
-		// allocations beats a geometric append ladder per assembly.
-		Col: make([]int, 0, len(b.coords)),
-		Val: make([]float64, 0, len(b.coords)),
+		Col:    make([]int, 0, nnz),
+		Val:    make([]float64, 0, nnz),
 	}
 	for i := 0; i < len(b.coords); {
 		j := i

@@ -1,9 +1,10 @@
 // Package platform owns the expensive, immutable artifacts of one
 // physical stack configuration — the floorplan, the discretized thermal
-// grid, the pump model, the LDLᵀ symbolic analysis of the thermal system
-// matrix, the flow-rate controller's lookup table and the TALB thermal
-// weight table — and shares them across any number of concurrent
-// simulation runs, sessions, experiment matrices and service jobs.
+// grid, the assembled thermal network, the pump model, the LDLᵀ symbolic
+// analysis of the thermal system matrix, the flow-rate controller's
+// lookup table and the TALB thermal weight table — and shares them
+// across any number of concurrent simulation runs, sessions, experiment
+// matrices and service jobs.
 //
 // The paper's evaluation (and a production deployment of the service) is
 // hundreds of (system, cooling, policy, workload) runs over the same few
@@ -17,14 +18,16 @@
 //
 // The numeric LDLᵀ factors of the transient systems are platform
 // artifacts too: the backward-Euler matrix depends only on the platform,
-// the pump setting and dt, so every run model solves through one shared
-// factor per (flow, dt) key, factorized once by the first model that
-// needs it.
+// on whether the pump runs and on dt — every non-zero pump setting gives
+// the same matrix — so every run model solves through one shared factor
+// per (flow > 0, dt) key, factorized once by the first model that needs
+// it.
 //
 // A Platform is safe for unlimited concurrent use. Mutable solver state
-// is never shared: NewModel hands every caller its own rcnet.Model,
-// seeded with a private clone of the shared symbolic analysis and
-// solving through its own views of the shared, immutable factors.
+// is never shared: NewModel hands every caller its own rcnet.Model over
+// the platform's read-only rcnet.Network, seeded with a private clone of
+// the shared symbolic analysis and solving through its own views of the
+// shared, immutable factors.
 package platform
 
 import (
@@ -113,10 +116,11 @@ type Stats struct {
 	// WeightBuilds).
 	WeightDiskLoads int
 	// FactorBuilds counts the numeric LDLᵀ factorizations of the run
-	// models' shared factor cache: one per distinct (flow, dt) key, not
-	// per run. FactorHits counts run-model requests served by a factor
-	// another model had already built. The LUT and weight sweeps factor
-	// privately and are counted in neither.
+	// models' shared factor cache: one per distinct (flow > 0, dt) key —
+	// one per tick dt for runs whose pump never stops — not per run or
+	// pump setting. FactorHits counts run-model requests served by a
+	// factor another model had already built. The LUT and weight sweeps
+	// factor privately and are counted in neither.
 	FactorBuilds int
 	FactorHits   int
 	// Supernodes and MeanPanelWidth describe the supernodal partition of
@@ -197,21 +201,23 @@ type Platform struct {
 	spec  Spec
 	stack *floorplan.Stack
 	grid  *grid.Grid
-	pump  *pump.Pump // nil for air-cooled platforms
-	dir   string     // artifact persistence directory ("" = memory only)
+	net   *rcnet.Network // assembled once, shared read-only by every model
+	pump  *pump.Pump     // nil for air-cooled platforms
+	dir   string         // artifact persistence directory ("" = memory only)
 
 	mu              sync.Mutex
 	symb            once[*mat.LDLSymbolic]
 	lut             once[*controller.LUT]
 	weights         once[*controller.WeightTable]
 	fullLoad        once[[][]float64]
-	factors         *rcnet.Factors // run models' numeric factors, per (flow, dt)
+	factors         *rcnet.Factors // run models' numeric factors, per (flow > 0, dt)
 	models          int
 	diskLoads       int // LUTs warm-started from dir instead of swept
 	weightDiskLoads int // weight tables warm-started from dir
 }
 
-// New builds the cheap skeleton of a platform — floorplan, grid, pump.
+// New builds the cheap skeleton of a platform — floorplan, grid, thermal
+// network, pump.
 // The expensive artifacts (symbolic analysis, LUT, weights) are built
 // lazily by their accessors, deduplicated across concurrent callers.
 func New(spec Spec) (*Platform, error) { return NewWithDir(spec, "") }
@@ -239,7 +245,11 @@ func NewWithDir(spec Spec, dir string) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Platform{spec: spec, stack: stack, grid: g, dir: dir, factors: rcnet.NewFactors()}
+	net, err := rcnet.NewNetwork(g, spec.RC)
+	if err != nil {
+		return nil, err
+	}
+	p := &Platform{spec: spec, stack: stack, grid: g, net: net, dir: dir, factors: rcnet.NewFactors()}
 	if spec.Liquid {
 		p.pump, err = pump.New(stack.NumCavities())
 		if err != nil {
@@ -262,15 +272,9 @@ func (p *Platform) Grid() *grid.Grid { return p.grid }
 func (p *Platform) Pump() *pump.Pump { return p.pump }
 
 // symbolic builds (once) the LDLᵀ symbolic analysis of the platform's
-// thermal system matrix, via a throwaway probe model.
+// thermal system matrix.
 func (p *Platform) symbolic(ctx context.Context) (*mat.LDLSymbolic, error) {
-	return p.symb.get(ctx, &p.mu, func() (*mat.LDLSymbolic, error) {
-		probe, err := rcnet.New(p.grid, p.spec.RC)
-		if err != nil {
-			return nil, err
-		}
-		return probe.EnsureSymbolic()
-	})
+	return p.symb.get(ctx, &p.mu, p.net.Analyze)
 }
 
 // Warm eagerly builds the expensive artifacts a run on this platform
@@ -301,12 +305,13 @@ func (p *Platform) Warm(ctx context.Context, lut, weights bool) error {
 	return nil
 }
 
-// NewModel returns a fresh thermal model on the shared grid. Every model
-// owns its mutable state (temperatures, scratch); with the direct solver
-// it is seeded with a private clone of the shared symbolic analysis, so
-// per-model construction skips the ordering and fill analysis entirely,
-// and it solves through the platform's shared numeric factors. ctx
-// bounds the wait on a concurrent symbolic build.
+// NewModel returns a fresh thermal model on the shared network. Every
+// model owns its mutable state (temperatures, scratch) and reads the
+// network's assembly in place; with the direct solver it is seeded with
+// a private clone of the shared symbolic analysis, so per-model
+// construction skips assembly, ordering and fill analysis entirely, and
+// it solves through the platform's shared numeric factors. ctx bounds
+// the wait on a concurrent symbolic build.
 func (p *Platform) NewModel(ctx context.Context) (*rcnet.Model, error) {
 	return p.newModel(ctx, p.factors)
 }
@@ -331,7 +336,7 @@ func (p *Platform) newModel(ctx context.Context, factors *rcnet.Factors) (*rcnet
 		}
 		symb = s
 	}
-	m, err := rcnet.NewWithSymbolic(p.grid, p.spec.RC, symb, factors)
+	m, err := p.net.NewModel(symb, factors)
 	if err != nil {
 		return nil, err
 	}

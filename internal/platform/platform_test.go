@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/rcnet"
+	"repro/internal/units"
 )
 
 func quickSpec(layers int, liquid bool) Spec {
@@ -180,8 +181,9 @@ func TestOncePanicReleasesWaiters(t *testing.T) {
 }
 
 // TestSharedFactorPlatformArtifact: run models share the platform's
-// numeric factors — the second model on a key factorizes nothing and
-// Stats counts one build and one hit — while the LUT and weight sweeps
+// numeric factors — the second model on a key, even at another non-zero
+// flow, factorizes nothing and Stats counts one build and one hit —
+// while the LUT and weight sweeps
 // factor privately and leave nothing in the shared cache; an LRU
 // eviction releases the shared factors.
 func TestSharedFactorPlatformArtifact(t *testing.T) {
@@ -197,13 +199,13 @@ func TestSharedFactorPlatformArtifact(t *testing.T) {
 	if st := p.Stats(); st.FactorBuilds != 0 || st.FactorHits != 0 {
 		t.Fatalf("set-up used the shared factors: builds=%d hits=%d", st.FactorBuilds, st.FactorHits)
 	}
-	step := func() (*rcnet.Model, []float64) {
+	step := func(flow units.LitersPerMinute) (*rcnet.Model, []float64) {
 		t.Helper()
 		m, err := p.NewModel(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.SetFlow(0.5); err != nil {
+		if err := m.SetFlow(flow); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Step(0.1); err != nil {
@@ -212,24 +214,24 @@ func TestSharedFactorPlatformArtifact(t *testing.T) {
 		return m, m.TempsCopy()
 	}
 	var temps [][]float64
-	for i := range 2 {
-		m, temp := step()
-		if want := 1 - i; m.Factorizations() != want {
+	for i, flow := range []units.LitersPerMinute{0.5, 0.8, 0.5} {
+		m, temp := step(flow)
+		if want := max(0, 1-i); m.Factorizations() != want {
 			t.Errorf("model %d factorized %d times, want %d", i, m.Factorizations(), want)
 		}
 		temps = append(temps, temp)
 	}
-	if !reflect.DeepEqual(temps[0], temps[1]) {
+	if !reflect.DeepEqual(temps[0], temps[2]) {
 		t.Error("models on one shared factor disagree")
 	}
-	if st := c.Stats(); st.Builds.FactorBuilds != 1 || st.Builds.FactorHits != 1 {
-		t.Errorf("cache stats: factor builds=%d hits=%d, want 1 and 1",
+	if st := c.Stats(); st.Builds.FactorBuilds != 1 || st.Builds.FactorHits != 2 {
+		t.Errorf("cache stats: factor builds=%d hits=%d, want 1 and 2",
 			st.Builds.FactorBuilds, st.Builds.FactorHits)
 	}
 	if _, err := c.Get(quickSpec(2, false)); err != nil {
 		t.Fatal(err)
 	}
-	if m, _ := step(); m.Factorizations() != 1 {
+	if m, _ := step(0.5); m.Factorizations() != 1 {
 		t.Errorf("model on the evicted platform factorized %d times, want 1 (factors released)",
 			m.Factorizations())
 	}

@@ -49,7 +49,7 @@ func TestAnalyticAirPackageSeriesResistance(t *testing.T) {
 	// first two terms. Compare the sink temperature exactly and the top
 	// die within the conduction slack.
 	sinkWant := float64(cfg.AmbientAir) + total*cfg.SinkConvectionR
-	sinkGot := m.Temps()[m.sinkNode]
+	sinkGot := m.Temps()[m.net.sinkNode]
 	if math.Abs(sinkGot-sinkWant) > 0.05 {
 		t.Errorf("sink temperature %v, want %v", sinkGot, sinkWant)
 	}

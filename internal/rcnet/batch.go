@@ -91,7 +91,7 @@ func (c *BatchCounters) Snapshot() BatchSnapshot {
 
 // BatchStepper advances a set of models built on one shared platform in
 // lock-step, grouping the per-tick linear solves of models that share a
-// factorKey (same delivered flow, same dt) into single SolveBatch sweeps:
+// factorKey (pump on or off, same dt) into single SolveBatch sweeps:
 // the factor's indices and values are streamed once for the whole group.
 // Per-model state — temperatures, coolant march, factor caches, CG
 // fallback — stays fully isolated; only the leader's numeric factor is
@@ -152,7 +152,7 @@ func (st *BatchStepper) Step(models []*Model, dt units.Second) error {
 	st.member = st.member[:0]
 	st.order = st.order[:0]
 	for i, m := range models {
-		key := factorKey{float64(m.flow), dtF}
+		key := m.factorKey(dtF)
 		g := -1
 		for j, k := range st.keys {
 			if k == key {

@@ -10,8 +10,9 @@ import (
 	"repro/internal/units"
 )
 
-// buildFleet builds n models of one liquid-cooled stack sharing a single
-// symbolic analysis — the platform wiring — with per-model power maps.
+// buildFleet builds n models on one network of a liquid-cooled stack
+// sharing a single symbolic analysis — the platform wiring — with
+// per-model power maps.
 func buildFleet(t *testing.T, n int) []*Model {
 	t.Helper()
 	stack := floorplan.NewT1Stack2(true)
@@ -19,17 +20,17 @@ func buildFleet(t *testing.T, n int) []*Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := New(g, DefaultConfig())
+	net, err := NewNetwork(g, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	symb, err := first.EnsureSymbolic()
+	symb, err := net.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := []*Model{first}
-	for i := 1; i < n; i++ {
-		m, err := NewWithSymbolic(g, DefaultConfig(), symb, nil)
+	var models []*Model
+	for range n {
+		m, err := net.NewModel(symb, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,8 @@ func buildFleet(t *testing.T, n int) []*Model {
 // TestBatchStepperMatchesStep pins the gang contract at the model level:
 // advancing a fleet through BatchStepper.Step is bit-identical to
 // advancing each model with its own serial Step, including ticks where
-// the fleet splits across factor keys.
+// the fleet runs at different non-zero flows (one factor key, one group)
+// and ticks where it splits across factor keys (some pumps off).
 func TestBatchStepperMatchesStep(t *testing.T) {
 	const fleet = 5
 	batch := buildFleet(t, fleet)
@@ -67,7 +69,10 @@ func TestBatchStepperMatchesStep(t *testing.T) {
 		for i, m := range models {
 			flow := units.LitersPerMinute(0.5)
 			if step >= 10 && step < 15 && i%2 == 1 {
-				flow = 0.8 // split the gang into two key groups
+				flow = 0.8 // same matrix: the gang stays one group
+			}
+			if step >= 15 && step < 18 && i%2 == 1 {
+				flow = 0 // pump off: split the gang into two key groups
 			}
 			if err := m.SetFlow(flow); err != nil {
 				t.Fatal(err)
@@ -96,8 +101,8 @@ func TestBatchStepperMatchesStep(t *testing.T) {
 		}
 		w := st.Widths()
 		want := fleet
-		if step >= 10 && step < 15 {
-			want = 3 // models 0,2,4 on 0.5; 1,3 on 0.8
+		if step >= 15 && step < 18 {
+			want = 3 // models 0,2,4 on 0.5; 1,3 at zero flow
 		}
 		if w[0] != want {
 			t.Fatalf("step %d: widths[0] = %d, want %d", step, w[0], want)

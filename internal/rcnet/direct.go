@@ -56,7 +56,7 @@ func ParseSolver(s string) (SolverKind, error) {
 // current system (m.sys, m.rhs) into m.temp. It reports whether the solve
 // happened; (false, nil) means the caller should run the CG fallback. The
 // symbolic analysis is done once per model (or shared, see
-// NewWithSymbolic); numeric factors are cached per (flow, dt) key in the
+// Network.NewModel); numeric factors are cached per factorKey in the
 // model's factor source, so the per-tick cost after the first solve of a
 // key is two triangular sweeps — and zero allocations.
 func (m *Model) solveDirect(dt float64) (bool, error) {
@@ -69,7 +69,7 @@ func (m *Model) solveDirect(dt float64) (bool, error) {
 }
 
 // factorFor returns the model's view of the numeric factors for the
-// current (flow, dt) key. A miss in the model's memo asks the factor
+// current factorKey. A miss in the model's memo asks the factor
 // source, which factorizes on its own miss (through this model's
 // symbolic analysis and system matrix) and otherwise hands back the
 // factor another model built; the view over it is allocated once per key
@@ -83,7 +83,7 @@ func (m *Model) factorFor(dt float64) (*mat.LDLNumeric, error) {
 	if m.Cfg.Solver == SolverCG {
 		return nil, nil
 	}
-	key := factorKey{float64(m.flow), dt}
+	key := m.factorKey(dt)
 	if v, ok := m.views[key]; ok {
 		return v, nil // v == nil: factorization failed before; stay on CG
 	}
@@ -119,10 +119,10 @@ func (m *Model) factorFor(dt float64) (*mat.LDLNumeric, error) {
 
 // Factorizations returns how many numeric LDLᵀ factorizations this model
 // has performed itself — diagnostics for the factor cache: it grows only
-// when a (flow setting, dt) combination is solved for the first time (or
+// when a (flow > 0, dt) combination is solved for the first time (or
 // after eviction) and no other model sharing the factor source has
-// factorized it already, never on repeated ticks or same-value SetFlow
-// calls. Factors served by the shared source are not counted (see
+// factorized it already, never on repeated ticks or on a change between
+// non-zero flows. Factors served by the shared source are not counted (see
 // Factors.Counts).
 func (m *Model) Factorizations() int { return m.nFactor }
 

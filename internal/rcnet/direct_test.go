@@ -131,8 +131,9 @@ func TestDirectMatchesCGProperty(t *testing.T) {
 
 // TestFactorCacheReuse pins the caching contract: repeated ticks at one
 // flow setting factor once, a SetFlow to the same value does not
-// invalidate, revisiting a previously seen setting is a cache hit, and
-// only genuinely new (flow, dt) keys factor.
+// invalidate, a new non-zero flow is a cache hit (every non-zero flow
+// gives the same matrix), and only a new dt or a zero flow — genuinely
+// new (flow > 0, dt) keys — factor.
 func TestFactorCacheReuse(t *testing.T) {
 	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(12, 10))
 	if err != nil {
@@ -174,16 +175,26 @@ func TestFactorCacheReuse(t *testing.T) {
 		t.Fatalf("same-value SetFlow: %d factorizations, want 1", got)
 	}
 
-	// A new flow setting factors once...
+	// A new non-zero flow setting is the same matrix: a cache hit.
 	if err := m.SetFlow(0.2); err != nil {
 		t.Fatal(err)
 	}
 	step()
 	step()
-	if got := m.Factorizations(); got != 2 {
-		t.Fatalf("new flow: %d factorizations, want 2", got)
+	if got := m.Factorizations(); got != 1 {
+		t.Fatalf("new non-zero flow: %d factorizations, want 1", got)
 	}
-	// ...and switching back to the first setting is a cache hit.
+	// Zero flow drops the convective conductances: a new key, factored
+	// once...
+	if err := m.SetFlow(0); err != nil {
+		t.Fatal(err)
+	}
+	step()
+	step()
+	if got := m.Factorizations(); got != 2 {
+		t.Fatalf("zero flow: %d factorizations, want 2", got)
+	}
+	// ...and switching back to a running pump is a cache hit.
 	if err := m.SetFlow(0.5); err != nil {
 		t.Fatal(err)
 	}
@@ -223,20 +234,26 @@ func TestFactorCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	t1Power(t, ref)
+	// Distinct keys come from distinct dt (every non-zero flow shares
+	// one matrix); the flow still varies so the coolant march does.
 	for i := 0; i < 2*maxCachedFactors+3; i++ {
 		flow := units.LitersPerMinute(0.1 + 0.02*float64(i))
+		dt := units.Second(0.05 + 0.01*float64(i))
 		if err := m.SetFlow(flow); err != nil {
 			t.Fatal(err)
 		}
 		if err := ref.SetFlow(flow); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Step(0.1); err != nil {
+		if err := m.Step(dt); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Step(0.1); err != nil {
+		if err := ref.Step(dt); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if got := m.Factorizations(); got != 2*maxCachedFactors+3 {
+		t.Fatalf("%d factorizations, want one per dt (%d)", got, 2*maxCachedFactors+3)
 	}
 	if got := m.CachedFactors(); got > maxCachedFactors {
 		t.Fatalf("cache grew to %d entries, cap %d", got, maxCachedFactors)
@@ -247,8 +264,8 @@ func TestFactorCacheEviction(t *testing.T) {
 }
 
 // TestSteadyStateSharesFactorAcrossLadder checks the BuildLUT access
-// pattern: many steady solves at one flow setting (different power maps)
-// reuse a single dt=0 factorization.
+// pattern: many steady solves across pump settings and power maps reuse a
+// single dt=0 factorization.
 func TestSteadyStateSharesFactorAcrossLadder(t *testing.T) {
 	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(12, 10))
 	if err != nil {
@@ -260,10 +277,10 @@ func TestSteadyStateSharesFactorAcrossLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetFlow(0.5); err != nil {
-		t.Fatal(err)
-	}
 	for _, scale := range []float64{0.2, 0.6, 1.0} {
+		if err := m.SetFlow(units.LitersPerMinute(0.3 + scale)); err != nil {
+			t.Fatal(err)
+		}
 		for li, layer := range g.Stack.Layers {
 			p := make([]float64, len(layer.Blocks))
 			for bi := range p {
@@ -278,7 +295,7 @@ func TestSteadyStateSharesFactorAcrossLadder(t *testing.T) {
 		}
 	}
 	if got := m.Factorizations(); got != 1 {
-		t.Fatalf("ladder sweep at one setting: %d factorizations, want 1", got)
+		t.Fatalf("ladder sweep: %d factorizations, want 1", got)
 	}
 }
 

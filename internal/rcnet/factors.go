@@ -7,21 +7,28 @@ import (
 	"repro/internal/mat"
 )
 
-// factorKey identifies one system matrix: the backward-Euler matrix
-// A = G + diag(boundG) + diag(C/dt) depends only on the flow setting
-// (through the convective boundary conductances) and on dt (0 for steady
-// state). Power and coolant-temperature updates only touch the RHS, so a
-// controller stepping through its discrete pump ladder revisits a handful
-// of keys and never re-factors.
+// factorKey identifies one system matrix of a network: the backward-Euler
+// matrix A = G + diag(boundG) + diag(C/dt) depends only on whether the
+// pump runs (boundG is the flow-independent convective conductance at
+// any non-zero flow, zero when the pump is off; see SetFlow) and on dt (0
+// for steady state). Power, flow and coolant-temperature updates only
+// touch the RHS and the coolant march, so a controller stepping through
+// its pump ladder, a LUT sweep over every setting and a gang of Max and
+// Var runs all share one factor per dt.
 type factorKey struct {
-	flow float64
-	dt   float64
+	cooled bool // flow > 0
+	dt     float64
+}
+
+// factorKey returns the key of the model's system matrix at dt.
+func (m *Model) factorKey(dt float64) factorKey {
+	return factorKey{m.flow > 0, dt}
 }
 
 // maxCachedFactors bounds a factor cache (and a model's memo of views
-// into one). The working set is one key per (pump setting, tick dt) plus
-// the steady-state dt=0 keys of a LUT sweep — pump.NumSettings plus a
-// few; 16 leaves slack for mixed transient/steady use. Eviction is FIFO
+// into one). The working set is one key per tick dt, plus the dt=0 steady
+// key and the zero-flow keys of a pump that switches off — a handful; 16
+// leaves slack for the adaptive stepper's macro-step rungs. Eviction is FIFO
 // and only drops the cache's reference: a factor is never recycled, so a
 // model still solving through an evicted factor is unaffected.
 const maxCachedFactors = 16
@@ -31,8 +38,8 @@ const maxCachedFactors = 16
 var errFactorPanicked = errors.New("rcnet: factorization panicked")
 
 // Factors is a concurrency-safe cache of numeric LDLᵀ factors keyed by
-// (flow setting, dt), shared by models built on one symbolic analysis
-// with one thermal configuration (NewWithSymbolic): for those models the
+// (flow > 0, dt), shared by models built on one network and one symbolic
+// analysis (Network.NewModel): for those models the
 // system matrix of a key is the same matrix, and the deterministic
 // factorization of the same matrix is the same factor, bit for bit. The
 // first model to need a key factorizes it exactly once while concurrent

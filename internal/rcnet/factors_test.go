@@ -11,8 +11,9 @@ import (
 	"repro/internal/units"
 )
 
-// sharedFleet builds n models on one symbolic analysis drawing their
-// numeric factors from one shared cache, as a platform's run models do,
+// sharedFleet builds n models on one network and symbolic analysis
+// drawing their numeric factors from one shared cache, as a platform's
+// run models do,
 // each with the T1 power map and flow 0.5 l/min.
 func sharedFleet(t *testing.T, n int, cfg Config) ([]*Model, *Factors) {
 	t.Helper()
@@ -20,18 +21,18 @@ func sharedFleet(t *testing.T, n int, cfg Config) ([]*Model, *Factors) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := New(g, cfg)
+	net, err := NewNetwork(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	symb, err := probe.EnsureSymbolic()
+	symb, err := net.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
 	fc := NewFactors()
 	models := make([]*Model, n)
 	for i := range models {
-		if models[i], err = NewWithSymbolic(g, cfg, symb, fc); err != nil {
+		if models[i], err = net.NewModel(symb, fc); err != nil {
 			t.Fatal(err)
 		}
 		t1Power(t, models[i])
@@ -150,7 +151,7 @@ func TestSharedFactorEvictionKeepsHolders(t *testing.T) {
 // an error instead of blocking forever.
 func TestSharedFactorPanicReleasesWaiters(t *testing.T) {
 	fc := NewFactors()
-	key := factorKey{0.5, 0.1}
+	key := factorKey{true, 0.1}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -175,7 +176,7 @@ func TestSharedFactorPanicReleasesWaiters(t *testing.T) {
 func TestSharedFactorFailure(t *testing.T) {
 	inject := func(fc *Factors, m *Model) {
 		t.Helper()
-		_, err := fc.get(factorKey{float64(m.Flow()), 0.1}, func() (*mat.LDLNumeric, error) {
+		_, err := fc.get(m.factorKey(0.1), func() (*mat.LDLNumeric, error) {
 			return nil, mat.ErrNotPositiveDefinite
 		})
 		if !errors.Is(err, mat.ErrNotPositiveDefinite) {
@@ -244,17 +245,17 @@ func TestSharedFactorFailure(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Solver = SolverDirect
 		cfg.SinkConvectionR = -1e-4
-		probe, err := New(g, cfg)
+		net, err := NewNetwork(g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		symb, err := probe.EnsureSymbolic()
+		symb, err := net.Analyze()
 		if err != nil {
 			t.Fatal(err)
 		}
 		fc := NewFactors()
 		for i := range 2 {
-			m, err := NewWithSymbolic(g, cfg, symb, fc)
+			m, err := net.NewModel(symb, fc)
 			if err != nil {
 				t.Fatal(err)
 			}

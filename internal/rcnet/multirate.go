@@ -9,7 +9,7 @@ import (
 )
 
 // Multirate stepping support: the backward-Euler system matrix depends
-// only on (flow setting, dt), so the cached-LDLᵀ direct solver makes long
+// only on (flow > 0, dt), so the cached-LDLᵀ direct solver makes long
 // macro-steps as cheap as base ticks once their factors exist. The
 // adaptive stepping engine drives Step with varying dt, estimates the
 // local error of a long step by step doubling (StepWithEstimate), and
@@ -69,10 +69,9 @@ func (m *Model) SystemCSR(dt units.Second) (*mat.CSR, error) {
 // absolute node difference between the two solutions (K ≡ °C).
 //
 // With the default direct solver the three solves are cached-factor
-// triangular sweeps once the (flow, dt) and (flow, dt/2) factors exist —
-// and when dt is a power-of-two multiple of the base tick, dt/2 is the
-// next macro-step rung down, so the estimator introduces at most one
-// extra factor key per flow setting.
+// triangular sweeps once the dt and dt/2 factors exist — and when dt is
+// a power-of-two multiple of the base tick, dt/2 is the next macro-step
+// rung down, so the estimator introduces at most one extra factor key.
 func (m *Model) StepWithEstimate(dt units.Second) (float64, error) {
 	if dt <= 0 {
 		return 0, fmt.Errorf("rcnet: non-positive dt %v", dt)

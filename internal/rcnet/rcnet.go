@@ -11,24 +11,32 @@
 // generalized). Air-cooled stacks attach a lumped spreader/sink node with
 // Table III's convection resistance and capacitance.
 //
+// A Network is the immutable assembly of one grid and configuration (the
+// conduction Laplacian, capacitances and convective conductances); a
+// Model is one simulation's mutable state over a network, and any number
+// of models share one network.
+//
 // The network is solved with backward-Euler time stepping (unconditionally
 // stable for the stiff RC systems that 0.4 mm cavities against 100 ms ticks
 // produce). The default linear solver is a cached sparse LDLᵀ direct
-// factorization: the system matrix depends only on the pump's flow setting
-// and the time step, so it is analyzed symbolically once (fill-reducing
-// nested-dissection or RCM ordering), factored numerically the first time
-// each (flow, dt) combination is solved — once for all the models that
-// share a factor cache (Factors; a platform's run models do) — and every
-// subsequent tick costs just two triangular sweeps, allocation-free.
-// Preconditioned conjugate gradient (SSOR by default, Jacobi optional)
-// remains available as a cross-check (Config.Solver) and as the automatic
-// fallback; steady states are fixed-point iterations between the
-// conduction solve and the coolant march.
+// factorization. The convective coefficient is fixed once the boundary
+// layers develop, so the system matrix depends only on whether the pump
+// runs and on the time step, not on the flow setting: it is analyzed
+// symbolically once (fill-reducing nested-dissection or RCM ordering),
+// factored numerically the first time each (flow > 0, dt) combination is
+// solved — once for all the models that share a factor cache (Factors; a
+// platform's run models do) — and every subsequent tick costs just two
+// triangular sweeps, allocation-free. Preconditioned conjugate gradient
+// (SSOR by default, Jacobi optional) remains available as a cross-check
+// (Config.Solver) and as the automatic fallback; steady states are
+// fixed-point iterations between the conduction solve and the coolant
+// march.
 package rcnet
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/mat"
@@ -66,8 +74,8 @@ type Config struct {
 	// faster per Step on the paper-resolution grid.
 	Precond mat.Preconditioner
 	// Solver selects the linear solver: the zero value SolverAuto uses
-	// the cached sparse LDLᵀ direct solver (factor once per flow setting
-	// and dt, two triangular sweeps per tick) with CG as the fallback;
+	// the cached sparse LDLᵀ direct solver (factor once per (flow > 0,
+	// dt) key, two triangular sweeps per tick) with CG as the fallback;
 	// SolverCG forces the iterative path. The analysis picks the LDLᵀ
 	// kernel family (scalar columns vs dense supernodal panels) by
 	// system size (mat.LDLSymbolic.SupernodalProfitable).
@@ -89,8 +97,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// Model is a solvable thermal network bound to one grid.
-type Model struct {
+// Network is the assembled thermal network of one grid and
+// configuration: the conduction Laplacian, the nodal capacitances, the
+// per-cell convective conductances, the diagonal slots of the system
+// matrix and the initial boundary profile. It is immutable once built
+// (NewNetwork) and shared read-only by every model stepping on it
+// (NewModel), so a platform assembles its network once and any number of
+// its models may step concurrently.
+type Network struct {
 	Grid *grid.Grid
 	Cfg  Config
 
@@ -100,19 +114,36 @@ type Model struct {
 	base     *mat.CSR  // conduction Laplacian (diagonal included)
 	baseDiag []float64 // cached diagonal of base
 	capac    []float64 // nodal heat capacitances (J/K)
-	boundG   []float64 // per-node boundary conductance (W/K)
-	boundT   []float64 // per-node boundary temperature (K)
-	heat     []float64 // per-node injected power (W)
+	convG    []float64 // per-node convective conductance at unit coverage
+	sysDiag  []int     // position of each row's diagonal entry in base.Val
+
+	// channelsPerRow is the number of channels crossing one cell row of a
+	// cavity (uniform across cavities and rows under homogenization).
+	channelsPerRow float64
+
+	// Initial boundary profile a model starts from: zero convection (the
+	// pump is off) with the coolant at the inlet temperature, and the air
+	// sink's conductance to ambient.
+	boundG, boundT []float64
+}
+
+// Model is a solvable thermal network bound to one grid: the mutable
+// state of one simulation over a shared Network.
+type Model struct {
+	Grid *grid.Grid
+	Cfg  Config
+
+	net *Network
+	n   int // net.n
+
+	boundG []float64 // per-node boundary conductance (W/K)
+	boundT []float64 // per-node boundary temperature (K)
+	heat   []float64 // per-node injected power (W)
 
 	temp []float64 // current temperatures (K)
 
 	flow    units.LitersPerMinute     // per-cavity delivered flow
 	perChan units.CubicMeterPerSecond // per-channel flow
-	convG   []float64                 // per-node convective conductance at unit coverage
-
-	// channelsPerRow is the number of channels crossing one cell row of a
-	// cavity (uniform across cavities and rows under homogenization).
-	channelsPerRow float64
 
 	// Flow-dependent coolant-march coefficients, refreshed by SetFlow so
 	// marchCoolant runs exp-free every tick: rowCap is the per-row
@@ -130,17 +161,19 @@ type Model struct {
 	// spread is the reusable SetLayerPower cell buffer.
 	spread []float64
 
+	// sys is the system matrix: its structure aliases the network's
+	// Laplacian, its values are the model's own (buildSystem rewrites
+	// the diagonal).
 	sys      *mat.CSR
 	rhs, old []float64
-	sysDiag  []int           // position of each row's diagonal entry in sys.Val
 	ws       mat.CGWorkspace // CG scratch, reused across Step/SteadyState
 	ssPrev   []float64       // SteadyState fixed-point scratch
 
 	// Direct-solver state: one symbolic analysis per model (the sparsity
-	// is fixed at assembly; a clone of a shared one under
-	// NewWithSymbolic), numeric factors per (flow, dt) key from a factor
-	// source — private, or shared by every model of a platform — and a
-	// memo of this model's views into them.
+	// is the network's; a clone of a shared one when NewModel is given
+	// one), numeric factors per factorKey from a factor source — private,
+	// or shared by every model of a platform — and a memo of this model's
+	// views into them.
 	symb    *mat.LDLSymbolic
 	factors *Factors
 	views   map[factorKey]*mat.LDLNumeric
@@ -152,90 +185,113 @@ type Model struct {
 	estFull  []float64
 }
 
-// New builds the thermal network for g.
+// New builds the thermal network for g and one model on it; it is
+// NewNetwork followed by NewModel(nil, nil).
 func New(g *grid.Grid, cfg Config) (*Model, error) {
+	net, err := NewNetwork(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return net.NewModel(nil, nil)
+}
+
+// NewNetwork assembles the thermal network for g.
+func NewNetwork(g *grid.Grid, cfg Config) (*Network, error) {
 	if cfg.SolverTol == 0 {
 		cfg.SolverTol = 1e-8
 	}
-	m := &Model{Grid: g, Cfg: cfg, sinkNode: -1}
-	m.n = g.TotalNodes()
+	net := &Network{Grid: g, Cfg: cfg, sinkNode: -1}
+	net.n = g.TotalNodes()
 	if !g.Stack.LiquidCooled {
-		m.sinkNode = m.n
-		m.n++
+		net.sinkNode = net.n
+		net.n++
 	}
-	m.capac = make([]float64, m.n)
-	m.boundG = make([]float64, m.n)
-	m.boundT = make([]float64, m.n)
-	m.heat = make([]float64, m.n)
-	m.temp = make([]float64, m.n)
-	m.convG = make([]float64, m.n)
-	m.decay = make([]float64, m.n)
-	m.invRatio = make([]float64, m.n)
-	m.rhs = make([]float64, m.n)
-	m.old = make([]float64, m.n)
-	m.factors = NewFactors()
-	m.views = make(map[factorKey]*mat.LDLNumeric)
-	for i := range m.temp {
-		m.temp[i] = float64(cfg.InitTemp)
-	}
-	if err := m.assemble(); err != nil {
+	net.capac = make([]float64, net.n)
+	net.convG = make([]float64, net.n)
+	net.boundG = make([]float64, net.n)
+	net.boundT = make([]float64, net.n)
+	if err := net.assemble(); err != nil {
 		return nil, err
 	}
-	m.sys = m.base.Clone()
 	// buildSystem only perturbs the diagonal of the fixed-sparsity base
 	// Laplacian, so cache each row's diagonal slot once and rewrite just
 	// those entries per solve instead of re-copying the whole matrix.
-	m.sysDiag = make([]int, m.n)
-	if err := m.sys.DiagIndex(m.sysDiag); err != nil {
+	net.sysDiag = make([]int, net.n)
+	if err := net.base.DiagIndex(net.sysDiag); err != nil {
 		return nil, fmt.Errorf("rcnet: %w", err)
 	}
 	if g.Stack.LiquidCooled {
 		// Channels crossing one cell row of a cavity:
 		// channelsPerCavity · cellH / stackHeight.
-		m.channelsPerRow = float64(g.Stack.ChannelsPerCavity) *
+		net.channelsPerRow = float64(g.Stack.ChannelsPerCavity) *
 			float64(g.CellH) / float64(g.Stack.Height)
-		if err := m.SetFlow(0); err != nil {
+		if _, err := microchannel.PerChannelFlow(0, g.Stack.ChannelsPerCavity); err != nil {
 			return nil, err
 		}
 	}
-	return m, nil
+	return net, nil
 }
 
-// NewWithSymbolic builds the thermal network for g like New, but seeds the
-// direct solver with a private clone of a previously computed symbolic
-// analysis (see Model.EnsureSymbolic), so the per-model ordering and fill
-// analysis is skipped. Any number of models may be built from one source
-// analysis concurrently — each clone owns its scratch. A non-nil factors
-// makes the model draw its numeric factors from that shared cache, which
-// must only ever serve models built from the same analysis and cfg (a
-// platform's); nil keeps a private cache, as does a nil symb, which
-// behaves exactly like New.
-func NewWithSymbolic(g *grid.Grid, cfg Config, symb *mat.LDLSymbolic, factors *Factors) (*Model, error) {
-	m, err := New(g, cfg)
-	if err != nil {
-		return nil, err
+// Analyze performs the symbolic LDLᵀ analysis of the network's system
+// matrix structure (every model's system matrix shares it). The result
+// seeds NewModel, which hands each model a private clone.
+func (net *Network) Analyze() (*mat.LDLSymbolic, error) {
+	return mat.AnalyzeLDL(net.base, mat.OrderAuto)
+}
+
+// NewModel returns a fresh model on the network at zero flow and the
+// configured initial temperature. It owns its mutable state and shares
+// the network's arrays read-only. A non-nil symb (from Analyze or
+// EnsureSymbolic on a model of this network) seeds the direct solver
+// with a private clone, so the ordering and fill analysis is skipped;
+// with it, a non-nil factors makes the model draw its numeric factors
+// from that shared cache, which must only ever serve models of one
+// network and analysis (a platform's). A nil factors, or a nil symb,
+// keeps a private cache.
+func (net *Network) NewModel(symb *mat.LDLSymbolic, factors *Factors) (*Model, error) {
+	n := net.n
+	m := &Model{
+		Grid:     net.Grid,
+		Cfg:      net.Cfg,
+		net:      net,
+		n:        n,
+		boundG:   slices.Clone(net.boundG),
+		boundT:   slices.Clone(net.boundT),
+		heat:     make([]float64, n),
+		temp:     make([]float64, n),
+		decay:    make([]float64, n),
+		invRatio: make([]float64, n),
+		rhs:      make([]float64, n),
+		old:      make([]float64, n),
+		sys: &mat.CSR{N: n, RowPtr: net.base.RowPtr, Col: net.base.Col,
+			Val: slices.Clone(net.base.Val)},
+		views: make(map[factorKey]*mat.LDLNumeric),
 	}
-	if symb != nil && cfg.Solver != SolverCG {
+	for i := range m.temp {
+		m.temp[i] = float64(net.Cfg.InitTemp)
+	}
+	if symb != nil && net.Cfg.Solver != SolverCG {
 		if !symb.Matches(m.sys) {
 			return nil, fmt.Errorf("rcnet: shared symbolic analysis is for a different structure (%d nodes, model has %d)",
-				symb.N(), m.n)
+				symb.N(), n)
 		}
 		m.symb = symb.Clone()
-		if factors != nil {
-			m.factors = factors
-		}
+		m.factors = factors
+	}
+	if m.factors == nil {
+		m.factors = NewFactors()
 	}
 	return m, nil
 }
 
 // EnsureSymbolic performs (or returns the already-performed) symbolic
 // LDLᵀ analysis of the model's system matrix. The result can seed
-// NewWithSymbolic so further models on the same grid skip the ordering
-// and fill analysis; it must not be handed to concurrent users directly
-// (they receive private clones through NewWithSymbolic).
+// NewModel so further models on the same network skip the ordering and
+// fill analysis; it must not be handed to concurrent users directly
+// (they receive private clones through NewModel).
 func (m *Model) EnsureSymbolic() (*mat.LDLSymbolic, error) {
 	if m.symb == nil {
-		s, err := mat.AnalyzeLDL(m.sys, mat.OrderAuto)
+		s, err := m.net.Analyze()
 		if err != nil {
 			return nil, err
 		}
@@ -279,16 +335,16 @@ func cellHeatCapacity(s *grid.Slab, idx int) float64 {
 
 // assemble builds the conduction Laplacian, capacitances and static
 // boundary terms.
-func (m *Model) assemble() error {
-	g := m.Grid
-	b := mat.NewBuilder(m.n)
+func (net *Network) assemble() error {
+	g := net.Grid
+	b := mat.NewBuilder(net.n)
 	// ~1 diagonal seed + 3 neighbor couplings × 4 entries per node.
-	b.Grow(14 * m.n)
+	b.Grow(14 * net.n)
 	cellA := float64(g.CellArea())
 	dx, dy := float64(g.CellW), float64(g.CellH)
 
 	// Ensure every diagonal entry exists even for isolated nodes.
-	for i := 0; i < m.n; i++ {
+	for i := 0; i < net.n; i++ {
 		b.Add(i, i, 0)
 	}
 
@@ -308,7 +364,7 @@ func (m *Model) assemble() error {
 				node := g.NodeIndex(si, iy, ix)
 				kL, _ := cellConductivity(s, idx)
 				// Capacitance.
-				m.capac[node] = cellHeatCapacity(s, idx) * cellA * t
+				net.capac[node] = cellHeatCapacity(s, idx) * cellA * t
 				// Lateral couplings (add once per pair: to +x and +y).
 				if ix+1 < g.NX {
 					kL2, _ := cellConductivity(s, iy*g.NX+ix+1)
@@ -354,8 +410,8 @@ func (m *Model) assemble() error {
 				gconv := microchannel.HeatTransferCoeff *
 					2 * (microchannel.ChannelWidth + microchannel.ChannelHeight) * lchan
 				node := ci*g.NumCells() + idx
-				m.convG[node] = gconv
-				m.boundT[node] = float64(m.Cfg.CoolantInlet)
+				net.convG[node] = gconv
+				net.boundT[node] = float64(net.Cfg.CoolantInlet)
 			}
 		}
 	} else {
@@ -369,20 +425,20 @@ func (m *Model) assemble() error {
 		t := float64(s.Thickness)
 		for idx := 0; idx < g.NumCells(); idx++ {
 			_, kV := cellConductivity(s, idx)
-			r := t/(2*kV*cellA) + (microchannel.RthBEOL+m.Cfg.SinkSpreadResistivity)/cellA
-			addCoupling(g.NodeIndex(top, idx/g.NX, idx%g.NX), m.sinkNode, 1/r)
+			r := t/(2*kV*cellA) + (microchannel.RthBEOL+net.Cfg.SinkSpreadResistivity)/cellA
+			addCoupling(g.NodeIndex(top, idx/g.NX, idx%g.NX), net.sinkNode, 1/r)
 		}
-		m.capac[m.sinkNode] = m.Cfg.SinkCapacitance
-		m.boundG[m.sinkNode] = 1 / m.Cfg.SinkConvectionR
-		m.boundT[m.sinkNode] = float64(m.Cfg.AmbientAir)
+		net.capac[net.sinkNode] = net.Cfg.SinkCapacitance
+		net.boundG[net.sinkNode] = 1 / net.Cfg.SinkConvectionR
+		net.boundT[net.sinkNode] = float64(net.Cfg.AmbientAir)
 	}
 
-	m.base = b.Build()
-	if !m.base.IsSymmetric(1e-9) {
+	net.base = b.Build()
+	if !net.base.IsSymmetric(1e-9) {
 		return fmt.Errorf("rcnet: assembled matrix not symmetric")
 	}
-	m.baseDiag = make([]float64, m.n)
-	m.base.Diagonal(m.baseDiag)
+	net.baseDiag = make([]float64, net.n)
+	net.base.Diagonal(net.baseDiag)
 	return nil
 }
 
@@ -408,13 +464,16 @@ func (m *Model) SetFlow(perCavity units.LitersPerMinute) error {
 	m.rowCap = 0
 	if v > 0 {
 		m.rowCap = microchannel.CoolantDensity * microchannel.CoolantHeatCapacity *
-			float64(v) * m.channelsPerRow
+			float64(v) * m.net.channelsPerRow
 	}
-	for node, gc := range m.convG {
+	for node, gc := range m.net.convG {
 		if gc == 0 {
 			continue
 		}
 		if perCavity > 0 {
+			// Flow-independent once the boundary layers develop, so the
+			// system matrix only depends on whether the pump runs; a
+			// flow-dependent boundG must re-key factorKey.
 			m.boundG[node] = gc
 			// Per-cell march coefficients (see marchCoolant): they only
 			// change with the flow, so the per-tick march stays exp-free.
@@ -478,13 +537,14 @@ func (m *Model) marchCoolant(relax float64) {
 		return
 	}
 	inlet := float64(m.Cfg.CoolantInlet)
+	convG := m.net.convG
 	for _, ci := range g.CavitySlabs() {
 		off := ci * g.NumCells()
 		for iy := 0; iy < g.NY; iy++ {
 			tf := inlet
 			for ix := 0; ix < g.NX; ix++ {
 				node := off + iy*g.NX + ix
-				if m.convG[node] == 0 {
+				if convG[node] == 0 {
 					continue
 				}
 				// Exact segment integration for constant wall
@@ -513,18 +573,20 @@ func (m *Model) marchCoolant(relax float64) {
 // buildSystem writes A = G + diag(boundG) + diag(C/dt) into m.sys (dt may
 // be 0 for steady state) and the matching RHS into m.rhs. Only the diagonal
 // of the fixed-sparsity base Laplacian is perturbed, so the off-diagonal
-// values written by Clone at construction are reused untouched and each
-// diagonal entry is overwritten through its cached slot.
+// values copied from the network at construction are reused untouched and
+// each diagonal entry is overwritten through its cached slot.
 func (m *Model) buildSystem(dt float64) {
+	capac, sysDiag, baseDiag := m.net.capac, m.net.sysDiag, m.net.baseDiag
+	val, rhs := m.sys.Val, m.rhs
 	for i := 0; i < m.n; i++ {
 		extra := m.boundG[i]
 		if dt > 0 {
-			extra += m.capac[i] / dt
+			extra += capac[i] / dt
 		}
-		m.sys.Val[m.sysDiag[i]] = m.baseDiag[i] + extra
-		m.rhs[i] = m.heat[i] + m.boundG[i]*m.boundT[i]
+		val[sysDiag[i]] = baseDiag[i] + extra
+		rhs[i] = m.heat[i] + m.boundG[i]*m.boundT[i]
 		if dt > 0 {
-			m.rhs[i] += m.capac[i] / dt * m.old[i]
+			rhs[i] += capac[i] / dt * m.old[i]
 		}
 	}
 }
@@ -532,7 +594,7 @@ func (m *Model) buildSystem(dt float64) {
 // Step advances the transient solution by dt seconds with backward Euler,
 // marching the coolant once per step (the paper re-computes flux-dependent
 // terms periodically rather than continuously). With the default direct
-// solver the first Step after a new (flow setting, dt) combination factors
+// solver the first Step after a new (flow > 0, dt) combination factors
 // the system once; every later tick reuses the cached factors and performs
 // just two triangular sweeps, allocation-free.
 func (m *Model) Step(dt units.Second) error {
@@ -602,10 +664,11 @@ func (m *Model) SteadyState() error {
 		m.marchCoolant(relax)
 		m.buildSystem(0)
 		// The dt=0 matrix is constant across the whole fixed point (only
-		// the coolant boundary temperatures on the RHS move), so the
-		// direct path factors once per flow setting and every outer
-		// iteration — and every ladder point of a controller.BuildLUT
-		// sweep at that setting — reuses the cached factors.
+		// the coolant boundary temperatures on the RHS move) and across
+		// every non-zero flow, so the direct path factors it once and
+		// every outer iteration — and every ladder point at every pump
+		// setting of a controller.BuildLUT sweep — reuses the cached
+		// factors.
 		if done, err := m.solveDirect(0); err != nil {
 			return fmt.Errorf("rcnet: steady solve: %w", err)
 		} else if !done {
@@ -622,7 +685,7 @@ func (m *Model) SteadyState() error {
 				for i := range m.temp {
 					m.temp[i] += offset
 				}
-				for node, gc := range m.convG {
+				for node, gc := range m.net.convG {
 					if gc > 0 && m.boundG[node] > 0 {
 						m.boundT[node] += offset
 					}
@@ -712,7 +775,7 @@ func (m *Model) CoolantOutletTemp(ci int) units.Kelvin {
 	sum, cnt := 0.0, 0
 	for iy := 0; iy < g.NY; iy++ {
 		node := off + iy*g.NX + (g.NX - 1)
-		if m.convG[node] > 0 {
+		if m.net.convG[node] > 0 {
 			sum += m.boundT[node]
 			cnt++
 		}
@@ -728,7 +791,7 @@ func (m *Model) CoolantOutletTemp(ci int) units.Kelvin {
 func (m *Model) HeatRemovedByCoolant() units.Watt {
 	s := 0.0
 	for node, gb := range m.boundG {
-		if m.convG[node] > 0 && gb > 0 {
+		if m.net.convG[node] > 0 && gb > 0 {
 			s += gb * (m.temp[node] - m.boundT[node])
 		}
 	}

@@ -130,7 +130,7 @@ func TestAirSteadyStateEnergyBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// At steady state the sink-to-ambient flow must equal injected power.
-	sinkT := m.Temps()[m.sinkNode]
+	sinkT := m.Temps()[m.net.sinkNode]
 	out := (sinkT - float64(m.Cfg.AmbientAir)) / m.Cfg.SinkConvectionR
 	in := float64(m.TotalPower())
 	if units.RelativeError(out, in) > 0.02 {

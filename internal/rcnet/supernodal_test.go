@@ -91,7 +91,7 @@ func TestSupernodalMatchesScalarEndToEnd(t *testing.T) {
 // TestSupernodalKernelForcing pins how the kernel family is chosen now
 // that no knob forces it: the size gate alone decides, SupernodeStats
 // reports the gate's pick with a coherent partition, a sibling seeded
-// with the shared analysis through NewWithSymbolic runs the same family
+// with the shared analysis through Network.NewModel runs the same family
 // and reproduces the seed model's step bit for bit, and a CG model reports no
 // direct-solver partition.
 func TestSupernodalKernelForcing(t *testing.T) {
@@ -120,7 +120,7 @@ func TestSupernodalKernelForcing(t *testing.T) {
 				t.Errorf("incoherent partition stats (%d supernodes, mean width %g)", sn, width)
 			}
 
-			sib, err := NewWithSymbolic(md.Grid, md.Cfg, symb, nil)
+			sib, err := md.net.NewModel(symb, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,10 +128,10 @@ func TestSupernodalKernelForcing(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, _, a := sib.SupernodeStats(); a != active {
-				t.Errorf("NewWithSymbolic sibling: supernodal active = %v, want %v", a, active)
+				t.Errorf("sibling: supernodal active = %v, want %v", a, active)
 			}
 			if d := maxAbsDiff(sib.Temps(), md.Temps()); d != 0 {
-				t.Errorf("NewWithSymbolic sibling differs from its seed model by %g K", d)
+				t.Errorf("sibling differs from its seed model by %g K", d)
 			}
 
 			if sn, _, active := mc.SupernodeStats(); sn != 0 || active {

@@ -80,7 +80,7 @@ func (a *adaptiveEngine) intervalLen(p Phases) int {
 		return 1
 	}
 	// Round down to a power of two: interval lengths then reuse a handful
-	// of (flow, dt) factor keys — {1, 2, 4, ...}·tick, whose half-step
+	// of dt factor keys — {1, 2, 4, ...}·tick, whose half-step
 	// estimator keys coincide with the next ladder rung down — instead of
 	// churning the solver's factor cache with arbitrary dts.
 	pow2 := 1
@@ -157,7 +157,7 @@ func (a *adaptiveEngine) Advance(p Phases) error {
 		// non-power-of-two length: integrate at the base tick. Base-dt
 		// factors are always cached, whereas estimating at an arbitrary
 		// ran·tick (and its half) would churn the solver's bounded
-		// (flow, dt) factor cache with one-off keys — refactorizations
+		// factor cache with one-off dt keys — refactorizations
 		// costing far more than the sweeps a short macro-step saves.
 		for i := 0; i < ran; i++ {
 			if err := p.InstallTickPower(i); err != nil {

@@ -7,7 +7,7 @@
 //   - Fixed advances every phase in lock-step at the base tick, exactly
 //     reproducing the paper's Section V loop (and the pre-stepper
 //     monolithic Step, byte for byte). It is the default.
-//   - Adaptive exploits the thermal solver's cached per-(flow, dt)
+//   - Adaptive exploits the thermal solver's cached per-dt
 //     factorizations to advance the RC network in long macro-steps while
 //     power and flow are stable and a step-doubling error estimate stays
 //     under tolerance, refining back to the base tick on power

@@ -246,7 +246,7 @@ func TestAdaptiveFlowCarry(t *testing.T) {
 
 // TestAdaptiveEarlyCloseBaseTicks: an interval closed early at a
 // non-power-of-two length is integrated at the base tick instead of
-// estimated at a one-off dt — arbitrary (flow, dt) keys would churn the
+// estimated at a one-off dt — arbitrary dt keys would churn the
 // solver's bounded factor cache.
 func TestAdaptiveEarlyCloseBaseTicks(t *testing.T) {
 	f := newFake(t)
