@@ -68,11 +68,7 @@ func TestRunFleetJob(t *testing.T) {
 	if v.Status != statusDone || v.Report == nil {
 		t.Fatalf("local view of fleet job: %+v", v)
 	}
-	local, err := json.Marshal(v.Report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(local) != string(report) {
+	if string(v.Report) != string(report) {
 		t.Fatal("fleet report differs from the local job view")
 	}
 	if v.Samples == 0 {
@@ -94,9 +90,10 @@ func TestRunFleetJobBadScenario(t *testing.T) {
 
 // TestRunFleetJobCanceled: canceling the job context (dispatcher cancel
 // or worker shutdown) surfaces as a context error the worker loop maps
-// to the canceled/lost outcome.
+// to the canceled/lost outcome, and the local view of the attempt ends
+// canceled (retries are the dispatcher's).
 func TestRunFleetJobCanceled(t *testing.T) {
-	s, _ := testServer(t)
+	s, ts := testServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
@@ -111,6 +108,9 @@ func TestRunFleetJobCanceled(t *testing.T) {
 	case err := <-errCh:
 		if err == nil || ctx.Err() == nil {
 			t.Fatalf("err = %v", err)
+		}
+		if v := getView(t, ts, "job-9.1"); v.Status != statusCanceled {
+			t.Fatalf("local view of the canceled attempt: %s (%s)", v.Status, v.State)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("canceled fleet job never returned")

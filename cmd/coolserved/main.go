@@ -1,11 +1,28 @@
 // Command coolserved serves coolsim scenarios as an HTTP JSON job
-// service: a dispatcher in front of a simulation worker pool, so many
-// clients can submit runs, poll their status and stream per-tick samples
-// while the simulations execute server-side.
+// service: many clients submit runs, batches and campaigns, poll their
+// status and stream per-tick samples while the simulations execute
+// server-side. Every job is a fleet.Queue job with one lifecycle
+//
+//	queued → booked → executing → completed | error | requeued | canceled
+//
+// and one daemon plays every role:
+//
+//   - Standalone (the default): the local executor runs queued jobs
+//     in-process, -workers at a time, whenever no fleet worker is
+//     reachable.
+//   - Dispatcher: as soon as another coolserved registers through the
+//     /v1/fleet/* worker protocol, queued jobs go to the registered
+//     workers instead — leased, heartbeated, requeued when a worker
+//     dies, routed by platform shape on a consistent-hash ring.
+//   - Worker (-dispatcher URL): the daemon also registers with a
+//     dispatcher and executes its jobs; each dispatched attempt is a job
+//     of its own queue, "<fleet-id>.<attempt>", with status, report and
+//     stream.
 //
 // Usage:
 //
-//	coolserved -addr :8077 -workers 4 -grace 30s
+//	coolserved -addr :8077 -workers 4 -state-dir /var/lib/coolserved
+//	coolserved -addr :8081 -dispatcher http://localhost:8077   # a worker
 //
 // API (see SERVICE.md for details):
 //
@@ -14,22 +31,26 @@
 //	GET    /v1/runs/{id}        status, and the report once done
 //	GET    /v1/runs/{id}/stream follow per-tick Samples as NDJSON
 //	DELETE /v1/runs/{id}        cancel a queued or running job
-//	GET    /healthz             liveness and drain state
-//	GET    /v1/metrics          job counts + platform-cache hit/miss
+//	POST   /v1/batches          run a scenario list, answer with the reports
 //	POST   /v1/campaigns        submit a scenario list or sweep spec
 //	GET    /v1/campaigns[/{id}] campaign status, progress and ETA
 //	DELETE /v1/campaigns/{id}   cancel the remaining members
 //	GET    /v1/campaigns/{id}/results  stream the aggregate (NDJSON)
+//	GET    /v1/campaigns/{id}/stream   live member ticks (NDJSON)
+//	POST   /v1/fleet/...        worker protocol (register, poll, heartbeat, complete)
+//	GET    /healthz             liveness and drain state
+//	GET    /v1/metrics          jobs, fleet, platform cache, batches, campaigns, streams
 //
-// The server keeps a process-lifetime platform cache (-platform-cache):
-// the first job on a stack shape builds the thermal grid, the solver's
-// symbolic analysis and the controller tables; every later job on that
-// shape warm-starts in milliseconds.
+// With -state-dir every job is journaled before it is acknowledged and
+// on every transition, so a restarted daemon recovers its queue; with
+// -results-dir campaign reports land in a durable results tree and
+// interrupted campaigns resume without re-running persisted members.
+// The platform cache (-platform-cache, -cache-dir) keeps each stack
+// shape's grid, solver analysis and controller tables warm.
 //
-// On SIGINT/SIGTERM the server drains gracefully: intake stops (503),
-// running jobs get up to -grace to finish, stragglers are canceled via
-// their contexts (they abort within one simulated tick), then the
-// process exits.
+// On SIGINT/SIGTERM the daemon drains: it leaves its dispatcher, stops
+// intake (503), gives the local executor up to -grace to finish, then
+// cancels the stragglers (they abort within one simulated tick).
 package main
 
 import (
@@ -50,35 +71,50 @@ import (
 )
 
 func main() {
+	var cfg config
+	flag.IntVar(&cfg.workers, "workers", 0,
+		"local executor slots: jobs run in-process at once while no fleet worker is reachable (0 = NumCPU)")
+	flag.IntVar(&cfg.queue.Retain, "retain", fleet.DefaultRetain,
+		"terminal jobs kept in memory and in the journal; oldest evicted beyond this (<= 0 keeps all)")
+	flag.IntVar(&cfg.platformCache, "platform-cache", 8,
+		"stack shapes whose built artifacts (grid, solver analysis, controller tables) are kept warm; LRU-evicted beyond this (<= 0 keeps all)")
+	flag.StringVar(&cfg.cacheDir, "cache-dir", "",
+		"directory for persisted platform artifacts (controller LUT JSON); a restarted daemon warm-starts its sweeps from here (empty = memory only)")
+	flag.StringVar(&cfg.resultsDir, "results-dir", "",
+		"root of the durable campaign results tree (<dir>/<date>/<campaign>/run-N.json); a restarted daemon resumes campaigns from here without re-running persisted members (empty = memory only)")
+	flag.StringVar(&cfg.queue.Dir, "state-dir", "",
+		"directory for the durable job journal; a restarted daemon recovers every queued/booked/executing job from here (empty = memory only)")
+	flag.DurationVar(&cfg.queue.LeaseTTL, "lease", 15*time.Second,
+		"job lease TTL; a worker silent for longer is unreachable and its jobs are requeued")
+	flag.DurationVar(&cfg.queue.Heartbeat, "heartbeat", 0,
+		"heartbeat interval advertised to workers (0 = lease/3)")
+	flag.IntVar(&cfg.queue.MaxAttempts, "max-attempts", 3,
+		"default execution attempts per job before the terminal error state (per-job override: POST /v1/runs?max_attempts=N)")
+	flag.DurationVar(&cfg.queue.BackoffBase, "backoff", time.Second, "base retry backoff (doubled per attempt, plus jitter)")
+	flag.DurationVar(&cfg.queue.BackoffCap, "backoff-cap", 30*time.Second, "retry backoff ceiling")
+	flag.IntVar(&cfg.stream.RingFrames, "stream-ring", stream.DefaultRingFrames,
+		"per-run stream ring capacity in frames; late joiners can replay this much history (rings shrink to a run's expected tick count)")
+	flag.IntVar(&cfg.stream.LagFrames, "stream-lag", 0,
+		"frames a stream subscriber may lag before it is evicted (0 = the ring capacity)")
 	var (
-		addr    = flag.String("addr", ":8077", "listen address")
-		workers = flag.Int("workers", 0, "simulation worker goroutines (0 = NumCPU)")
-		grace   = flag.Duration("grace", 30*time.Second, "drain timeout for running jobs on shutdown")
-		retain  = flag.Int("retain", 128,
-			"finished jobs kept in memory for replay; oldest evicted beyond this (<= 0 keeps all)")
-		pcache = flag.Int("platform-cache", 8,
-			"stack shapes whose built artifacts (grid, solver analysis, controller tables) are kept warm; LRU-evicted beyond this (<= 0 keeps all)")
-		cacheDir = flag.String("cache-dir", "",
-			"directory for persisted platform artifacts (controller LUT JSON); a restarted daemon warm-starts its sweeps from here (empty = memory only)")
-		resultsDir = flag.String("results-dir", "",
-			"root of the durable campaign results tree (<dir>/<date>/<campaign>/run-N.json); a restarted daemon resumes campaigns from here without re-running persisted members (empty = memory only)")
+		addr       = flag.String("addr", ":8077", "listen address")
+		grace      = flag.Duration("grace", 30*time.Second, "drain timeout for in-process runs on shutdown")
 		dispatcher = flag.String("dispatcher", "",
-			"cooldispatchd base URL; when set the daemon also registers as a fleet worker and executes dispatched jobs (see SERVICE.md, Fleet)")
+			"dispatcher base URL (another coolserved); when set the daemon also registers as a fleet worker and executes dispatched jobs (see SERVICE.md, Fleet)")
 		capacity = flag.Int("fleet-capacity", 0,
 			"concurrent dispatched jobs in worker mode (0 = the -workers value, else NumCPU)")
-		poll       = flag.Duration("poll", 500*time.Millisecond, "dispatcher poll interval in worker mode")
-		streamRing = flag.Int("stream-ring", stream.DefaultRingFrames,
-			"per-run stream ring capacity in frames; late joiners can replay this much history (rings shrink to a run's expected tick count)")
-		streamLag = flag.Int("stream-lag", 0,
-			"frames a stream subscriber may lag before it is evicted (0 = the ring capacity)")
+		poll = flag.Duration("poll", 500*time.Millisecond, "dispatcher poll interval in worker mode")
 	)
 	flag.Parse()
 
-	s, err := newServer(*workers, *retain, *pcache, *cacheDir, *resultsDir,
-		stream.Config{RingFrames: *streamRing, LagFrames: *streamLag})
+	s, err := newServer(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "coolserved:", err)
 		os.Exit(1)
+	}
+	if m := s.q.Snapshot(); m.RecoveredJobs > 0 || m.CorruptJournal > 0 {
+		fmt.Fprintf(os.Stderr, "coolserved: recovered %d journaled jobs (%d corrupt files skipped)\n",
+			m.RecoveredJobs, m.CorruptJournal)
 	}
 	if nc, nr, err := s.camp.Resume(); err != nil {
 		fmt.Fprintln(os.Stderr, "coolserved: campaign resume:", err)
@@ -91,7 +127,7 @@ func main() {
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 
-	// Worker mode: register with the dispatcher and execute fleet jobs
+	// Worker mode: register with the dispatcher and execute its jobs
 	// alongside the local API. stopWorker cancels the fleet loop (which
 	// abandons in-flight fleet jobs: the dispatcher deregisters us and
 	// requeues them) and waits for it to wind down.
@@ -99,7 +135,7 @@ func main() {
 	if *dispatcher != "" {
 		cap := *capacity
 		if cap <= 0 {
-			cap = par.Workers(*workers)
+			cap = par.Workers(cfg.workers)
 		}
 		wctx, wcancel := context.WithCancel(context.Background())
 		wk := &fleet.Worker{
@@ -121,7 +157,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "coolserved: listening on %s (%d workers)\n", *addr, par.Workers(*workers))
+	fmt.Fprintf(os.Stderr, "coolserved: listening on %s (%d workers, lease %v, state-dir %q)\n",
+		*addr, par.Workers(cfg.workers), s.q.LeaseTTL(), cfg.queue.Dir)
 
 	select {
 	case err := <-errCh:
@@ -135,7 +172,7 @@ func main() {
 	// requeues anything it held onto the survivors.
 	stopWorker()
 
-	// Stop intake and let running jobs finish (or cancel them at the
+	// Stop intake and let in-process runs finish (or cancel them at the
 	// grace deadline); streams observe the jobs ending and close, which
 	// lets Shutdown complete.
 	done := make(chan struct{})

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -16,79 +16,60 @@ import (
 	"repro/internal/stream"
 )
 
-// Job lifecycle states reported by GET /v1/runs/{id}.
-const (
-	statusQueued   = "queued"
-	statusRunning  = "running"
-	statusDone     = "done"
-	statusFailed   = "failed"
-	statusCanceled = "canceled"
-)
-
-// job is one submitted scenario and everything observers need: status,
-// the run's broadcast hub (every tick encoded once, fanned out to any
-// number of stream followers), and the final report. mu guards the
-// mutable fields; the hub carries its own synchronization and wakes
-// stream followers on publishes and on completion.
-type job struct {
-	id     string
-	sc     coolsim.Scenario
-	cancel context.CancelFunc
-	hub    *stream.Hub
-
-	mu     sync.Mutex
-	status string
-	report *coolsim.Report
-	errMsg string
+// config is the daemon's configuration, set from the flags.
+type config struct {
+	// workers is the local executor's slot count (0 = NumCPU).
+	workers       int
+	platformCache int
+	cacheDir      string
+	resultsDir    string
+	// queue tunes the job queue: journal directory, retention, leases,
+	// attempts, backoff.
+	queue  fleet.QueueConfig
+	stream stream.Config
 }
 
-func (j *job) finished() bool {
-	return j.status == statusDone || j.status == statusFailed || j.status == statusCanceled
-}
-
-// server is the coolserved HTTP API: a dispatcher in front of a
-// par.Pool of simulation workers, in the simq dispatcher/daemon mold.
+// server is coolserved: one fleet.Queue holds every job — runs,
+// campaign members, batch fan-outs, and the attempts this daemon
+// executes for a dispatcher. While no fleet worker is reachable the
+// local executor runs queued jobs in-process, -workers at a time; once
+// another coolserved registers through /v1/fleet/*, the queue's jobs go
+// to the fleet instead.
 type server struct {
-	pool    *par.Pool
-	baseCtx context.Context
-	abort   context.CancelFunc // hard-cancels every job (drain timeout)
-
-	// pcache holds the process-lifetime per-stack artifacts (grid,
-	// solver analysis, controller LUT, TALB weights), LRU-bounded by the
-	// -platform-cache flag: the first job on a stack shape pays the
-	// setup, every later job on that shape warm-starts. /v1/metrics
-	// exposes its hit/miss/build counters.
+	q      *fleet.Queue
 	pcache *coolsim.PlatformCache
+	camp   *campaign.Manager
+	// durable is set when the queue journals to disk: an in-process run
+	// cut short by shutdown is then left for the next process to retry
+	// instead of ending canceled.
+	durable bool
+
+	baseCtx context.Context
+	abort   context.CancelFunc // hard-cancels every local run (drain timeout)
 
 	// batch accumulates multi-RHS batch-solve statistics across every
-	// POST /v1/batches call for the daemon's lifetime (atomic counters;
-	// read without s.mu).
+	// in-process POST /v1/batches call (atomic counters).
 	batch coolsim.BatchCounters
 
-	// camp serves the same campaign API as cooldispatchd, backed by the
-	// in-process executor (campaign.Local) instead of the fleet; local is
-	// that executor, kept for member hub lookups (campaign streams).
-	camp  *campaign.Manager
-	local *campaign.Local
-
-	// streamCfg sizes each run's broadcast hub (ring capacity, lag
-	// budget), from the -stream-ring / -stream-lag flags.
+	// smu guards the hub registry: one broadcast hub per job, filled by
+	// the local executor or by a tap on the fleet worker running it.
 	streamCfg stream.Config
+	smu       sync.Mutex
+	hubs      map[string]*stream.Hub
 
 	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string // submission order, compacted as jobs are evicted
-	seq      int
-	retain   int // finished jobs kept for replay; oldest evicted beyond it
 	draining bool
-	started  int64          // jobs that entered execution (metrics)
-	batches  int64          // batch requests executed (metrics)
-	stepping steppingTotals // per-run stepper counters, summed at completion
+	slots    int                           // local executor slots
+	local    int                           // booked local runs in flight
+	cancels  map[string]context.CancelFunc // every in-process run, by job ID
+	wg       sync.WaitGroup                // booked local runs
+	batches  int64                         // batch requests executed (metrics)
+	stepping steppingTotals                // per-run stepper counters, summed at completion
 }
 
-// steppingTotals aggregates the stepping-engine counters of every
-// completed run, so operators can see how much work adaptive jobs saved
-// (macro_ticks vs base_ticks) across the daemon's lifetime.
+// steppingTotals aggregates the stepping-engine counters of every run
+// this daemon completed, so operators can see how much work adaptive
+// jobs saved (macro_ticks vs base_ticks) across the daemon's lifetime.
 type steppingTotals struct {
 	BaseTicks     int64 `json:"base_ticks"`
 	MacroSteps    int64 `json:"macro_steps"`
@@ -105,27 +86,32 @@ func (t *steppingTotals) add(r *coolsim.Report) {
 	t.ThermalSolves += int64(r.ThermalSolves)
 }
 
-func newServer(workers, retain, platformCacheSize int, cacheDir, resultsDir string, streamCfg stream.Config) (*server, error) {
-	repo, err := campaign.NewRepo(resultsDir)
+// newServer opens the queue (recovering its journal) and the results
+// tree, and starts the background loops; drain stops them.
+func newServer(cfg config) (*server, error) {
+	q, err := fleet.NewQueue(cfg.queue)
+	if err != nil {
+		return nil, err
+	}
+	repo, err := campaign.NewRepo(cfg.resultsDir)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &server{
-		pool:      par.NewPool(workers),
+		q:         q,
+		pcache:    coolsim.NewPlatformCacheDir(cfg.platformCache, cfg.cacheDir),
+		camp:      campaign.NewManager(campaign.FleetBackend{Q: q}, repo, nil),
+		durable:   cfg.queue.Dir != "",
 		baseCtx:   ctx,
 		abort:     cancel,
-		pcache:    coolsim.NewPlatformCacheDir(platformCacheSize, cacheDir),
-		jobs:      map[string]*job{},
-		retain:    retain,
-		streamCfg: streamCfg,
+		streamCfg: cfg.stream,
+		hubs:      map[string]*stream.Hub{},
+		slots:     par.Workers(cfg.workers),
+		cancels:   map[string]context.CancelFunc{},
 	}
-	local := campaign.NewLocal(ctx, par.Workers(workers), coolsim.WithPlatformCache(s.pcache))
-	local.StreamCfg = streamCfg
-	s.local = local
-	s.camp = campaign.NewManager(local, repo, nil)
 	// Campaign fan-outs warm each distinct platform shape once before
-	// its members book worker slots.
+	// its members enter the queue.
 	s.camp.SetPrebuild(func(raw json.RawMessage) error {
 		sc, err := fleet.DecodeScenario(raw)
 		if err != nil {
@@ -133,9 +119,9 @@ func newServer(workers, retain, platformCacheSize int, cacheDir, resultsDir stri
 		}
 		return s.pcache.Prebuild(ctx, sc)
 	})
-	// The reconcile ticker persists finished member reports and advances
-	// campaign members; it stops when drain aborts baseCtx.
+	go s.loop(max(q.LeaseTTL()/4, 50*time.Millisecond))
 	go func() {
+		// Persist finished member reports and advance campaign members.
 		t := time.NewTicker(100 * time.Millisecond)
 		defer t.Stop()
 		for {
@@ -150,56 +136,176 @@ func newServer(workers, retain, platformCacheSize int, cacheDir, resultsDir stri
 	return s, nil
 }
 
-// pruneLocked bounds the daemon's memory: beyond the retention cap the
-// oldest finished jobs (status, report and sample log) are evicted, so a
-// long-lived server does not grow without bound. Queued and running jobs
-// are never evicted. Called with s.mu held.
-func (s *server) pruneLocked() {
-	if s.retain <= 0 {
-		return
-	}
-	var finished []string
-	for _, id := range s.order {
-		j := s.jobs[id]
-		j.mu.Lock()
-		fin := j.finished()
-		j.mu.Unlock()
-		if fin {
-			finished = append(finished, id)
+// loop drives the queue until drain aborts: it books local work as soon
+// as the queue signals a bookable job, and sweeps leases on a ticker —
+// which also books jobs whose retry backoff has expired. (A finishing
+// local run books its successor itself.)
+func (s *server) loop(sweepEvery time.Duration) {
+	t := time.NewTicker(sweepEvery)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.baseCtx.Done():
+			return
+		case <-s.q.Ready():
+		case <-t.C:
+			s.q.Sweep()
 		}
+		s.book()
 	}
-	evict := map[string]bool{}
-	for i := 0; i < len(finished)-s.retain; i++ {
-		evict[finished[i]] = true
-		delete(s.jobs, finished[i])
-	}
-	if len(evict) == 0 {
-		return
-	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		if !evict[id] {
-			kept = append(kept, id)
-		}
-	}
-	s.order = kept
 }
 
-func (s *server) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/runs", s.handleSubmit)
-	mux.HandleFunc("POST /v1/batches", s.handleBatch)
-	mux.HandleFunc("GET /v1/runs", s.handleList)
-	mux.HandleFunc("GET /v1/runs/{id}", s.handleStatus)
-	mux.HandleFunc("DELETE /v1/runs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/runs/{id}/stream", s.handleStream)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	// Campaign API — same surface as cooldispatchd, executed in-process
-	// (see internal/campaign). Member live streams resolve to the local
-	// executor's per-member hubs.
-	(&campaign.API{M: s.camp, Draining: s.isDraining, Streams: s.local.Hub}).Register(mux)
-	return mux
+// book claims bookable jobs for the free local slots; the queue hands
+// out none while a fleet worker is reachable.
+func (s *server) book() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.baseCtx.Err() == nil && s.local < s.slots {
+		j := s.q.BookLocal()
+		if j == nil {
+			return
+		}
+		ctx, cancel := context.WithCancel(s.baseCtx)
+		s.cancels[j.ID] = cancel
+		s.local++
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.execute(ctx, *j, false)
+			cancel()
+			s.mu.Lock()
+			delete(s.cancels, j.ID)
+			s.local--
+			s.mu.Unlock()
+			s.book()
+		}()
+	}
+}
+
+// runFleetJob is the fleet.Runner of worker mode. The dispatched
+// attempt becomes a job of this daemon's own queue under
+// "<fleet-id>.<attempt>", so an operator can follow it here (status,
+// report, stream) like any other run; the dispatcher's booking already
+// bounds the concurrency.
+func (s *server) runFleetJob(ctx context.Context, wj fleet.WireJob) (json.RawMessage, error) {
+	sc, err := fleet.DecodeScenario(wj.Scenario)
+	if err != nil {
+		return nil, err
+	}
+	raw, key, err := fleet.CanonicalScenario(sc)
+	if err != nil {
+		return nil, err
+	}
+	j, err := s.q.Adopt(fmt.Sprintf("%s.%d", wj.ID, wj.Attempt), raw, key)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	s.mu.Lock()
+	s.cancels[j.ID] = cancel
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.cancels, j.ID)
+		s.mu.Unlock()
+	}()
+	report, err, panicked := s.execute(ctx, j, true)
+	if panicked != nil {
+		panic(panicked) // the worker loop reports the attempt as a panic
+	}
+	return report, err
+}
+
+// execute runs one job in-process, publishing every tick into the job's
+// hub, and records the outcome in the queue. A canceled run of an
+// adopted attempt ends canceled (the dispatcher owns its retries), and
+// so does any canceled run without a journal; with one, a run cut short
+// by shutdown is recorded lost and the next process retries it.
+func (s *server) execute(ctx context.Context, j fleet.Job, adopted bool) (report json.RawMessage, err error, panicked any) {
+	var hub *stream.Hub
+	sc, err := fleet.DecodeScenario(j.Scenario)
+	if err == nil {
+		hub = s.localHub(j.ID, sc)
+		report, err, panicked = s.simulate(ctx, sc, hub)
+	}
+	canceled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	reason := stream.ReasonFailed
+	// The queue only rejects a transition for a job that is no longer
+	// this executor's; there is nothing left to record then.
+	switch {
+	case panicked != nil:
+		_ = s.q.Fail(fleet.LocalWorker, j.ID, err.Error(), fleet.OutcomePanic)
+	case err == nil:
+		_ = s.q.Complete(fleet.LocalWorker, j.ID, report)
+		reason = stream.ReasonDone
+	case canceled:
+		if adopted || !s.durable {
+			_, _ = s.q.Cancel(j.ID)
+		}
+		_ = s.q.Fail(fleet.LocalWorker, j.ID, err.Error(), fleet.OutcomeCanceled)
+		reason = stream.ReasonCanceled
+	default:
+		_ = s.q.Fail(fleet.LocalWorker, j.ID, err.Error(), fleet.OutcomeError)
+	}
+	// Close after the queue transition lands, so a follower waking on
+	// the close observes the terminal job. A requeued job keeps its hub
+	// open, and a tap fills it if a fleet worker takes the retry.
+	if hub != nil {
+		if cur, gerr := s.q.Get(j.ID); gerr != nil || cur.State.Terminal() {
+			hub.Close(reason)
+		} else {
+			go s.runTap(j.ID, hub)
+		}
+	}
+	return report, err, panicked
+}
+
+// simulate runs one scenario with panic isolation. A retry republishes
+// from the first tick, so the frames an earlier attempt already put into
+// the hub are skipped (runs are deterministic).
+func (s *server) simulate(ctx context.Context, sc coolsim.Scenario, hub *stream.Hub) (report json.RawMessage, err error, panicked any) {
+	defer func() {
+		if r := recover(); r != nil {
+			panicked = r
+			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	skip := hub.Seq()
+	rep, err := coolsim.Run(ctx, sc, coolsim.WithPlatformCache(s.pcache),
+		coolsim.WithObserver(func(smp *coolsim.Sample) {
+			if skip > 0 {
+				skip--
+				return
+			}
+			hub.Publish(smp)
+		}))
+	if err != nil {
+		return nil, err, nil
+	}
+	s.mu.Lock()
+	s.stepping.add(rep)
+	s.mu.Unlock()
+	report, err = json.Marshal(rep)
+	return report, err, nil
+}
+
+// cancelRun cancels a job in the queue and, when it runs in-process (no
+// heartbeat to relay the cancel), aborts its context directly.
+func (s *server) cancelRun(id string) (fleet.Job, error) {
+	j, err := s.q.Cancel(id)
+	if err != nil {
+		return fleet.Job{}, err
+	}
+	if j.Worker == fleet.LocalWorker && j.CancelRequested {
+		s.mu.Lock()
+		cancel := s.cancels[id]
+		s.mu.Unlock()
+		if cancel != nil {
+			cancel()
+		}
+	}
+	return j, nil
 }
 
 func (s *server) isDraining() bool {
@@ -208,402 +314,20 @@ func (s *server) isDraining() bool {
 	return s.draining
 }
 
-// drain stops intake, waits up to grace for in-flight jobs to finish,
-// then hard-cancels the stragglers and closes the pool. It returns once
-// every job has finished.
+// drain stops intake, lets the local executor work through what it has
+// (runs in flight, and queued jobs while no fleet worker is reachable)
+// for up to grace, then hard-cancels the stragglers and waits for them.
+// Jobs held by remote workers are untouched: with a journal they carry
+// over to the next process.
 func (s *server) drain(grace time.Duration) {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	deadline := time.Now().Add(grace)
-	for time.Now().Before(deadline) && s.pool.Backlog() > 0 {
-		time.Sleep(50 * time.Millisecond)
+	for deadline := time.Now().Add(grace); time.Now().Before(deadline) && s.q.LocalBacklog() > 0; {
+		time.Sleep(20 * time.Millisecond)
 	}
-	s.abort() // in-flight sessions exit within one tick
-	s.pool.Close()
-}
-
-type submitResponse struct {
-	ID     string `json:"id"`
-	Status string `json:"status"`
-}
-
-func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// The shared hardened decode: body size capped, unknown fields
-	// rejected (a typoed knob fails loudly instead of silently simulating
-	// the default), trailing garbage rejected, structured error bodies.
-	sc := coolsim.DefaultScenario()
-	if !fleet.DecodeJSON(w, r, 0, &sc) {
-		return
-	}
-	if err := sc.Validate(); err != nil {
-		fleet.WriteError(w, http.StatusBadRequest, fleet.CodeBadScenario, err.Error())
-		return
-	}
-
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		fleet.WriteError(w, http.StatusServiceUnavailable, fleet.CodeDraining, "server is draining")
-		return
-	}
-	s.seq++
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	j := &job{
-		id: fmt.Sprintf("run-%d", s.seq), sc: sc, cancel: cancel,
-		status: statusQueued, hub: stream.HubFor(sc, s.streamCfg),
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.pruneLocked()
+	s.abort() // in-flight sessions exit within one tick; book starts no more
 	s.mu.Unlock()
-
-	if err := s.pool.Submit(func() { s.execute(ctx, j) }); err != nil {
-		// Pool already closed (drain raced the check above).
-		cancel()
-		j.mu.Lock()
-		j.status = statusCanceled
-		j.errMsg = "server shut down before the job started"
-		j.mu.Unlock()
-		j.hub.Close(stream.ReasonCanceled)
-		fleet.WriteError(w, http.StatusServiceUnavailable, fleet.CodeDraining, "server is draining")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(submitResponse{ID: j.id, Status: statusQueued})
-}
-
-// execute runs one job on a pool worker, publishing every tick into the
-// job's broadcast hub: each Sample is encoded exactly once, regardless
-// of how many stream followers are attached.
-func (s *server) execute(ctx context.Context, j *job) {
-	defer j.cancel() // release the context either way
-	j.mu.Lock()
-	if j.finished() {
-		// Already resolved (canceled while queued via DELETE).
-		j.mu.Unlock()
-		return
-	}
-	if err := ctx.Err(); err != nil {
-		// Canceled while still queued (server drain).
-		j.status = statusCanceled
-		j.errMsg = err.Error()
-		j.mu.Unlock()
-		j.hub.Close(stream.ReasonCanceled)
-		return
-	}
-	j.status = statusRunning
-	j.mu.Unlock()
-	s.mu.Lock()
-	s.started++
-	s.mu.Unlock()
-
-	report, err := coolsim.Run(ctx, j.sc,
-		coolsim.WithPlatformCache(s.pcache),
-		coolsim.WithObserver(j.hub.Publish))
-
-	if err == nil {
-		s.mu.Lock()
-		s.stepping.add(report)
-		s.mu.Unlock()
-	}
-	j.mu.Lock()
-	switch {
-	case err == nil:
-		j.status = statusDone
-		j.report = report
-	case errors.Is(err, context.Canceled):
-		j.status = statusCanceled
-		j.errMsg = err.Error()
-	default:
-		j.status = statusFailed
-		j.errMsg = err.Error()
-	}
-	reason := closeReasonFor(j.status)
-	j.mu.Unlock()
-	// Close after the status lands so a follower that wakes on the close
-	// sees the terminal status; followers drain the ring either way.
-	j.hub.Close(reason)
-}
-
-// closeReasonFor maps a terminal job status to the hub close reason
-// delivered to stream followers.
-func closeReasonFor(status string) stream.CloseReason {
-	switch status {
-	case statusDone:
-		return stream.ReasonDone
-	case statusCanceled:
-		return stream.ReasonCanceled
-	default:
-		return stream.ReasonFailed
-	}
-}
-
-// batchRequest is the wire form of POST /v1/batches: a slice of
-// scenarios executed together, with the worker-slot count steering how
-// aggressively platform-sharing scenarios are co-scheduled into batched
-// multi-RHS solves (fewer slots than scenarios → wider batches).
-type batchRequest struct {
-	// Scenarios decode individually over DefaultScenario(), so unset
-	// fields inherit the same defaults a /v1/runs submission gets.
-	Scenarios []json.RawMessage `json:"scenarios"`
-	// Workers bounds the batch's worker pool; 0 defaults to 1, which
-	// gangs every compatible scenario through shared solves.
-	Workers int `json:"workers,omitempty"`
-}
-
-type batchResponse struct {
-	Reports []*coolsim.Report `json:"reports"`
-}
-
-// handleBatch executes a scenario batch synchronously through
-// coolsim.RunMany on the server's platform cache: scenarios sharing a
-// stack shape reuse one platform, and — when they outnumber the worker
-// slots — advance in lock-step with their thermal solves served by
-// shared multi-RHS sweeps. Reports are byte-identical to submitting each
-// scenario as its own run; /v1/metrics shows the batching statistics.
-// Unlike /v1/runs, the call holds the HTTP request open until the batch
-// completes (client disconnect or server drain cancels it).
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !fleet.DecodeJSON(w, r, 0, &req) {
-		return
-	}
-	if len(req.Scenarios) == 0 {
-		fleet.WriteError(w, http.StatusBadRequest, fleet.CodeBadScenario, "batch has no scenarios")
-		return
-	}
-	scs := make([]coolsim.Scenario, len(req.Scenarios))
-	for i, raw := range req.Scenarios {
-		sc, err := fleet.DecodeScenario(raw)
-		if err != nil {
-			fleet.WriteError(w, http.StatusBadRequest, fleet.CodeBadScenario,
-				fmt.Sprintf("scenario %d: %v", i, err))
-			return
-		}
-		scs[i] = sc
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		fleet.WriteError(w, http.StatusServiceUnavailable, fleet.CodeDraining, "server is draining")
-		return
-	}
-	s.batches++
-	s.mu.Unlock()
-
-	// Drain aborts via baseCtx; a client hang-up cancels via the request.
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-	stop := context.AfterFunc(r.Context(), cancel)
-	defer stop()
-
-	reports, err := coolsim.RunMany(ctx, scs,
-		coolsim.WithPlatformCache(s.pcache),
-		coolsim.WithBatchCounters(&s.batch),
-		coolsim.WithWorkers(workers))
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fleet.WriteError(w, http.StatusServiceUnavailable, fleet.CodeCanceled, err.Error())
-		} else {
-			fleet.WriteError(w, http.StatusInternalServerError, fleet.CodeInternal, err.Error())
-		}
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(batchResponse{Reports: reports})
-}
-
-// runView is the wire form of a job's state.
-type runView struct {
-	ID       string           `json:"id"`
-	Status   string           `json:"status"`
-	Scenario coolsim.Scenario `json:"scenario"`
-	// Samples counts the ticks published so far (the stream's frame
-	// count); TicksPerSec and EtaSeconds are live progress estimates
-	// while the run executes.
-	Samples     int             `json:"samples"`
-	TicksPerSec float64         `json:"ticks_per_sec,omitempty"`
-	EtaSeconds  float64         `json:"eta_seconds,omitempty"`
-	Subscribers int             `json:"subscribers,omitempty"`
-	Report      *coolsim.Report `json:"report,omitempty"`
-	Error       string          `json:"error,omitempty"`
-}
-
-func (j *job) view() runView {
-	st := j.hub.Stats()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	v := runView{
-		ID: j.id, Status: j.status, Scenario: j.sc,
-		Samples: int(st.Frames), Subscribers: st.Subscribers,
-		Report: j.report, Error: j.errMsg,
-	}
-	if j.status == statusRunning {
-		v.TicksPerSec = st.TicksPerSec
-		v.EtaSeconds = st.EtaSeconds
-	}
-	return v
-}
-
-func (s *server) lookup(w http.ResponseWriter, r *http.Request) *job {
-	s.mu.Lock()
-	j := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if j == nil {
-		fleet.WriteError(w, http.StatusNotFound, fleet.CodeNotFound, "no such run")
-	}
-	return j
-}
-
-func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(j.view())
-}
-
-func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	jobs := make([]*job, len(s.order))
-	for i, id := range s.order {
-		jobs[i] = s.jobs[id]
-	}
-	s.mu.Unlock()
-	views := make([]runView, len(jobs))
-	for i, j := range jobs {
-		views[i] = j.view()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(views)
-}
-
-func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	j.cancel()
-	// A queued job resolves immediately: its pool slot may be hours away
-	// behind other runs, and execute() will find it already finished. The
-	// hub close releases any followers already attached to the queued job.
-	j.mu.Lock()
-	canceledQueued := j.status == statusQueued
-	if canceledQueued {
-		j.status = statusCanceled
-		j.errMsg = "canceled before start"
-	}
-	j.mu.Unlock()
-	if canceledQueued {
-		j.hub.Close(stream.ReasonCanceled)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(j.view())
-}
-
-// handleStream follows a run as NDJSON, one Sample per line: the ring
-// replay (or ?from=latest / ?from=N) immediately, then each new tick as
-// the hub publishes it, ending with an X-Stream-Close-Reason trailer
-// when the job finishes. With ?cancel_on_disconnect=1 the stream owns
-// the job: the client hanging up cancels the run (the dispatcher
-// analogue of Ctrl-C on an attached simulation).
-func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	cancelOnDisconnect := r.URL.Query().Get("cancel_on_disconnect") == "1"
-	if _, err := stream.Serve(w, r, j.hub, stream.ServeOptions{}); err != nil && cancelOnDisconnect {
-		j.cancel()
-	}
-}
-
-func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	n := len(s.jobs)
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"status": map[bool]string{false: "ok", true: "draining"}[draining],
-		"jobs":   n,
-	})
-}
-
-// metricsView is the wire form of GET /v1/metrics: job counts by status
-// plus the platform cache's hit/miss/build counters, so operators (and
-// the CI smoke test) can assert that repeated jobs on the same stack
-// warm-start instead of rebuilding artifacts.
-type metricsView struct {
-	Jobs struct {
-		Queued   int   `json:"queued"`
-		Running  int   `json:"running"`
-		Done     int   `json:"done"`
-		Failed   int   `json:"failed"`
-		Canceled int   `json:"canceled"`
-		Retained int   `json:"retained"`
-		Started  int64 `json:"started"`
-	} `json:"jobs"`
-	PlatformCache coolsim.PlatformCacheStats `json:"platform_cache"`
-	// Stepping sums the time-advance counters of every completed run.
-	Stepping steppingTotals `json:"stepping"`
-	// Batches counts POST /v1/batches requests executed; Batch carries
-	// the lifetime batched-solve statistics (sweeps, batched_solves and
-	// the batch_width histogram).
-	Batches int64              `json:"batches"`
-	Batch   coolsim.BatchStats `json:"batch"`
-	// Campaigns rolls up the campaign manager and its result repository.
-	Campaigns campaign.Metrics `json:"campaigns"`
-	// Streams aggregates every broadcast hub (runs and campaign members):
-	// attached subscribers, frames and bytes fanned out, slow-consumer
-	// evictions, retained ring depth.
-	Streams  stream.Totals `json:"streams"`
-	Draining bool          `json:"draining"`
-}
-
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var v metricsView
-	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	v.Jobs.Retained = len(s.jobs)
-	v.Jobs.Started = s.started
-	v.Stepping = s.stepping
-	v.Batches = s.batches
-	v.Draining = s.draining
-	s.mu.Unlock()
-	v.Batch = s.batch.Stats()
-	s.local.AddStreamTotals(&v.Streams)
-	for _, j := range jobs {
-		v.Streams.Add(j.hub.Stats())
-		j.mu.Lock()
-		st := j.status
-		j.mu.Unlock()
-		switch st {
-		case statusQueued:
-			v.Jobs.Queued++
-		case statusRunning:
-			v.Jobs.Running++
-		case statusDone:
-			v.Jobs.Done++
-		case statusFailed:
-			v.Jobs.Failed++
-		case statusCanceled:
-			v.Jobs.Canceled++
-		}
-	}
-	v.PlatformCache = s.pcache.Stats()
-	v.Campaigns = s.camp.Metrics()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	s.wg.Wait()
 }

@@ -16,30 +16,49 @@ import (
 	"time"
 
 	"repro/coolsim"
-	"repro/internal/stream"
+	"repro/internal/campaign"
+	"repro/internal/fleet"
 )
 
-func testServer(t *testing.T) (*server, *httptest.Server) {
-	return testServerConfig(t, 2, 0)
+// testConfig is a small daemon with fleet timing tight enough for
+// tests: 1 s leases (so a 250 ms sweep), millisecond retry backoff.
+func testConfig() config {
+	return config{workers: 2, queue: fleet.QueueConfig{
+		LeaseTTL:    time.Second,
+		BackoffBase: 10 * time.Millisecond,
+		BackoffCap:  50 * time.Millisecond,
+	}}
 }
 
-func testServerConfig(t *testing.T, workers, retain int) (*server, *httptest.Server) {
+func testServer(t *testing.T) (*server, *httptest.Server) {
+	return startServer(t, testConfig())
+}
+
+func startServer(t *testing.T, cfg config) (*server, *httptest.Server) {
 	t.Helper()
-	s, err := newServer(workers, retain, 0, "", "", stream.Config{})
+	s, err := newServer(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.camp.Resume(); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(func() {
 		ts.Close()
-		s.drain(0) // cancel anything still running, wait for the pool
+		s.drain(0) // cancel anything still running, wait for it
 	})
 	return s, ts
 }
 
 func submit(t *testing.T, ts *httptest.Server, body string) string {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	return submitQuery(t, ts, body, "")
+}
+
+func submitQuery(t *testing.T, ts *httptest.Server, body, query string) string {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/runs"+query, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +68,14 @@ func submit(t *testing.T, ts *httptest.Server, body string) string {
 		buf.ReadFrom(resp.Body)
 		t.Fatalf("POST /v1/runs = %d: %s", resp.StatusCode, buf.String())
 	}
-	var sub submitResponse
+	var sub struct {
+		ID     string `json:"id"`
+		Status string `json:"status"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 		t.Fatal(err)
 	}
-	if sub.ID == "" || sub.Status != statusQueued {
+	if !strings.HasPrefix(sub.ID, "job-") || sub.Status != statusQueued {
 		t.Fatalf("bad submit response: %+v", sub)
 	}
 	return sub.ID
@@ -90,6 +112,52 @@ func waitStatus(t *testing.T, ts *httptest.Server, id, want string, timeout time
 	return runView{}
 }
 
+// reportOf decodes a view's report bytes.
+func reportOf(t *testing.T, v runView) *coolsim.Report {
+	t.Helper()
+	if v.Report == nil {
+		t.Fatalf("run %s has no report", v.ID)
+	}
+	var r coolsim.Report
+	if err := json.Unmarshal(v.Report, &r); err != nil {
+		t.Fatal(err)
+	}
+	return &r
+}
+
+func getMetrics(t *testing.T, ts *httptest.Server) metricsView {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m metricsView
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// referenceReport runs the quick scenario uninterrupted, through the
+// same canonicalization a queued job gets.
+func referenceReport(t *testing.T) []byte {
+	t.Helper()
+	sc, err := fleet.DecodeScenario(json.RawMessage(quickBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := coolsim.Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // The quick scenario of the round-trip tests: coarse grid, short window.
 const quickBody = `{"workload":"gzip","cooling":"var","policy":"talb","layers":2,
 	"duration":3,"warmup":1,"grid_nx":12,"grid_ny":10}`
@@ -101,9 +169,7 @@ func TestSubmitPollStreamRoundTrip(t *testing.T) {
 	_, ts := testServer(t)
 	id := submit(t, ts, quickBody)
 	v := waitStatus(t, ts, id, statusDone, 60*time.Second)
-	if v.Report == nil {
-		t.Fatal("done without a report")
-	}
+	report := reportOf(t, v)
 
 	// Stream after completion: full replay, then EOF.
 	resp, err := http.Get(ts.URL + "/v1/runs/" + id + "/stream")
@@ -138,10 +204,10 @@ func TestSubmitPollStreamRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if v.Report.MaxTempC != want.MaxTempC || v.Report.ChipEnergyJ != want.ChipEnergyJ ||
-		v.Report.Completed != want.Completed || v.Report.Samples != want.Samples {
+	if report.MaxTempC != want.MaxTempC || report.ChipEnergyJ != want.ChipEnergyJ ||
+		report.Completed != want.Completed || report.Samples != want.Samples {
 		t.Errorf("served report diverges from in-process run:\nserved %+v\nlocal  %+v",
-			v.Report, want)
+			report, want)
 	}
 	measured := 0
 	for _, smp := range streamed {
@@ -194,7 +260,9 @@ func TestStreamDisconnectCancelsJob(t *testing.T) {
 // TestDeleteCancelsQueuedAndRunning covers the explicit cancel endpoint
 // for both a running job and one still waiting behind it in the queue.
 func TestDeleteCancelsQueuedAndRunning(t *testing.T) {
-	_, ts := testServerConfig(t, 1, 0) // single worker: the second job must queue
+	cfg := testConfig()
+	cfg.workers = 1 // single slot: the second job must queue
+	_, ts := startServer(t, cfg)
 
 	long := `{"workload":"gzip","cooling":"max","policy":"lb","layers":2,
 		"duration":3600,"warmup":1,"grid_nx":12,"grid_ny":10}`
@@ -313,7 +381,7 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("POST %s = %d, want 400", body, resp.StatusCode)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/v1/runs/run-999")
+	resp, err := http.Get(ts.URL + "/v1/runs/job-999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,13 +415,15 @@ func TestListRuns(t *testing.T) {
 // cap of 1, finishing a second run must evict the first (404 afterwards),
 // while queued/running jobs are untouchable.
 func TestRetentionEvictsOldestFinished(t *testing.T) {
-	_, ts := testServerConfig(t, 1, 1)
+	cfg := testConfig()
+	cfg.workers, cfg.queue.Retain = 1, 1
+	s, ts := startServer(t, cfg)
 
 	a := submit(t, ts, quickBody)
 	waitStatus(t, ts, a, statusDone, 60*time.Second)
 	b := submit(t, ts, quickBody)
 	waitStatus(t, ts, b, statusDone, 60*time.Second)
-	c := submit(t, ts, quickBody) // registering c prunes a (b was the newest finished)
+	c := submit(t, ts, quickBody) // b finishing evicted a; c finishing evicts b
 	waitStatus(t, ts, c, statusDone, 60*time.Second)
 
 	resp, err := http.Get(ts.URL + "/v1/runs/" + a)
@@ -367,10 +437,17 @@ func TestRetentionEvictsOldestFinished(t *testing.T) {
 	if v := getView(t, ts, c); v.Status != statusDone {
 		t.Errorf("latest run evicted: %+v", v)
 	}
+	// The hub goes with its job.
+	if m := getMetrics(t, ts); m.Streams.Hubs != 1 || m.Jobs.Retained != 1 {
+		t.Errorf("after eviction: %d hubs, %d jobs retained, want 1/1", m.Streams.Hubs, m.Jobs.Retained)
+	}
+	if s.hub(a) != nil {
+		t.Error("evicted run's hub still registered")
+	}
 }
 
 func TestDrainRejectsNewJobs(t *testing.T) {
-	s, err := newServer(1, 0, 0, "", "", stream.Config{})
+	s, err := newServer(config{workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,21 +489,11 @@ func TestMetricsWarmSecondJob(t *testing.T) {
 	b := submit(t, ts, quickBody)
 	vb := waitStatus(t, ts, b, statusDone, 60*time.Second)
 
-	ra, _ := json.Marshal(va.Report)
-	rb, _ := json.Marshal(vb.Report)
-	if !bytes.Equal(ra, rb) {
-		t.Errorf("warm report differs from cold:\ncold %s\nwarm %s", ra, rb)
+	if !bytes.Equal(va.Report, vb.Report) {
+		t.Errorf("warm report differs from cold:\ncold %s\nwarm %s", va.Report, vb.Report)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m metricsView
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
+	m := getMetrics(t, ts)
 	if m.Jobs.Done != 2 || m.Jobs.Started != 2 {
 		t.Errorf("jobs done=%d started=%d, want 2/2", m.Jobs.Done, m.Jobs.Started)
 	}
@@ -497,6 +564,32 @@ func TestMetricsWarmBatchNoRefactor(t *testing.T) {
 	}
 }
 
+// TestMetricsFactorCounters: a repeated batch reuses the platform's
+// cached LDLᵀ factors — the factor_builds counter stays put while
+// factor_hits grows.
+func TestMetricsFactorCounters(t *testing.T) {
+	_, ts := testServer(t)
+	body := fmt.Sprintf(`{"scenarios":[%s,%s]}`, quickBody, quickBody)
+	batch := func() coolsim.PlatformCacheStats {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/batches", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch: %d", resp.StatusCode)
+		}
+		return getMetrics(t, ts).PlatformCache
+	}
+	cold := batch()
+	warm := batch()
+	if cold.FactorBuilds == 0 || warm.FactorBuilds != cold.FactorBuilds || warm.FactorHits <= cold.FactorHits {
+		t.Errorf("factor counters cold builds=%d hits=%d, warm builds=%d hits=%d; want builds > 0 and unchanged, hits grown",
+			cold.FactorBuilds, cold.FactorHits, warm.FactorBuilds, warm.FactorHits)
+	}
+}
+
 // TestBatchEndpoint: POST /v1/batches runs platform-sharing scenarios
 // through the gang scheduler, returns reports identical to solo runs,
 // and surfaces the batching statistics on /v1/metrics.
@@ -522,7 +615,9 @@ func TestBatchEndpoint(t *testing.T) {
 		buf.ReadFrom(resp.Body)
 		t.Fatalf("POST /v1/batches = %d: %s", resp.StatusCode, buf.String())
 	}
-	var br batchResponse
+	var br struct {
+		Reports []*coolsim.Report `json:"reports"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +636,7 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 	// Seed 3 of the batch must match the solo run, batching diagnostics
 	// aside.
-	want, got := *ref.Report, *br.Reports[2]
+	want, got := *reportOf(t, ref), *br.Reports[2]
 	want.BatchedSolves, got.BatchedSolves = 0, 0
 	wb, _ := json.Marshal(want)
 	gb, _ := json.Marshal(got)
@@ -549,15 +644,7 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Errorf("batched report differs from solo run:\nsolo  %s\nbatch %s", wb, gb)
 	}
 
-	mresp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	var m metricsView
-	if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
+	m := getMetrics(t, ts)
 	if m.Batches != 1 {
 		t.Errorf("batches = %d, want 1", m.Batches)
 	}
@@ -737,19 +824,88 @@ func TestCampaignLiveStream(t *testing.T) {
 	}
 }
 
-// TestCampaignLocalAndResume: coolserved serves the same campaign API as
-// the dispatcher, executed in-process. A sweep campaign streams reports
-// byte-identical to solo runs; a second daemon on the same -results-dir
-// resumes the finished campaign from disk and serves the identical
-// aggregate without re-running a single member.
-func TestCampaignLocalAndResume(t *testing.T) {
-	resultsDir := t.TempDir()
-	s1, err := newServer(2, 0, 0, "", resultsDir, stream.Config{})
+// TestCampaignOverHTTP: a sweep campaign over two platform shapes
+// expands server-side at bulk priority, runs on the local executor, and
+// streams its aggregate in expansion order with every line
+// byte-identical to a solo run of the expanded member. The terminal
+// status view and the campaign metrics rollup both reflect completion.
+func TestCampaignOverHTTP(t *testing.T) {
+	_, ts := testServer(t)
+	spec := `{"name":"grid","sweep":{"base":` + quickBody + `,"layers":[2,4],"seeds":[1,2]}}`
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts1 := httptest.NewServer(s1.handler())
-	defer func() { ts1.Close(); s1.drain(0) }()
+	if resp.StatusCode != http.StatusAccepted {
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("create: %d %s", resp.StatusCode, buf.String())
+	}
+	var cv campaign.View
+	if err := json.NewDecoder(resp.Body).Decode(&cv); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if cv.Members != 4 || cv.Priority != "bulk" {
+		t.Fatalf("view = %+v", cv)
+	}
+
+	// The reference: expand the same spec in-process and run each member
+	// solo, uninterrupted.
+	var cspec coolsim.Campaign
+	if err := json.Unmarshal([]byte(spec), &cspec); err != nil {
+		t.Fatal(err)
+	}
+	scs, err := cspec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scs) != 4 {
+		t.Fatalf("expanded %d members", len(scs))
+	}
+
+	lines := readCampaignStream(t, ts, cv.ID)
+	if len(lines) != len(scs) {
+		t.Fatalf("stream has %d lines, want %d", len(lines), len(scs))
+	}
+	for i, sc := range scs {
+		rep, err := coolsim.Run(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines[i] != string(ref) {
+			t.Fatalf("member %d stream line differs from solo run", i)
+		}
+	}
+
+	var got campaign.View
+	resp, err = http.Get(ts.URL + "/v1/campaigns/" + cv.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if got.State != "done" || got.Counts.Done != 4 || got.Progress != 1 {
+		t.Fatalf("final view = %+v", got)
+	}
+	if m := getMetrics(t, ts); m.Campaigns.Done != 1 || m.Campaigns.ExpandedMembers != 4 {
+		t.Fatalf("campaign metrics = %+v", m.Campaigns)
+	}
+}
+
+// TestCampaignLocalAndResume: a sweep campaign executed in-process
+// streams reports byte-identical to solo runs; a second daemon on the
+// same -results-dir resumes the finished campaign from disk and serves
+// the identical aggregate without re-running a single member.
+func TestCampaignLocalAndResume(t *testing.T) {
+	cfg := testConfig()
+	cfg.resultsDir = t.TempDir()
+	_, ts1 := startServer(t, cfg)
 
 	spec := `{"name":"grid","sweep":{"base":` + quickBody + `,"cooling":["air","max"],"seeds":[1,2]}}`
 	resp, err := http.Post(ts1.URL+"/v1/campaigns", "application/json", strings.NewReader(spec))
@@ -762,10 +918,7 @@ func TestCampaignLocalAndResume(t *testing.T) {
 		resp.Body.Close()
 		t.Fatalf("create: %d %s", resp.StatusCode, buf.String())
 	}
-	var cv struct {
-		ID      string `json:"id"`
-		Members int    `json:"members"`
-	}
+	var cv campaign.View
 	json.NewDecoder(resp.Body).Decode(&cv)
 	resp.Body.Close()
 	if cv.Members != 4 {
@@ -800,7 +953,7 @@ func TestCampaignLocalAndResume(t *testing.T) {
 
 	// Second life on the same results tree: the campaign is resumed from
 	// disk, the aggregate is identical, and nothing re-executes.
-	s2, err := newServer(2, 0, 0, "", resultsDir, stream.Config{})
+	s2, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -823,17 +976,71 @@ func TestCampaignLocalAndResume(t *testing.T) {
 			t.Fatalf("resumed member %d differs from first life", i)
 		}
 	}
-	var m metricsView
-	resp, err = http.Get(ts2.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	json.NewDecoder(resp.Body).Decode(&m)
-	resp.Body.Close()
+	m := getMetrics(t, ts2)
 	if m.Jobs.Started != 0 {
 		t.Fatalf("resumed daemon executed %d jobs, want 0", m.Jobs.Started)
 	}
 	if m.Campaigns.ResultsLoaded != 4 || m.Campaigns.Done != 1 {
 		t.Fatalf("campaign metrics = %+v", m.Campaigns)
+	}
+}
+
+// TestCampaignAggregateEqualsRunMany is the acceptance-criteria core on
+// the in-process path: a 24-member sweep campaign executed by the
+// queue-backed local executor streams, member for member, exactly the
+// reports coolsim.RunMany yields on the same expanded list — except the
+// placement-dependent batched_solves diagnostic, which RunMany's gang
+// scheduling raises and solo member runs leave at zero.
+func TestCampaignAggregateEqualsRunMany(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 48 small simulations")
+	}
+	_, ts := testServer(t)
+	sw := coolsim.Sweep{
+		Base:    coolsim.Scenario{Duration: 2, Warmup: 1, GridNX: 12, GridNY: 10, Workload: "gzip"},
+		Layers:  []int{2, 4},
+		Cooling: []string{coolsim.CoolingAir, coolsim.CoolingMax},
+		Policy:  []string{coolsim.PolicyLB, coolsim.PolicyTALB},
+		Seeds:   []int64{1, 2, 3},
+	}
+	scs, err := sw.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := coolsim.RunMany(context.Background(), scs, coolsim.WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	body, err := json.Marshal(coolsim.Campaign{Name: "many", Sweep: &sw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cv campaign.View
+	json.NewDecoder(resp.Body).Decode(&cv)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || cv.Members != len(scs) {
+		t.Fatalf("create: %d %+v", resp.StatusCode, cv)
+	}
+	lines := readCampaignStream(t, ts, cv.ID)
+	if len(lines) != len(scs) {
+		t.Fatalf("aggregate has %d lines, want %d", len(lines), len(scs))
+	}
+	for i, line := range lines {
+		var got coolsim.Report
+		if err := json.Unmarshal([]byte(line), &got); err != nil {
+			t.Fatal(err)
+		}
+		want := *reports[i]
+		got.BatchedSolves, want.BatchedSolves = 0, 0
+		gb, _ := json.Marshal(got)
+		wb, _ := json.Marshal(want)
+		if !bytes.Equal(gb, wb) {
+			t.Fatalf("member %d differs from RunMany:\n campaign %s\n many     %s", i, gb, wb)
+		}
 	}
 }

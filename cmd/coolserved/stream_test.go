@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -66,12 +65,12 @@ func readStream(t *testing.T, base, id string) (body []byte, reason string) {
 	return body, resp.Trailer.Get("X-Stream-Close-Reason")
 }
 
-// TestStreamLocalFallback: a run the dispatcher executes in-process
-// streams through GET /v1/runs/{id}/stream byte-identical to a solo
-// session, and the hub shows up in the metrics rollup.
+// TestStreamLocalFallback: a run the daemon executes in-process streams
+// through GET /v1/runs/{id}/stream byte-identical to a solo session,
+// and the hub shows up in the metrics rollup.
 func TestStreamLocalFallback(t *testing.T) {
-	_, ts := newTestDispatcher(t, "")
-	id := submitRun(t, ts.URL, quickBody, "")
+	_, ts := testServer(t)
+	id := submit(t, ts, quickBody)
 
 	body, reason := readStream(t, ts.URL, id)
 	if reason != "done" {
@@ -87,76 +86,22 @@ func TestStreamLocalFallback(t *testing.T) {
 		t.Fatalf("replay differs (reason %q)", reason)
 	}
 
-	var m metricsView
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	json.NewDecoder(resp.Body).Decode(&m)
-	resp.Body.Close()
-	if m.Streams.Hubs == 0 || m.Streams.Frames == 0 || m.Streams.Bytes == 0 {
+	if m := getMetrics(t, ts); m.Streams.Hubs == 0 || m.Streams.Frames == 0 || m.Streams.Bytes == 0 {
 		t.Fatalf("stream metrics empty: %+v", m.Streams)
 	}
 }
 
-// startStreamWorker runs a minimal coolserved stand-in: a fleet worker
-// that executes dispatched jobs with a live per-attempt broadcast hub
-// and serves the worker-side stream endpoint the dispatcher's tap dials.
-func startStreamWorker(t *testing.T, base string) {
-	t.Helper()
-	var mu sync.Mutex
-	hubs := map[string]*stream.Hub{}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/runs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		h := hubs[r.PathValue("id")]
-		mu.Unlock()
-		if h == nil {
-			fleet.WriteError(w, http.StatusNotFound, fleet.CodeNotFound, "no such run")
-			return
-		}
-		stream.Serve(w, r, h, stream.ServeOptions{})
-	})
-	ws := httptest.NewServer(mux)
-	t.Cleanup(ws.Close)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	w := &fleet.Worker{
-		Dispatcher:   base,
-		Addr:         strings.TrimPrefix(ws.URL, "http://"),
-		Capacity:     2,
-		PollInterval: 20 * time.Millisecond,
-		Runner: func(ctx context.Context, wj fleet.WireJob) (json.RawMessage, error) {
-			sc, err := fleet.DecodeScenario(wj.Scenario)
-			if err != nil {
-				return nil, err
-			}
-			h := stream.HubFor(sc, stream.Config{})
-			mu.Lock()
-			hubs[fmt.Sprintf("%s.%d", wj.ID, wj.Attempt)] = h
-			mu.Unlock()
-			rep, err := coolsim.Run(ctx, sc, coolsim.WithObserver(h.Publish))
-			if err != nil {
-				h.Close(stream.ReasonFailed)
-				return nil, err
-			}
-			h.Close(stream.ReasonDone)
-			return json.Marshal(rep)
-		},
-	}
-	done := make(chan struct{})
-	go func() { w.Run(ctx); close(done) }()
-	t.Cleanup(func() { cancel(); <-done })
-}
-
 // TestStreamProxiedFromWorker: following a fleet run through the
-// dispatcher reads the same bytes as the worker produced — the tap dials
-// the worker once and the dispatcher-side hub fans out to every
-// follower, early subscribers and mid-run joiners alike.
+// dispatching daemon reads the same bytes the worker daemon produced —
+// the tap dials the worker's "<id>.<attempt>" stream once and the
+// dispatcher-side hub fans out to every follower, early subscribers
+// and mid-run joiners alike.
 func TestStreamProxiedFromWorker(t *testing.T) {
-	_, ts := newTestDispatcher(t, "")
-	startStreamWorker(t, ts.URL)
-	id := submitRun(t, ts.URL, quickBody, "")
+	d, ts := testServer(t)
+	wsrv, wts := testServer(t)
+	startWorkerDaemon(t, ts.URL, wsrv, wts)
+	waitWorkers(t, d, 1)
+	id := submit(t, ts, quickBody)
 
 	const followers = 4
 	bodies := make([][]byte, followers)
@@ -197,19 +142,44 @@ func TestStreamProxiedFromWorker(t *testing.T) {
 				i, len(bodies[i]), len(want))
 		}
 	}
-	v := waitStatus(t, ts.URL, id, "done", 10*time.Second)
+	v := waitStatus(t, ts, id, statusDone, 10*time.Second)
 	if len(v.Attempts) != 1 {
 		t.Fatalf("attempts = %+v", v.Attempts)
 	}
+	// The worker daemon keeps the attempt as a run of its own.
+	if wv := getView(t, wts, id+".1"); wv.Status != statusDone || string(wv.Report) != string(v.Report) {
+		t.Fatalf("worker-side attempt: %+v", wv)
+	}
+	if m := getMetrics(t, wts); m.Streams.Hubs != 1 || m.Streams.Evictions != 0 {
+		t.Fatalf("worker streams = %+v, want one hub, no evictions", m.Streams)
+	}
 }
 
-// TestStreamDisconnectCancels: ?cancel_on_disconnect=1 through the
-// dispatcher cancels the underlying fleet job when the client hangs up.
+// startWorkerDaemon makes the daemon behind wts a fleet worker of base,
+// advertising its own address for stream taps — coolserved -dispatcher.
+func startWorkerDaemon(t *testing.T, base string, w *server, wts *httptest.Server) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	wk := &fleet.Worker{
+		Dispatcher:   base,
+		Addr:         strings.TrimPrefix(wts.URL, "http://"),
+		Capacity:     2,
+		PollInterval: 20 * time.Millisecond,
+		Runner:       w.runFleetJob,
+	}
+	done := make(chan struct{})
+	go func() { wk.Run(ctx); close(done) }()
+	t.Cleanup(func() { cancel(); <-done })
+}
+
+// TestStreamDisconnectCancels: ?cancel_on_disconnect=1 cancels the
+// underlying fleet job when the client hangs up, and the local executor
+// closes the run's hub with the canceled reason.
 func TestStreamDisconnectCancels(t *testing.T) {
-	d, ts := newTestDispatcher(t, "")
+	s, ts := testServer(t)
 	// Slow run so the disconnect lands mid-flight.
 	body := `{"workload":"gzip","cooling":"var","policy":"talb","layers":2,"duration":600,"warmup":1,"grid_nx":12,"grid_ny":10}`
-	id := submitRun(t, ts.URL, body, "")
+	id := submit(t, ts, body)
 
 	resp, err := http.Get(ts.URL + "/v1/runs/" + id + "/stream?cancel_on_disconnect=1")
 	if err != nil {
@@ -221,14 +191,13 @@ func TestStreamDisconnectCancels(t *testing.T) {
 	}
 	resp.Body.Close() // hang up mid-run
 
-	v := waitStatus(t, ts.URL, id, "canceled", 10*time.Second)
+	v := waitStatus(t, ts, id, statusCanceled, 10*time.Second)
 	if v.State != string(fleet.StateCanceled) {
 		t.Fatalf("state = %s", v.State)
 	}
-	// The local runner observed the cancel and closed the hub.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if h := d.hubFor(id); h != nil {
+		if h := s.hub(id); h != nil {
 			if closed, reason := h.Closed(); closed {
 				if reason != stream.ReasonCanceled {
 					t.Fatalf("hub close reason = %v, want canceled", reason)

@@ -10,7 +10,7 @@ import (
 var ErrEmptyCampaign = errors.New("coolsim: campaign needs exactly one of scenarios or sweep")
 
 // Campaign is the submission form of a batch exploration — the wire
-// body of POST /v1/campaigns on both coolserved and cooldispatchd, and
+// body of POST /v1/campaigns on cmd/coolserved, and
 // the programmatic entry used by the campaign engine. A campaign is
 // either an explicit scenario list or a declarative Sweep grid; Expand
 // lowers both to the same thing, a validated scenario slice in a
@@ -25,8 +25,8 @@ type Campaign struct {
 	// Sweep is the cartesian alternative. Exactly one of Scenarios and
 	// Sweep must be set.
 	Sweep *Sweep `json:"sweep,omitempty"`
-	// MaxAttempts is the per-member execution attempt bound on the
-	// fleet path (0 = dispatcher default); ignored by in-process runs.
+	// MaxAttempts is the per-member execution attempt bound (0 = the
+	// daemon's -max-attempts).
 	MaxAttempts int `json:"max_attempts,omitempty"`
 	// Priority is the fleet booking tier of the members: "bulk" (the
 	// campaign default — interactive runs book first) or "interactive".

@@ -13,12 +13,11 @@ const DefaultSweepLimit = 100000
 // Sweep is a declarative cartesian scenario grid — the paper's
 // exploration (layer counts × cooling classes × policies × workloads ×
 // knobs) as one JSON value. It is the wire format of campaign
-// submissions (POST /v1/campaigns on cmd/coolserved and
-// cmd/cooldispatchd) and the programmatic entry to batch exploration:
-// Expand materializes the grid into runnable Scenarios in a
-// deterministic order, so two expansions of one spec — on different
-// machines, or before and after a dispatcher restart — agree member for
-// member.
+// submissions (POST /v1/campaigns on cmd/coolserved) and the
+// programmatic entry to batch exploration: Expand materializes the grid
+// into runnable Scenarios in a deterministic order, so two expansions of
+// one spec — on different machines, or before and after a daemon
+// restart — agree member for member.
 //
 // Each axis slice enumerates the values of one Scenario field; an empty
 // axis keeps the Base value. Expansion order is row-major over the axes

@@ -18,8 +18,10 @@
 // any number of concurrent runs, sessions and service jobs. Everything
 // under internal/ is an implementation detail; a CI guard keeps the
 // examples on the public surface. cmd/coolserved serves scenarios as an
-// HTTP job service (submit, poll, stream NDJSON samples, warm-start
-// platform cache, /v1/metrics — see SERVICE.md).
+// HTTP job service (submit, poll, stream NDJSON samples, batches,
+// campaigns, warm-start platform cache, /v1/metrics — see SERVICE.md):
+// one daemon over one job queue, which runs jobs in-process until other
+// coolserved workers register with it.
 //
 // Time advance is a layered stepping subsystem (internal/stepper): the
 // simulator exposes its tick phases and an engine sequences them. The

@@ -10,11 +10,10 @@
 //   - Manager owns campaign state: expansion, member bookkeeping,
 //     progress/ETA, cancellation, and the reconcile loop that drives
 //     members toward done.
-//   - Backend abstracts where members execute. The dispatcher plugs in
-//     FleetBackend (fleet.Queue jobs, bulk priority, journal-recovered
-//     across restarts); coolserved plugs in Local (in-process
-//     coolsim.RunMany per platform group, sharing one platform build
-//     and batched thermal solves per stack shape).
+//   - Backend abstracts where members execute. The daemon plugs in
+//     FleetBackend: members are fleet.Queue jobs at bulk priority,
+//     journal-recovered across restarts, and run by whoever runs the
+//     queue's jobs (fleet workers, or the daemon's own executor).
 //   - Repo owns the results tree (<dir>/<yyyy-mm-dd>/<campaign-id>/
 //     manifest.json + run-<member>.json, atomic writes). Done-ness is
 //     derived from result-file presence, which is what makes resume

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,11 +57,12 @@ func (c *fakeClock) advance(d time.Duration) {
 // pending until the test completes them, and forget() simulates a
 // restart that loses every handle.
 type stubBackend struct {
-	mu     sync.Mutex
-	seq    int
-	jobs   map[string]*stubJob
-	groups [][]campaign.Member
-	opts   []campaign.GroupOptions
+	mu       sync.Mutex
+	seq      int
+	jobs     map[string]*stubJob
+	groups   [][]campaign.Member
+	opts     []campaign.GroupOptions
+	released []string
 }
 
 type stubJob struct {
@@ -107,6 +110,12 @@ func (b *stubBackend) Cancel(jobID string) error {
 		j.errMsg = "canceled"
 	}
 	return nil
+}
+
+func (b *stubBackend) Release(jobID string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.released = append(b.released, jobID)
 }
 
 // completeMember resolves the stub job holding the given member index.
@@ -277,6 +286,9 @@ func TestRepoTreeAndResume(t *testing.T) {
 	b1.completeMember(0, json.RawMessage(`{"base_ticks":10,"seed":1}`))
 	b1.completeMember(2, json.RawMessage(`{"base_ticks":10,"seed":3}`))
 	m1.Reconcile()
+	if len(b1.released) != 2 {
+		t.Fatalf("released %v, want the 2 recorded members", b1.released)
+	}
 
 	// The tree: <dir>/<yyyy-mm-dd>/<id>/{manifest.json,run-N.json}.
 	cdir := filepath.Join(dir, clk.Now().UTC().Format("2006-01-02"), id)
@@ -304,6 +316,12 @@ func TestRepoTreeAndResume(t *testing.T) {
 	}
 	if v.Counts.Done != 2 {
 		t.Fatalf("resumed counts = %+v", v.Counts)
+	}
+	// Members already on disk release their old jobs, so a journal that
+	// still holds them can evict them.
+	sort.Strings(b2.released)
+	if strings.Join(b2.released, ",") != strings.Join(b1.released, ",") {
+		t.Fatalf("resume released %v, want %v", b2.released, b1.released)
 	}
 	// First reconcile drops the dead handles and resubmits; the persisted
 	// members must not reappear at the backend.
@@ -339,66 +357,51 @@ func TestRepoTreeAndResume(t *testing.T) {
 	}
 }
 
-// TestLocalBackendByteIdenticalToRunMany is the acceptance-criteria
-// core on the in-process path: a 24-member sweep campaign executed
-// through the Local backend produces, member for member, exactly the
-// bytes coolsim.RunMany yields on the same expanded list.
-func TestLocalBackendByteIdenticalToRunMany(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs 48 small simulations")
-	}
+// TestRetainedMembersNeverReexecuted: a campaign with more members
+// than the queue retains finishes with every member executed exactly
+// once. Members complete faster than the manager reconciles, so a queue
+// that evicted them before the manager recorded their status would make
+// Status fail and the manager re-run them.
+func TestRetainedMembersNeverReexecuted(t *testing.T) {
 	sw := testSweep()
 	scs, err := sw.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scs) < 24 {
-		t.Fatalf("test sweep has %d members, want >= 24", len(scs))
-	}
-	reports, err := coolsim.RunMany(context.Background(), scs, coolsim.WithWorkers(4))
+	const retain = 2
+	q, err := fleet.NewQueue(fleet.QueueConfig{Retain: retain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference := make([][]byte, len(reports))
-	for i, rep := range reports {
-		if reference[i], err = json.Marshal(rep); err != nil {
-			t.Fatal(err)
-		}
+	if len(scs) <= retain {
+		t.Fatalf("sweep has %d members, want more than %d", len(scs), retain)
 	}
-
-	local := campaign.NewLocal(context.Background(), 4, coolsim.WithPlatformCache(coolsim.NewPlatformCache(8)))
-	m := campaign.NewManager(local, memRepo(t), nil)
-	v, err := m.Create(coolsim.Campaign{Name: "local", Sweep: &sw})
+	m := campaign.NewManager(campaign.FleetBackend{Q: q}, memRepo(t), nil)
+	v, err := m.Create(coolsim.Campaign{Name: "retain", Sweep: &sw})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		m.Reconcile()
-		cur, err := m.Get(v.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur.State == "done" {
-			if cur.Counts.Done != len(scs) {
-				t.Fatalf("final counts = %+v", cur.Counts)
+	runs := map[int]int{}
+	for round := 0; round < 10; round++ {
+		for j := q.BookLocal(); j != nil; j = q.BookLocal() {
+			runs[j.Member]++
+			if err := q.Complete(fleet.LocalWorker, j.ID, json.RawMessage(`{"base_ticks":1}`)); err != nil {
+				t.Fatal(err)
 			}
-			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign did not finish: %+v", cur)
-		}
-		time.Sleep(10 * time.Millisecond)
+		m.Reconcile()
+	}
+	got, err := m.Get(v.ID)
+	if err != nil || got.State != "done" || got.Counts.Done != len(scs) {
+		t.Fatalf("final view = %+v, %v", got, err)
 	}
 	for i := range scs {
-		res, err := m.Result(v.ID, i)
-		if err != nil {
-			t.Fatal(err)
+		if runs[i] != 1 {
+			t.Errorf("member %d executed %d times, want 1", i, runs[i])
 		}
-		if !bytes.Equal(res.Report, reference[i]) {
-			t.Fatalf("member %d report differs from RunMany:\n fleet: %s\n many:  %s",
-				i, res.Report, reference[i])
-		}
+	}
+	if n := q.Snapshot().Jobs.Total; n != retain {
+		t.Errorf("queue holds %d jobs after the campaign, want %d", n, retain)
 	}
 }
 

@@ -10,10 +10,11 @@ import (
 // becomes one queued job tagged with its campaign ID and member index,
 // at the campaign's priority (bulk by default, so interactive
 // POST /v1/runs submissions keep booking first). Because the queue
-// journal recovers jobs across dispatcher restarts, Status keeps
-// answering for members submitted by a previous process — the property
-// the manager's resume leans on to avoid resubmitting work that is
-// already in flight.
+// journal recovers jobs across daemon restarts, Status keeps answering
+// for members submitted by a previous process — the property the
+// manager's resume leans on to avoid resubmitting work that is already
+// in flight. Members are submitted held, so the queue's retention never
+// evicts one before the manager has recorded its terminal status.
 type FleetBackend struct {
 	Q *fleet.Queue
 }
@@ -30,6 +31,7 @@ func (b FleetBackend) SubmitGroup(campaignID string, members []Member, opts Grou
 			Priority:    opts.Priority,
 			Campaign:    campaignID,
 			Member:      m.Index,
+			Hold:        true,
 		})
 		if err != nil {
 			// Journal write failed: report the partial assignment so the
@@ -64,4 +66,10 @@ func (b FleetBackend) Status(jobID string) (MemberStatus, json.RawMessage, strin
 func (b FleetBackend) Cancel(jobID string) error {
 	_, err := b.Q.Cancel(jobID)
 	return err
+}
+
+// Release lets the queue evict a member job whose terminal status the
+// manager has recorded.
+func (b FleetBackend) Release(jobID string) {
+	b.Q.Release(jobID)
 }

@@ -15,9 +15,7 @@ import (
 	"repro/internal/stream"
 )
 
-// API mounts the campaign endpoints on a daemon's mux. Both coolserved
-// and cooldispatchd serve exactly this surface; only the Manager's
-// backend differs.
+// API mounts the campaign endpoints on the daemon's mux.
 //
 //	POST   /v1/campaigns              submit a spec (scenario list or sweep)
 //	GET    /v1/campaigns              list campaign status views

@@ -28,12 +28,13 @@ type GroupOptions struct {
 	Priority    int
 }
 
-// Backend is where campaign members execute. The dispatcher's
-// FleetBackend submits fleet jobs; coolserved's Local runs groups
-// in-process through coolsim.RunMany. The contract that makes resume
-// work: Status returns a non-nil error exactly when the backend no
-// longer knows the job (e.g. it died with a previous process and was
-// not recovered), which tells the manager to resubmit the member.
+// Backend is where campaign members execute: FleetBackend in the
+// daemon, a stub in tests. The contract that makes resume work: Status
+// returns a non-nil error exactly when the backend no longer knows the
+// job (e.g. it died with a previous process and was not recovered),
+// which tells the manager to resubmit the member. A backend keeps a
+// member's job until Release, so it never forgets a result the manager
+// has not recorded yet.
 type Backend interface {
 	// SubmitGroup starts one platform group (members sharing a spec
 	// key, so the platform prebuild happens once per shape). Returns
@@ -44,6 +45,9 @@ type Backend interface {
 	Status(jobID string) (MemberStatus, json.RawMessage, string, error)
 	// Cancel requests cancellation of one member job.
 	Cancel(jobID string) error
+	// Release tells the backend the manager has recorded the job's
+	// terminal status; the backend may forget the job from now on.
+	Release(jobID string)
 }
 
 // state is the manager's in-memory record of one campaign. Member
@@ -173,6 +177,9 @@ func (m *Manager) Resume() (campaigns, results int, err error) {
 		for idx := range done[man.ID] {
 			st.status[idx] = StatusDone
 			results++
+			if id := man.Members[idx].JobID; id != "" {
+				m.backend.Release(id)
+			}
 		}
 		m.campaigns[man.ID] = st
 		m.order = append(m.order, man.ID)
@@ -301,6 +308,9 @@ func (m *Manager) reconcileLocked(st *state) {
 			st.errs[i] = errMsg
 		default:
 			st.status[i] = status
+		}
+		if st.status[i].Terminal() {
+			m.backend.Release(mem.JobID)
 		}
 	}
 

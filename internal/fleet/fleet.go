@@ -23,7 +23,8 @@
 //     cache) and recovers it on restart: queued jobs survive verbatim,
 //     booked jobs return to the queue (their lease died with the
 //     process), executing jobs are requeued with a recorded "lost"
-//     attempt.
+//     attempt. Terminal jobs beyond QueueConfig.Retain are evicted, oldest
+//     first, from memory and from the journal.
 //   - Jobs are routed consistent-hashed by platform spec key so each
 //     worker's platform/LDLᵀ/LUT caches stay hot for "its" stack
 //     shapes, with hash-ring fallback when the owning node is busy,
@@ -139,6 +140,9 @@ type Job struct {
 	// list. Interactive jobs leave both zero.
 	Campaign string `json:"campaign,omitempty"`
 	Member   int    `json:"member,omitempty"`
+	// Held keeps a terminal job from eviction until its submitter
+	// releases it (SubmitOptions.Hold, Queue.Release).
+	Held bool `json:"held,omitempty"`
 
 	State State `json:"state"`
 	// Attempts is the full execution history, oldest first.

@@ -13,8 +13,8 @@ import (
 const MaxBodyBytes = 1 << 20
 
 // Machine-readable error codes carried alongside the human message in
-// every 4xx/5xx body, shared by coolserved and cooldispatchd so clients
-// can dispatch without parsing prose.
+// every 4xx/5xx body of coolserved (client API and worker protocol
+// alike), so clients can dispatch without parsing prose.
 const (
 	CodeBadJSON       = "bad_json"
 	CodeBadScenario   = "bad_scenario"

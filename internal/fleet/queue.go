@@ -19,12 +19,16 @@ var (
 	ErrNotOwner      = errors.New("fleet: job not owned by this worker")
 )
 
-// LocalWorker is the reserved worker ID of the dispatcher's in-process
-// fallback executor (used when zero fleet workers are registered).
-// Local jobs carry no lease: the runner lives in the dispatcher's own
-// process, so "unreachable" is meaningless short of a crash — which the
-// journal's restart recovery already covers.
+// LocalWorker is the reserved worker ID of the daemon's in-process
+// executor: it runs queue jobs while no fleet worker is reachable, and a
+// worker daemon's adopted attempts (see Adopt). Local jobs carry no
+// lease: the runner lives in the queue's own process, so "unreachable"
+// is meaningless short of a crash — which the journal's restart
+// recovery already covers.
 const LocalWorker = "local"
+
+// DefaultRetain is coolserved's default for QueueConfig.Retain.
+const DefaultRetain = 128
 
 // QueueConfig tunes the queue's robustness machinery. The zero value
 // gets the documented defaults.
@@ -46,6 +50,11 @@ type QueueConfig struct {
 	BackoffCap  time.Duration
 	// Dir enables the durable journal; empty keeps the queue in memory.
 	Dir string
+	// Retain bounds the terminal jobs kept, in memory and in the
+	// journal: beyond it the oldest are evicted. Held jobs (see
+	// SubmitOptions.Hold) are neither evicted nor counted until
+	// released. <= 0 keeps every job.
+	Retain int
 	// Clock defaults to the wall clock; tests inject a fake.
 	Clock Clock
 	// RingReplicas is the consistent-hash virtual-node count (default 64).
@@ -86,15 +95,16 @@ type workerState struct {
 	registered  time.Time
 }
 
-// Queue is the dispatcher-side job table: the state machine, the lease
-// ledger, the worker registry with its consistent-hash ring, and the
-// durable journal. It is passive — no internal goroutines; the
-// dispatcher drives Sweep on a ticker (tests drive it with a fake
-// clock).
+// Queue is the daemon's job table: the state machine, the lease ledger,
+// the worker registry with its consistent-hash ring, and the durable
+// journal. It is passive — no internal goroutines; the daemon drives
+// Sweep on a ticker and books local work when Ready fires (tests drive
+// both with a fake clock).
 type Queue struct {
 	cfg   QueueConfig
 	clock Clock
 	store *store
+	ready chan struct{}
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
@@ -125,6 +135,7 @@ func NewQueue(cfg QueueConfig) (*Queue, error) {
 		jobs:    map[string]*Job{},
 		workers: map[string]*workerState{},
 		ring:    newRing(cfg.RingReplicas),
+		ready:   make(chan struct{}, 1),
 	}
 	if cfg.Dir != "" {
 		st, err := newStore(cfg.Dir)
@@ -140,8 +151,57 @@ func NewQueue(cfg QueueConfig) (*Queue, error) {
 		for _, j := range jobs {
 			q.recoverLocked(j)
 		}
+		q.pruneLocked()
+		q.signalLocked()
 	}
 	return q, nil
+}
+
+// LeaseTTL returns the effective lease TTL (after defaults).
+func (q *Queue) LeaseTTL() time.Duration { return q.cfg.LeaseTTL }
+
+// Ready fires (coalesced) whenever a job may have become bookable: a
+// submission, a requeue, a worker lost or leaving, a restart recovery.
+// Backoff expiry sends nothing; the daemon's Sweep ticker covers it.
+func (q *Queue) Ready() <-chan struct{} { return q.ready }
+
+func (q *Queue) signalLocked() {
+	select {
+	case q.ready <- struct{}{}:
+	default:
+	}
+}
+
+// pruneLocked evicts the oldest terminal jobs beyond cfg.Retain, from
+// memory and from the journal. Jobs that are not terminal, or still
+// held, are never evicted.
+func (q *Queue) pruneLocked() {
+	if q.cfg.Retain <= 0 {
+		return
+	}
+	n := 0
+	for _, id := range q.order {
+		if j := q.jobs[id]; j.State.Terminal() && !j.Held {
+			n++
+		}
+	}
+	excess := n - q.cfg.Retain
+	if excess <= 0 {
+		return
+	}
+	kept := q.order[:0]
+	for _, id := range q.order {
+		if j := q.jobs[id]; excess > 0 && j.State.Terminal() && !j.Held {
+			excess--
+			delete(q.jobs, id)
+			if q.store != nil {
+				q.store.remove(id)
+			}
+			continue
+		}
+		kept = append(kept, id)
+	}
+	q.order = kept
 }
 
 // recoverLocked re-admits one journaled job at construction time.
@@ -184,7 +244,7 @@ func (q *Queue) persist(j *Job) {
 
 // SubmitOptions carries the per-job knobs of a submission. The zero
 // value means: queue-default attempts, interactive priority, no
-// campaign tag.
+// campaign tag, evictable once terminal.
 type SubmitOptions struct {
 	// MaxAttempts ≤ 0 takes the queue default.
 	MaxAttempts int
@@ -193,6 +253,10 @@ type SubmitOptions struct {
 	// Campaign and Member tag campaign fan-out jobs.
 	Campaign string
 	Member   int
+	// Hold keeps the job from eviction until Release: its submitter
+	// still has to collect the terminal result (campaign members,
+	// batch fan-outs).
+	Hold bool
 }
 
 // Submit admits a new job. scenario must be canonicalized JSON (the
@@ -217,6 +281,7 @@ func (q *Queue) Submit(scenario json.RawMessage, specKey string, opts SubmitOpti
 		Priority:    opts.Priority,
 		Campaign:    opts.Campaign,
 		Member:      opts.Member,
+		Held:        opts.Hold,
 		State:       StateQueued,
 		Created:     q.clock.Now(),
 	}
@@ -228,7 +293,52 @@ func (q *Queue) Submit(scenario json.RawMessage, specKey string, opts SubmitOpti
 	}
 	q.jobs[j.ID] = j
 	q.order = append(q.order, j.ID)
+	q.signalLocked()
 	return j.snapshot(), nil
+}
+
+// Adopt admits a job its caller is already executing in-process under
+// its own id: a worker daemon's dispatched attempt, which stays visible
+// on that daemon's API as "<fleet-id>.<attempt>". The job is booked to
+// LocalWorker at once with a single attempt (a restart turns it into an
+// error, never a retry: the dispatcher owns the retries), and is never
+// offered to Poll or BookLocal.
+func (q *Queue) Adopt(id string, scenario json.RawMessage, specKey string) (Job, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.jobs[id] != nil {
+		return Job{}, fmt.Errorf("fleet: job %s already exists", id)
+	}
+	now := q.clock.Now()
+	q.seq++
+	j := &Job{
+		ID:          id,
+		Seq:         q.seq,
+		SpecKey:     specKey,
+		Scenario:    scenario,
+		MaxAttempts: 1,
+		State:       StateExecuting,
+		Worker:      LocalWorker,
+		Attempts:    []Attempt{{Worker: LocalWorker, Started: now}},
+		Created:     now,
+	}
+	q.persist(j)
+	q.jobs[id] = j
+	q.order = append(q.order, id)
+	q.localRuns++
+	return j.snapshot(), nil
+}
+
+// Release lifts a job's Hold: its submitter has recorded the terminal
+// result, so the job may now be evicted. Unknown jobs are ignored.
+func (q *Queue) Release(jobID string) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if j := q.jobs[jobID]; j != nil && j.Held {
+		j.Held = false
+		q.persist(j)
+		q.pruneLocked()
+	}
 }
 
 // Register admits a worker with the given capacity and returns its
@@ -262,6 +372,7 @@ func (q *Queue) Deregister(workerID string) {
 	q.dropWorkerJobsLocked(w, "worker "+workerID+" deregistered")
 	q.ring.remove(workerID)
 	delete(q.workers, workerID)
+	q.signalLocked()
 }
 
 // touchWorkerLocked records liveness; an unreachable worker that shows
@@ -447,6 +558,7 @@ func (q *Queue) requeueLocked(j *Job) {
 	j.NotBefore = q.clock.Now().Add(
 		backoffDelay(q.cfg.BackoffBase, q.cfg.BackoffCap, j.ID, attempts))
 	q.requeues++
+	q.signalLocked()
 }
 
 // Complete records a successful attempt's report. A completion from a
@@ -468,6 +580,7 @@ func (q *Queue) Complete(workerID, jobID string, report json.RawMessage) error {
 	j.Report = report
 	j.Error = ""
 	q.persist(j)
+	q.pruneLocked()
 	return nil
 }
 
@@ -502,6 +615,7 @@ func (q *Queue) Fail(workerID, jobID, msg, kind string) error {
 		q.requeueLocked(j)
 	}
 	q.persist(j)
+	q.pruneLocked()
 	return nil
 }
 
@@ -527,7 +641,9 @@ func (q *Queue) Cancel(jobID string) (Job, error) {
 			q.persist(j)
 		}
 	}
-	return j.snapshot(), nil
+	snap := j.snapshot()
+	q.pruneLocked()
+	return snap, nil
 }
 
 // dropWorkerJobsLocked requeues everything w holds with a lost attempt.
@@ -571,6 +687,7 @@ func (q *Queue) Sweep() {
 			q.persist(j)
 		}
 	}
+	q.pruneLocked()
 }
 
 // ReachableWorkers counts registered, reachable workers — the
@@ -582,10 +699,9 @@ func (q *Queue) ReachableWorkers() int {
 }
 
 // BookLocal books the oldest eligible job of the highest eligible
-// priority onto the dispatcher's in-process executor — the
-// graceful-degradation path, taken only while zero reachable workers
-// are registered. Local jobs skip the booked stage (the runner starts
-// immediately) and carry no lease.
+// priority onto the daemon's in-process executor — taken only while
+// zero reachable workers are registered. Local jobs skip the booked
+// stage (the runner starts immediately) and carry no lease.
 func (q *Queue) BookLocal() *Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -612,6 +728,24 @@ func (q *Queue) BookLocal() *Job {
 	return nil
 }
 
+// LocalBacklog counts the work the in-process executor still has: jobs
+// it runs now, plus the jobs BookLocal could book now. A draining
+// daemon waits for it to reach zero.
+func (q *Queue) LocalBacklog() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	now := q.clock.Now()
+	local := q.ring.size() == 0
+	n := 0
+	for _, id := range q.order {
+		j := q.jobs[id]
+		if (j.Worker == LocalWorker && !j.State.Terminal()) || (local && q.eligibleLocked(j, now)) {
+			n++
+		}
+	}
+	return n
+}
+
 // WorkerAddr returns the advertised HTTP address of a registered worker
 // — the dispatcher's stream proxy dials it to tap a dispatched job's
 // live frames. ok is false for unknown (e.g. deregistered) workers and
@@ -624,6 +758,13 @@ func (q *Queue) WorkerAddr(workerID string) (string, bool) {
 		return "", false
 	}
 	return w.addr, true
+}
+
+// Has reports whether the queue still holds a job (eviction drops it).
+func (q *Queue) Has(jobID string) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.jobs[jobID] != nil
 }
 
 // Get returns a snapshot of one job.

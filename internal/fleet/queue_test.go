@@ -571,3 +571,150 @@ func TestParsePriority(t *testing.T) {
 		}
 	}
 }
+
+// runLocally books and completes every eligible job in-process.
+func runLocally(t *testing.T, q *Queue) {
+	t.Helper()
+	for j := q.BookLocal(); j != nil; j = q.BookLocal() {
+		if err := q.Complete(LocalWorker, j.ID, json.RawMessage(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRetentionEvictsAcrossRestart: beyond Retain the oldest terminal
+// jobs leave memory and the journal, so a restarted queue loads no more
+// than Retain terminal files; live jobs are never evicted.
+func TestRetentionEvictsAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	q, _ := testQueue(t, QueueConfig{Dir: dir, Retain: 2})
+	var ids []string
+	for i := 0; i < 5; i++ {
+		ids = append(ids, mustSubmit(t, q, "spec-a").ID)
+	}
+	runLocally(t, q)
+	live := mustSubmit(t, q, "spec-a")
+	for _, id := range ids[:3] {
+		if _, err := q.Get(id); !errors.Is(err, ErrUnknownJob) {
+			t.Fatalf("job %s not evicted: %v", id, err)
+		}
+	}
+	for _, id := range append(ids[3:], live.ID) {
+		if _, err := q.Get(id); err != nil {
+			t.Fatalf("job %s evicted: %v", id, err)
+		}
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "job-*.json"))
+	if len(files) != 3 {
+		t.Fatalf("journal holds %d files, want 2 terminal + 1 queued", len(files))
+	}
+
+	// A restart with a smaller cap trims the journal on load.
+	q2, err := NewQueue(QueueConfig{Dir: dir, Retain: 1, Clock: newFakeClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := q2.Snapshot()
+	if m.Jobs.Completed != 1 || m.Jobs.Queued != 1 {
+		t.Fatalf("after restart: %+v", m.Jobs)
+	}
+	if files, _ = filepath.Glob(filepath.Join(dir, "job-*.json")); len(files) != 2 {
+		t.Fatalf("journal holds %d files after restart, want 2", len(files))
+	}
+}
+
+// TestHeldJobsSurviveUntilReleased: a held terminal job is neither
+// evicted nor counted against Retain until its submitter releases it;
+// the hold survives a restart.
+func TestHeldJobsSurviveUntilReleased(t *testing.T) {
+	dir := t.TempDir()
+	q, _ := testQueue(t, QueueConfig{Dir: dir, Retain: 1})
+	held, err := q.Submit(json.RawMessage(`{}`), "k", SubmitOptions{Hold: true, Campaign: "c-1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustSubmit(t, q, "k")
+	b := mustSubmit(t, q, "k")
+	runLocally(t, q)
+	if _, err := q.Get(held.ID); err != nil {
+		t.Fatalf("held job evicted: %v", err)
+	}
+	if _, err := q.Get(a.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("oldest unheld job kept: %v", err)
+	}
+
+	q2, err := NewQueue(QueueConfig{Dir: dir, Retain: 1, Clock: newFakeClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err := q2.Get(held.ID); err != nil || !j.Held {
+		t.Fatalf("hold lost in restart: %+v, %v", j, err)
+	}
+	q2.Release(held.ID)
+	// Released, the held job is the oldest terminal job beyond the cap.
+	if _, err := q2.Get(held.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("released job kept: %v", err)
+	}
+	if _, err := q2.Get(b.ID); err != nil {
+		t.Fatalf("newest job evicted: %v", err)
+	}
+}
+
+// TestAdoptRunsOnceLocally: an adopted attempt executes under its own
+// ID, is never booked again, and a restart turns it into an error
+// instead of a retry.
+func TestAdoptRunsOnceLocally(t *testing.T) {
+	dir := t.TempDir()
+	q, _ := testQueue(t, QueueConfig{Dir: dir})
+	j, err := q.Adopt("job-7.2", json.RawMessage(`{}`), "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.State != StateExecuting || j.Worker != LocalWorker || len(j.Attempts) != 1 {
+		t.Fatalf("adopted job = %+v", j)
+	}
+	if _, err := q.Adopt("job-7.2", nil, "k"); err == nil {
+		t.Fatal("duplicate adopt accepted")
+	}
+	if lj := q.BookLocal(); lj != nil {
+		t.Fatalf("adopted job booked again: %+v", lj)
+	}
+	if n := q.LocalBacklog(); n != 1 {
+		t.Fatalf("LocalBacklog = %d, want 1", n)
+	}
+	q2, err := NewQueue(QueueConfig{Dir: dir, Clock: newFakeClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := q2.Get("job-7.2"); got.State != StateError {
+		t.Fatalf("adopted job after restart: %s", got.State)
+	}
+}
+
+// TestReadySignals: submissions and requeues wake the local booker.
+func TestReadySignals(t *testing.T) {
+	q, _ := testQueue(t, QueueConfig{})
+	ready := func() bool {
+		select {
+		case <-q.Ready():
+			return true
+		default:
+			return false
+		}
+	}
+	if ready() {
+		t.Fatal("ready before any submission")
+	}
+	mustSubmit(t, q, "k")
+	mustSubmit(t, q, "k")
+	if !ready() || ready() {
+		t.Fatal("two submissions should coalesce into one signal")
+	}
+	j := q.BookLocal()
+	if err := q.Fail(LocalWorker, j.ID, "boom", OutcomeError); err != nil {
+		t.Fatal(err)
+	}
+	if !ready() {
+		t.Fatal("requeue did not signal")
+	}
+}

@@ -11,9 +11,8 @@ import (
 
 // store is the queue's durable journal: one JSON file per job under the
 // state directory, written atomically (temp file + rename) on every
-// lifecycle transition and read back on dispatcher restart. Completed
-// and errored jobs keep their files, so the directory doubles as the
-// fleet's results archive.
+// lifecycle transition and read back on daemon restart. A terminal
+// job's file goes when the queue evicts the job (QueueConfig.Retain).
 type store struct {
 	dir string
 }
@@ -57,6 +56,11 @@ func (s *store) save(j *Job) error {
 		return fmt.Errorf("fleet: journal job %s: %w", j.ID, err)
 	}
 	return nil
+}
+
+// remove deletes one job's file; a missing file is not an error.
+func (s *store) remove(id string) {
+	_ = os.Remove(s.path(id))
 }
 
 // load reads every journaled job back, oldest first. Corrupt files are

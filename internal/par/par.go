@@ -1,7 +1,6 @@
 // Package par is the shared worker-pool primitive behind the concurrent
 // experiment engine: deterministic fan-out of independent, index-addressed
-// jobs over a bounded number of goroutines, plus a persistent Pool for
-// long-lived services.
+// jobs over a bounded number of goroutines.
 //
 // Scenario simulations are embarrassingly parallel — every sim.Run owns its
 // model, scheduler and RNG — so the engine only has to distribute indices

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -140,73 +138,5 @@ func TestForEachCancelOverridesJobError(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestPoolRunsAllJobs(t *testing.T) {
-	p := NewPool(4)
-	const n = 200
-	var done atomic.Int64
-	for i := 0; i < n; i++ {
-		if err := p.Submit(func() { done.Add(1) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.Close()
-	if done.Load() != n {
-		t.Errorf("ran %d jobs, want %d", done.Load(), n)
-	}
-}
-
-func TestPoolCloseDrains(t *testing.T) {
-	p := NewPool(2)
-	var mu sync.Mutex
-	var order []int
-	for i := 0; i < 20; i++ {
-		i := i
-		if err := p.Submit(func() {
-			time.Sleep(time.Millisecond)
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.Close() // must block until every queued job ran
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 20 {
-		t.Errorf("Close returned with %d/20 jobs done", len(order))
-	}
-}
-
-func TestPoolSubmitAfterClose(t *testing.T) {
-	p := NewPool(1)
-	p.Close()
-	if err := p.Submit(func() {}); !errors.Is(err, ErrPoolClosed) {
-		t.Errorf("Submit after Close = %v, want ErrPoolClosed", err)
-	}
-	p.Close() // second Close is a no-op
-}
-
-func TestPoolBacklog(t *testing.T) {
-	p := NewPool(1)
-	release := make(chan struct{})
-	started := make(chan struct{})
-	if err := p.Submit(func() { close(started); <-release }); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	if err := p.Submit(func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Backlog(); got != 2 {
-		t.Errorf("Backlog = %d, want 2 (one running, one queued)", got)
-	}
-	close(release)
-	p.Close()
-	if got := p.Backlog(); got != 0 {
-		t.Errorf("Backlog after Close = %d, want 0", got)
 	}
 }
