@@ -406,7 +406,8 @@ func BenchmarkFactorizePaperResolution(b *testing.B) {
 
 // BenchmarkSolvePaperResolution is the per-tick counterpart: one
 // cached-factor triangular solve at paper resolution, the supernodal
-// gather-form panel sweep every thermal tick pays there.
+// panel sweeps (one contiguous pass per panel each way) every thermal
+// tick pays there.
 func BenchmarkSolvePaperResolution(b *testing.B) {
 	benchutil.SolvePaper(b)
 }

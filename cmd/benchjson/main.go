@@ -1,7 +1,9 @@
 // Command benchjson runs the substrate micro-benchmarks (the thermal hot
 // paths that dominate every figure and table run) with memory statistics
 // and writes a machine-readable BENCH_<date>.json snapshot, so the
-// per-PR performance trajectory can be tracked and archived by CI.
+// per-PR performance trajectory can be tracked and archived by CI. Each
+// snapshot names its host (num_cpu, and cpu_model on linux), since
+// numbers from different machines do not compare.
 //
 // Usage:
 //
@@ -40,6 +42,7 @@ import (
 	"io/fs"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,11 +66,15 @@ type Result struct {
 
 // Snapshot is the emitted file layout.
 type Snapshot struct {
-	Date       string   `json:"date"`
-	GoVersion  string   `json:"go_version"`
-	GOOS       string   `json:"goos"`
-	GOARCH     string   `json:"goarch"`
-	NumCPU     int      `json:"num_cpu"`
+	Date      string `json:"date"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	NumCPU    int    `json:"num_cpu"`
+	// CPUModel is the processor model name (the "model name" line of
+	// /proc/cpuinfo on linux, empty elsewhere), so snapshots from
+	// different hosts are not compared as if they were one machine.
+	CPUModel   string   `json:"cpu_model"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -152,6 +159,7 @@ func run(out string, paper bool) (path string, err error) {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
+		CPUModel:  cpuModel(),
 	}
 	for _, bench := range benches {
 		fmt.Fprintf(os.Stderr, "benchjson: running %s...\n", bench.name)
@@ -188,4 +196,28 @@ func run(out string, paper bool) (path string, err error) {
 	}
 	written = true
 	return path, nil
+}
+
+// cpuModel returns the host's processor model name: read from
+// /proc/cpuinfo on linux, "" elsewhere or when it cannot be read.
+func cpuModel() string {
+	if runtime.GOOS != "linux" {
+		return ""
+	}
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	return modelName(string(b))
+}
+
+// modelName extracts the value of the first "model name" line of a
+// /proc/cpuinfo listing ("" when there is none).
+func modelName(cpuinfo string) string {
+	for _, line := range strings.Split(cpuinfo, "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }

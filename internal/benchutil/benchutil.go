@@ -392,7 +392,8 @@ func FactorizePaper(b *testing.B) {
 
 // SolvePaper benchmarks one cached-factor triangular solve at paper
 // resolution — the per-tick cost of a thermal step there: the supernodal
-// gather-form panel sweep, 0 B/op after the first warmed call.
+// panel sweeps (one contiguous pass per panel each way), 0 B/op after
+// the first warmed call.
 func SolvePaper(b *testing.B) {
 	_, num, sys := paperFactor(b)
 	x, rhs := make([]float64, sys.N), unitRHS(sys.N)

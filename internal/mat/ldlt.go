@@ -56,10 +56,9 @@ type LDLSymbolic struct {
 	ssmap   []int32   // supernodal factorize: global row → panel-local row
 	sidx    []int32   // supernodal factorize: per-update local row indices
 	supd    []float64 // supernodal factorize: dense Schur-update buffer
-	sacc    []float64 // supernodal solve: per-descendant accumulator
-	stmp    []float64 // supernodal solve: below-row gather buffer
-	sbacc   []float64 // supernodal batch solve accumulator, grown on demand
-	sbtmp   []float64 // supernodal batch below-row gather, grown on demand
+	stmp    []float64 // supernodal solve: below-row accumulator / gather buffer
+	sbacc   []float64 // supernodal batch backward accumulator (one lane row), grown on demand
+	sbtmp   []float64 // supernodal batch below-row accumulator / gather, grown on demand
 }
 
 // LDLNumeric holds the numeric factors of one matrix: PAPᵀ = L·D·Lᵀ with

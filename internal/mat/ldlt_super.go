@@ -17,10 +17,13 @@ import (
 //   - Factorize becomes left-looking over supernodes: scatter the A
 //     entries into the panel, subtract one dense rank-k Schur update per
 //     descendant supernode, then run a small dense LDLᵀ on the panel.
-//   - The forward solve gathers each supernode's cross-panel
-//     contributions from its descendants' panels (contiguous column
-//     segments) and finishes with a dense unit-lower triangular solve on
-//     the diagonal block; the backward solve is the transposed pass.
+//   - The forward solve is right-looking over supernodes: a dense
+//     unit-lower triangular solve on the diagonal block, then one pass
+//     down the panel's below-diagonal block (read once, contiguously, in
+//     storage order) accumulating a value per below row, each subtracted
+//     from its target once. The backward solve is the transposed pass:
+//     gather the below rows, one dot product per column, then the
+//     transposed diagonal solve.
 //
 // The win over the scalar path is locality: the per-entry row-index
 // traffic of the scalar sweeps is amortized across a panel's width, and
@@ -81,7 +84,8 @@ type superState struct {
 	// s's columns, ascending. Descendant updSn[u]'s row-list positions
 	// updLo[u]..updHi[u] fall inside s's columns; positions updHi[u]..nr
 	// are strictly below them (all contained in s's row set — the
-	// closure pass guarantees it).
+	// closure pass guarantees it). Only factorizeSuper reads them: the
+	// solves stream each panel's own rows.
 	updPtr []int32
 	updSn  []int32
 	updLo  []int32
@@ -429,13 +433,12 @@ func (s *LDLSymbolic) SupernodalProfitable() bool {
 		s.MeanPanelWidth() >= supernodalMinMeanWidth
 }
 
-// ensureSuperSolveScratch sizes the supernodal solve scratch
-// (amortized: grown once, then the per-tick path allocates nothing).
+// ensureSuperSolveScratch sizes the supernodal solve scratch — one
+// below-row buffer, the forward sweep's accumulator and the backward
+// sweep's gather (amortized: grown once, then the per-tick path
+// allocates nothing).
 func (s *LDLSymbolic) ensureSuperSolveScratch() {
 	sp := s.super
-	if cap(s.sacc) < sp.maxW {
-		s.sacc = make([]float64, sp.maxW)
-	}
 	if cap(s.stmp) < sp.maxNr {
 		s.stmp = make([]float64, sp.maxNr)
 	}
@@ -576,42 +579,21 @@ func (f *LDLNumeric) factorSupernode(sn int, a *CSR) (failK int, failDk float64)
 }
 
 // forwardSuper applies supernode sn's slice of the forward sweep to the
-// permuted work vector w: gather each ascending descendant's
-// contribution (accumulated first, subtracted once — the fixed order
-// shared with the batch path), then the dense unit-lower solve on the
-// diagonal block.
+// permuted work vector w, right-looking: every descendant has already
+// pushed its update, so the diagonal block's values are final after the
+// dense unit-lower solve on it. The below-diagonal block is then read
+// column by column, in storage order, into one accumulator per below
+// row, and each row is subtracted from w once. Every w[r] so receives
+// one subtraction per descendant, in ascending descendant order — the
+// fixed order the batch path shares.
 func (f *LDLNumeric) forwardSuper(sn int) {
 	s := f.s
 	sp := s.super
-	w, acc := s.w, s.sacc
+	w := s.w
 	c0 := int(sp.snPtr[sn])
 	wid := int(sp.snPtr[sn+1]) - c0
-	for u := sp.updPtr[sn]; u < sp.updPtr[sn+1]; u++ {
-		d := int(sp.updSn[u])
-		lo := int(sp.updLo[u])
-		hi := int(sp.updHi[u])
-		c0d := int(sp.snPtr[d])
-		wd := int(sp.snPtr[d+1]) - c0d
-		nrd := int(sp.rowPtr[d+1] - sp.rowPtr[d])
-		pand := f.lx[sp.panelPtr[d]:]
-		m := hi - lo
-		a := acc[:m]
-		for b := range a {
-			a[b] = 0
-		}
-		for k := 0; k < wd; k++ {
-			t := w[c0d+k]
-			col := pand[k*nrd+lo : k*nrd+hi]
-			for b, v := range col {
-				a[b] += v * t
-			}
-		}
-		rd := sp.rows[int(sp.rowPtr[d])+lo:]
-		for b := 0; b < m; b++ {
-			w[rd[b]] -= a[b]
-		}
-	}
-	nr := int(sp.rowPtr[sn+1] - sp.rowPtr[sn])
+	r0 := int(sp.rowPtr[sn])
+	nr := int(sp.rowPtr[sn+1]) - r0
 	pan := f.lx[sp.panelPtr[sn]:]
 	for k := 0; k < wid; k++ {
 		t := w[c0+k]
@@ -619,6 +601,18 @@ func (f *LDLNumeric) forwardSuper(sn int) {
 		for i := k + 1; i < wid; i++ {
 			w[c0+i] -= col[i] * t
 		}
+	}
+	acc := s.stmp[:nr-wid]
+	clear(acc)
+	for k := 0; k < wid; k++ {
+		t := w[c0+k]
+		col := pan[k*nr+wid : k*nr+nr]
+		for i, v := range col {
+			acc[i] += v * t
+		}
+	}
+	for i, r := range sp.rows[r0+wid : r0+nr] {
+		w[r] -= acc[i]
 	}
 }
 
@@ -680,57 +674,25 @@ func (f *LDLNumeric) solveSuper() {
 // solveBatchSuper runs the supernodal triangular sweeps over the packed
 // node-major k-wide panel wb (permutation and pack/unpack handled by
 // SolveBatch). Per-RHS the operation sequence mirrors solveSuper exactly
-// — same per-descendant accumulate-then-subtract order, same dense
-// triangular loops — so each lane is bit-identical to a sequential
-// supernodal Solve.
+// — same right-looking per-panel accumulate-then-subtract forward pass,
+// same dense triangular loops — so each lane is bit-identical to a
+// sequential supernodal Solve.
 func (f *LDLNumeric) solveBatchSuper(wb []float64, kb int) {
 	s := f.s
 	sp := s.super
-	if cap(s.sbacc) < sp.maxW*kb {
-		s.sbacc = make([]float64, sp.maxW*kb)
+	if cap(s.sbacc) < kb {
+		s.sbacc = make([]float64, kb)
 	}
 	if cap(s.sbtmp) < sp.maxNr*kb {
 		s.sbtmp = make([]float64, sp.maxNr*kb)
 	}
-	acc := s.sbacc
+	acc := s.sbacc[:kb]
 	tmp := s.sbtmp
 	for sn := 0; sn < sp.nsn; sn++ {
 		c0 := int(sp.snPtr[sn])
 		wid := int(sp.snPtr[sn+1]) - c0
-		for u := sp.updPtr[sn]; u < sp.updPtr[sn+1]; u++ {
-			d := int(sp.updSn[u])
-			lo := int(sp.updLo[u])
-			hi := int(sp.updHi[u])
-			c0d := int(sp.snPtr[d])
-			wd := int(sp.snPtr[d+1]) - c0d
-			nrd := int(sp.rowPtr[d+1] - sp.rowPtr[d])
-			pand := f.lx[sp.panelPtr[d]:]
-			m := hi - lo
-			a := acc[: m*kb : m*kb]
-			for i := range a {
-				a[i] = 0
-			}
-			for k := 0; k < wd; k++ {
-				trow := wb[(c0d+k)*kb : (c0d+k)*kb+kb]
-				col := pand[k*nrd+lo : k*nrd+hi]
-				for b, v := range col {
-					arow := a[b*kb : b*kb+kb]
-					for r, t := range trow {
-						arow[r] += v * t
-					}
-				}
-			}
-			rd := sp.rows[int(sp.rowPtr[d])+lo:]
-			for b := 0; b < m; b++ {
-				dst := wb[int(rd[b])*kb:]
-				dst = dst[:kb:kb]
-				arow := a[b*kb : b*kb+kb]
-				for r := range dst {
-					dst[r] -= arow[r]
-				}
-			}
-		}
-		nr := int(sp.rowPtr[sn+1] - sp.rowPtr[sn])
+		r0 := int(sp.rowPtr[sn])
+		nr := int(sp.rowPtr[sn+1]) - r0
 		pan := f.lx[sp.panelPtr[sn]:]
 		for k := 0; k < wid; k++ {
 			trow := wb[(c0+k)*kb : (c0+k)*kb+kb]
@@ -741,6 +703,27 @@ func (f *LDLNumeric) solveBatchSuper(wb []float64, kb int) {
 				for r, t := range trow {
 					drow[r] -= v * t
 				}
+			}
+		}
+		below := nr - wid
+		a := tmp[: below*kb : below*kb]
+		clear(a)
+		for k := 0; k < wid; k++ {
+			trow := wb[(c0+k)*kb : (c0+k)*kb+kb]
+			col := pan[k*nr+wid : k*nr+nr]
+			for i, v := range col {
+				arow := a[i*kb : i*kb+kb]
+				for r, t := range trow {
+					arow[r] += v * t
+				}
+			}
+		}
+		for i, row := range sp.rows[r0+wid : r0+nr] {
+			dst := wb[int(row)*kb:]
+			dst = dst[:kb:kb]
+			arow := a[i*kb : i*kb+kb]
+			for r := range dst {
+				dst[r] -= arow[r]
 			}
 		}
 	}
@@ -766,37 +749,31 @@ func (f *LDLNumeric) solveBatchSuper(wb []float64, kb int) {
 		}
 		for k := 0; k < wid; k++ {
 			col := pan[k*nr+wid : k*nr+nr]
-			arow := acc[:kb]
-			for r := range arow {
-				arow[r] = 0
-			}
+			clear(acc)
 			for a, v := range col {
 				srow := t[a*kb : a*kb+kb]
 				for r, tv := range srow {
-					arow[r] += v * tv
+					acc[r] += v * tv
 				}
 			}
 			drow := wb[(c0+k)*kb : (c0+k)*kb+kb]
 			for r := range drow {
-				drow[r] -= arow[r]
+				drow[r] -= acc[r]
 			}
 		}
 		for k := wid - 1; k >= 0; k-- {
 			col := pan[k*nr:]
-			arow := acc[:kb]
-			for r := range arow {
-				arow[r] = 0
-			}
+			clear(acc)
 			for i := k + 1; i < wid; i++ {
 				v := col[i]
 				srow := wb[(c0+i)*kb : (c0+i)*kb+kb]
 				for r, tv := range srow {
-					arow[r] += v * tv
+					acc[r] += v * tv
 				}
 			}
 			drow := wb[(c0+k)*kb : (c0+k)*kb+kb]
 			for r := range drow {
-				drow[r] -= arow[r]
+				drow[r] -= acc[r]
 			}
 		}
 	}

@@ -310,3 +310,132 @@ func TestSupernodalNotPositiveDefinite(t *testing.T) {
 		t.Fatalf("recovery residual %g", res)
 	}
 }
+
+// solveGatherOracle is the left-looking (gather-form) supernodal solve,
+// kept as a test-only reference for the right-looking forwardSuper: for
+// each target supernode it walks the update list and gathers every
+// descendant's few-row segment, accumulated over the descendant's columns
+// in ascending order and subtracted once, then runs the diagonal-block
+// solve. The diagonal scaling and the backward sweep are the production
+// ones. Each w[r] receives the same subtractions in the same order as in
+// the streaming form, so the two must agree bit for bit.
+func solveGatherOracle(f *LDLNumeric, x, b []float64) {
+	s := f.s
+	sp := s.super
+	s.ensureSuperSolveScratch()
+	w := s.w
+	for k := 0; k < s.n; k++ {
+		w[k] = b[s.perm[k]]
+	}
+	acc := make([]float64, sp.maxW)
+	for sn := 0; sn < sp.nsn; sn++ {
+		c0 := int(sp.snPtr[sn])
+		wid := int(sp.snPtr[sn+1]) - c0
+		for u := sp.updPtr[sn]; u < sp.updPtr[sn+1]; u++ {
+			d := int(sp.updSn[u])
+			lo := int(sp.updLo[u])
+			hi := int(sp.updHi[u])
+			c0d := int(sp.snPtr[d])
+			wd := int(sp.snPtr[d+1]) - c0d
+			nrd := int(sp.rowPtr[d+1] - sp.rowPtr[d])
+			pand := f.lx[sp.panelPtr[d]:]
+			a := acc[:hi-lo]
+			clear(a)
+			for k := 0; k < wd; k++ {
+				t := w[c0d+k]
+				for i, v := range pand[k*nrd+lo : k*nrd+hi] {
+					a[i] += v * t
+				}
+			}
+			for i, r := range sp.rows[int(sp.rowPtr[d])+lo : int(sp.rowPtr[d])+hi] {
+				w[r] -= a[i]
+			}
+		}
+		nr := int(sp.rowPtr[sn+1] - sp.rowPtr[sn])
+		pan := f.lx[sp.panelPtr[sn]:]
+		for k := 0; k < wid; k++ {
+			t := w[c0+k]
+			col := pan[k*nr:]
+			for i := k + 1; i < wid; i++ {
+				w[c0+i] -= col[i] * t
+			}
+		}
+	}
+	for j := 0; j < s.n; j++ {
+		w[j] *= f.invd[j]
+	}
+	for sn := sp.nsn - 1; sn >= 0; sn-- {
+		f.backwardSuper(sn)
+	}
+	for k := 0; k < s.n; k++ {
+		x[s.perm[k]] = w[k]
+	}
+}
+
+// TestSupernodalForwardMatchesGatherOracle pins the streaming forward
+// sweep to the gather-form oracle bit for bit: Solve and every lane of
+// SolveBatch, on grid Laplacians either side of the n ≥ 4096 gate (the
+// panel kernels forced below it), under ND and RCM orderings, plus the
+// width-1 degenerate partition.
+func TestSupernodalForwardMatchesGatherOracle(t *testing.T) {
+	type tc struct {
+		nx, ny int
+		ord    Ordering
+		width1 bool
+	}
+	var cases []tc
+	for _, g := range [][2]int{{23, 20}, {60, 50}, {70, 60}, {115, 100}} {
+		for _, ord := range []Ordering{OrderND, OrderRCM} {
+			cases = append(cases, tc{g[0], g[1], ord, false})
+		}
+	}
+	cases = append(cases, tc{30, 20, OrderND, true}, tc{30, 20, OrderRCM, true})
+	ordName := map[Ordering]string{OrderND: "ND", OrderRCM: "RCM"}
+	rng := rand.New(rand.NewSource(19))
+	for _, c := range cases {
+		a := gridLaplacian(c.nx, c.ny, 0.5)
+		s, err := AnalyzeLDL(a, c.ord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.width1 {
+			s.buildSupernodes(1, false, true)
+			if s.super.nsn != s.n {
+				t.Fatalf("width-1 partition has %d supernodes, want %d", s.super.nsn, s.n)
+			}
+		}
+		s.setSupernodal(true)
+		f, err := s.Factorize(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const k = 5
+		xs := make([][]float64, k)
+		bs := make([][]float64, k)
+		for r := range xs {
+			xs[r] = make([]float64, a.N)
+			bs[r] = make([]float64, a.N)
+			for i := range bs[r] {
+				bs[r][i] = rng.NormFloat64()
+			}
+		}
+		f.SolveBatch(xs, bs)
+		got := make([]float64, a.N)
+		want := make([]float64, a.N)
+		for r := range bs {
+			solveGatherOracle(f, want, bs[r])
+			f.Solve(got, bs[r])
+			for i := range want {
+				wb := math.Float64bits(want[i])
+				if math.Float64bits(got[i]) != wb {
+					t.Fatalf("%dx%d %s width1=%v rhs %d: Solve x[%d]=%g oracle %g",
+						c.nx, c.ny, ordName[c.ord], c.width1, r, i, got[i], want[i])
+				}
+				if math.Float64bits(xs[r][i]) != wb {
+					t.Fatalf("%dx%d %s width1=%v rhs %d: SolveBatch x[%d]=%g oracle %g",
+						c.nx, c.ny, ordName[c.ord], c.width1, r, i, xs[r][i], want[i])
+				}
+			}
+		}
+	}
+}
