@@ -278,20 +278,12 @@ func BenchmarkAblationWeighting(b *testing.B) {
 // tick, same varying-power step loop).
 
 func BenchmarkThermalStepCoarse(b *testing.B) {
-	benchutil.ThermalStep(23, 20, rcnet.SolverAuto)(b)
+	benchutil.ThermalStep(23, 20)(b)
 }
 
 func BenchmarkThermalStepPaperResolution(b *testing.B) {
 	// The paper's 100 µm grid: 115×100 cells per slab, 5 slabs.
-	benchutil.ThermalStep(115, 100, rcnet.SolverAuto)(b)
-}
-
-// BenchmarkThermalStepPaperResolutionCG is the iterative-solver reference
-// for BenchmarkThermalStepPaperResolution: the same per-tick loop on the
-// PR 1 CG (SSOR) path, for tracking the direct-vs-iterative gap in the
-// BENCH_*.json trajectory.
-func BenchmarkThermalStepPaperResolutionCG(b *testing.B) {
-	benchutil.ThermalStep(115, 100, rcnet.SolverCG)(b)
+	benchutil.ThermalStep(115, 100)(b)
 }
 
 func BenchmarkSteadyState(b *testing.B) {

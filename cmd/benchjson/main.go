@@ -16,11 +16,12 @@
 //	                     # 115×100, with the L fill, supernode count and
 //	                     # mean panel width reported, plus the
 //	                     # refactorize+solve and lone-solve bodies) — the
-//	                     # opt-in nightly CI job's configuration
+//	                     # opt-in nightly CI job's configuration; each is
+//	                     # timed over at least 3 ops (minPaperIters)
 //
 // The benchmark bodies are the ones bench_test.go runs (shared through
-// internal/benchutil): ThermalStepCoarse, ThermalStepPaperResolution plus
-// its CG reference, SteadyState, SimTick and SessionStep — per-tick loops
+// internal/benchutil): ThermalStepCoarse, ThermalStepPaperResolution,
+// SteadyState, SimTick and SessionStep — per-tick loops
 // with varying power, the regime real runs are in, with model
 // construction and the first factorizing tick as setup so op times
 // measure the steady cached-factor path — plus the RunManyCold/
@@ -47,13 +48,19 @@ import (
 	"time"
 
 	"repro/internal/benchutil"
-	"repro/internal/rcnet"
 	"repro/internal/stepper"
 )
 
+// minPaperIters is the fewest timed ops a paper-resolution tracker is
+// measured over: its analysis and factorization take over a second per
+// op, so one testing.Benchmark run of the default benchtime stops after
+// a single sample.
+const minPaperIters = 3
+
 // Result is one benchmark measurement.
 type Result struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Iterations is the number of timed ops the per-op figures average.
 	Iterations  int     `json:"iterations"`
 	NsPerOp     int64   `json:"ns_per_op"`
 	MsPerOp     float64 `json:"ms_per_op"`
@@ -95,34 +102,34 @@ func main() {
 // per-day default name), returning the path written.
 func run(out string, paper bool) (path string, err error) {
 	type bench struct {
-		name string
-		fn   func(b *testing.B)
+		name    string
+		fn      func(b *testing.B)
+		minIter int // fewest timed ops (0: one testing.Benchmark run)
 	}
 	benches := []bench{
-		{"ThermalStepCoarse", benchutil.ThermalStep(23, 20, rcnet.SolverAuto)},
-		{"ThermalStepPaperResolution", benchutil.ThermalStep(115, 100, rcnet.SolverAuto)},
-		{"ThermalStepPaperResolutionCG", benchutil.ThermalStep(115, 100, rcnet.SolverCG)},
-		{"SteadyState", benchutil.SteadyState},
-		{"SimTick", benchutil.SimTick},
-		{"SessionStep", benchutil.SessionStep},
-		{"QuietPhaseFixed", benchutil.QuietPhase(stepper.Fixed, 23, 20)},
-		{"QuietPhaseAdaptive", benchutil.QuietPhase(stepper.Adaptive, 23, 20)},
-		{"RunManyCold", benchutil.RunManyCold},
-		{"RunManyWarm", benchutil.RunManyWarm},
-		{"RunManySharedFactor", benchutil.RunManySharedFactor},
-		{"SolveBatch8", benchutil.SolveBatch8},
-		{"SolveSequential8", benchutil.SolveSequential8},
-		{"CampaignExpand", benchutil.CampaignExpand},
-		{"SampleEncode", benchutil.SampleEncode},
-		{"StreamFanout1", benchutil.StreamFanout(1)},
-		{"StreamFanout64", benchutil.StreamFanout(64)},
-		{"StreamFanout1024", benchutil.StreamFanout(1024)},
+		{name: "ThermalStepCoarse", fn: benchutil.ThermalStep(23, 20)},
+		{name: "ThermalStepPaperResolution", fn: benchutil.ThermalStep(115, 100)},
+		{name: "SteadyState", fn: benchutil.SteadyState},
+		{name: "SimTick", fn: benchutil.SimTick},
+		{name: "SessionStep", fn: benchutil.SessionStep},
+		{name: "QuietPhaseFixed", fn: benchutil.QuietPhase(stepper.Fixed, 23, 20)},
+		{name: "QuietPhaseAdaptive", fn: benchutil.QuietPhase(stepper.Adaptive, 23, 20)},
+		{name: "RunManyCold", fn: benchutil.RunManyCold},
+		{name: "RunManyWarm", fn: benchutil.RunManyWarm},
+		{name: "RunManySharedFactor", fn: benchutil.RunManySharedFactor},
+		{name: "SolveBatch8", fn: benchutil.SolveBatch8},
+		{name: "SolveSequential8", fn: benchutil.SolveSequential8},
+		{name: "CampaignExpand", fn: benchutil.CampaignExpand},
+		{name: "SampleEncode", fn: benchutil.SampleEncode},
+		{name: "StreamFanout1", fn: benchutil.StreamFanout(1)},
+		{name: "StreamFanout64", fn: benchutil.StreamFanout(64)},
+		{name: "StreamFanout1024", fn: benchutil.StreamFanout(1024)},
 	}
 	if paper {
 		benches = append(benches,
-			bench{"AnalyzePaperResolution", benchutil.AnalyzePaper},
-			bench{"FactorizePaperResolution", benchutil.FactorizePaper},
-			bench{"SolvePaperResolution", benchutil.SolvePaper},
+			bench{"AnalyzePaperResolution", benchutil.AnalyzePaper, minPaperIters},
+			bench{"FactorizePaperResolution", benchutil.FactorizePaper, minPaperIters},
+			bench{"SolvePaperResolution", benchutil.SolvePaper, minPaperIters},
 		)
 	}
 
@@ -163,7 +170,7 @@ func run(out string, paper bool) (path string, err error) {
 	}
 	for _, bench := range benches {
 		fmt.Fprintf(os.Stderr, "benchjson: running %s...\n", bench.name)
-		r := testing.Benchmark(bench.fn)
+		r := benchAtLeast(bench.minIter, func() testing.BenchmarkResult { return testing.Benchmark(bench.fn) })
 		res := Result{
 			Name:        bench.name,
 			Iterations:  r.N,
@@ -196,6 +203,25 @@ func run(out string, paper bool) (path string, err error) {
 	}
 	written = true
 	return path, nil
+}
+
+// benchAtLeast calls run (one testing.Benchmark of a body) until the runs
+// have timed at least minIter ops in total, and sums their ops, time and
+// allocations into one result; the reported metrics are the last run's.
+// A failed run (0 ops) ends the loop.
+func benchAtLeast(minIter int, run func() testing.BenchmarkResult) testing.BenchmarkResult {
+	var sum testing.BenchmarkResult
+	for {
+		r := run()
+		sum.N += r.N
+		sum.T += r.T
+		sum.MemAllocs += r.MemAllocs
+		sum.MemBytes += r.MemBytes
+		sum.Extra = r.Extra
+		if r.N == 0 || sum.N >= minIter {
+			return sum
+		}
+	}
 }
 
 // cpuModel returns the host's processor model name: read from

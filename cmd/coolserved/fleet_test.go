@@ -300,6 +300,7 @@ func TestRejectsBadRequests(t *testing.T) {
 		code       string
 	}{
 		{"unknown field", `{"workload":"gzip","typo":1}`, 400, fleet.CodeBadJSON},
+		{"retired solver field", `{"workload":"gzip","solver":"auto"}`, 400, fleet.CodeBadJSON},
 		{"trailing data", quickBody + `{"x":1}`, 400, fleet.CodeBadJSON},
 		{"bad faults dropout", `{"faults":{"sensor_dropout_prob":1.5}}`, 400, fleet.CodeBadScenario},
 		{"bad faults noise", `{"faults":{"sensor_noise_stddev":-1}}`, 400, fleet.CodeBadScenario},

@@ -40,8 +40,6 @@ func main() {
 	flag.BoolVar(&sc.DPM, "dpm", sc.DPM, "enable fixed-timeout dynamic power management")
 	flag.IntVar(&sc.GridNX, "nx", 23, "thermal grid cells in x")
 	flag.IntVar(&sc.GridNY, "ny", 20, "thermal grid cells in y")
-	flag.StringVar(&sc.Solver, "solver", "auto",
-		"thermal linear solver: auto (cached LDLT direct, CG fallback)|direct|cg")
 	flag.StringVar(&sc.Stepping.Mode, "stepper", "fixed",
 		"time-advance engine: fixed (paper's 100 ms lock-step)|adaptive (thermal macro-steps through quiet phases)")
 	flag.Float64Var(&sc.Stepping.ToleranceC, "step-tol", 0,

@@ -16,7 +16,7 @@
 //
 // Every entry point takes a context.Context and honors cancellation
 // within one simulated tick. Configuration is a Scenario value plus
-// functional options (WithWorkers, WithGrid, WithSolver, WithTick,
+// functional options (WithWorkers, WithGrid, WithTick,
 // WithStepper, WithObserver, WithPlatformCache, WithControlEvery,
 // WithBatchCounters); failures surface as typed errors
 // (ErrUnknownWorkload, ErrUnknownCooling, ...) that wrap into errors.Is. Scenario.Stepping/WithStepper select the time-advance
@@ -40,7 +40,6 @@ import (
 	"io"
 
 	"repro/internal/pump"
-	"repro/internal/rcnet"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stepper"
@@ -120,9 +119,6 @@ type Scenario struct {
 	// GridNX, GridNY default to 23×20 when zero.
 	GridNX int `json:"grid_nx,omitempty"`
 	GridNY int `json:"grid_ny,omitempty"`
-	// Solver selects the thermal linear solver: "auto" (default, cached
-	// LDLᵀ direct with CG fallback), "direct", or "cg".
-	Solver string `json:"solver,omitempty"`
 	// ControlEvery is the flow-controller decision cadence in base ticks
 	// (the control period). The controller still observes temperatures
 	// every tick; only its Decide step runs at the period. 0 keeps the
@@ -175,10 +171,10 @@ func (sc Scenario) Validate() error {
 }
 
 // PlatformKey returns the canonical identity of the scenario's platform
-// model (stack geometry, grid, solver) as an opaque string. Scenarios
-// with equal keys share the expensive platform setup (see
-// WithPlatformCache); services use the key to route platform-affine
-// work onto the same node.
+// model (stack geometry, grid, thermal configuration) as an opaque
+// string. Scenarios with equal keys share the expensive platform setup
+// (see WithPlatformCache); services use the key to route
+// platform-affine work onto the same node.
 func (sc Scenario) PlatformKey() (string, error) {
 	cfg, err := sc.simConfig(config{})
 	if err != nil {
@@ -188,7 +184,7 @@ func (sc Scenario) PlatformKey() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return spec.Canonical().String(), nil
+	return spec.String(), nil
 }
 
 // ExpectedTicks returns how many per-tick Samples a full run of the
@@ -260,7 +256,7 @@ type Report struct {
 	BatchedSolves int64 `json:"batched_solves"`
 	// SupernodalSolver reports whether the direct solver ran the
 	// supernodal dense-panel kernels; Supernodes and MeanPanelWidth
-	// describe the partition (0 under CG, or before the first solve).
+	// describe the partition (0 before the first solve).
 	// The kernel family never changes the trajectory beyond ≤1e-6 K.
 	SupernodalSolver bool    `json:"supernodal_solver"`
 	Supernodes       int     `json:"supernodes"`
@@ -491,15 +487,6 @@ func (sc Scenario) simConfig(rc config) (sim.Config, error) {
 		cfg.GridNX, cfg.GridNY = sc.GridNX, sc.GridNY
 	}
 	cfg.DPMEnabled = sc.DPM
-	solverName := sc.Solver
-	if rc.solver != "" {
-		solverName = rc.solver
-	}
-	solver, err := rcnet.ParseSolver(solverName)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("%w: %q (want auto|direct|cg)", ErrUnknownSolver, solverName)
-	}
-	cfg.Solver = solver
 	stepping := sc.Stepping
 	if rc.stepping != nil {
 		stepping = *rc.stepping

@@ -39,8 +39,6 @@ func TestTypedScenarioErrors(t *testing.T) {
 		{func(sc *Scenario) { sc.Cooling = "freon" }, ErrUnknownCooling},
 		{func(sc *Scenario) { sc.Policy = "rr" }, ErrUnknownPolicy},
 		{func(sc *Scenario) { sc.Layers = 5 }, ErrBadLayers},
-		{func(sc *Scenario) { sc.Solver = "gauss" }, ErrUnknownSolver},
-		{func(sc *Scenario) { sc.Solver = "scalar" }, ErrUnknownSolver},
 	}
 	for _, c := range cases {
 		sc := quickScenario()
@@ -242,12 +240,12 @@ func TestOptionsOverrideScenario(t *testing.T) {
 	sc := quickScenario()
 	sc.Duration = 5
 	// A different grid via option must beat the scenario's 12×10 and
-	// still produce a full run; a bogus solver option must fail typed.
-	if _, err := Run(context.Background(), sc, WithGrid(14, 12), WithSolver("cg")); err != nil {
+	// still produce a full run; a bogus stepper option must fail typed.
+	if _, err := Run(context.Background(), sc, WithGrid(14, 12)); err != nil {
 		t.Fatalf("option overrides failed: %v", err)
 	}
-	if _, err := Run(context.Background(), sc, WithSolver("gauss")); !errors.Is(err, ErrUnknownSolver) {
-		t.Errorf("WithSolver(gauss) = %v, want ErrUnknownSolver", err)
+	if _, err := Run(context.Background(), sc, WithStepper(Stepping{Mode: "bogus"})); !errors.Is(err, ErrUnknownStepping) {
+		t.Errorf("WithStepper(bogus) = %v, want ErrUnknownStepping", err)
 	}
 	// A 10× coarser tick yields ~10× fewer samples.
 	r, err := Run(context.Background(), sc, WithTick(1.0))

@@ -14,8 +14,6 @@ var (
 	ErrUnknownPolicy = errors.New("coolsim: unknown scheduling policy")
 	// ErrUnknownWorkload: Scenario.Workload is not a Table II benchmark.
 	ErrUnknownWorkload = errors.New("coolsim: unknown workload")
-	// ErrUnknownSolver: Scenario.Solver is not auto|direct|cg.
-	ErrUnknownSolver = errors.New("coolsim: unknown solver")
 	// ErrUnknownStepping: Scenario.Stepping.Mode is not fixed|adaptive.
 	ErrUnknownStepping = errors.New("coolsim: unknown stepping mode")
 	// ErrBadLayers: Scenario.Layers is not 2 or 4.

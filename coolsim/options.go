@@ -8,7 +8,6 @@ type Option func(*config)
 type config struct {
 	workers        int
 	gridNX, gridNY int
-	solver         string
 	tick           float64
 	stepping       *Stepping
 	observer       func(*Sample)
@@ -38,12 +37,6 @@ func WithGrid(nx, ny int) Option {
 	return func(c *config) { c.gridNX, c.gridNY = nx, ny }
 }
 
-// WithSolver overrides the thermal linear solver ("auto", "direct" or
-// "cg"), taking precedence over Scenario.Solver.
-func WithSolver(name string) Option {
-	return func(c *config) { c.solver = name }
-}
-
 // WithTick overrides the sampling interval in seconds (default 0.1, the
 // paper's 100 ms tick).
 func WithTick(seconds float64) Option {
@@ -60,11 +53,11 @@ func WithStepper(st Stepping) Option {
 }
 
 // WithPlatformCache makes the call reuse (and populate) pc's shared
-// per-stack artifacts: stack, grid, solver symbolic analysis, flow LUT
-// and TALB weights. The first run of each stack shape builds them; every
-// later run or session of the same shape — including concurrent ones —
-// starts in milliseconds instead of re-deriving seconds of steady-state
-// analysis. Results are bit-identical to cold-built runs. Nil (the
+// per-stack artifacts: stack, grid, the direct solver's symbolic
+// analysis, flow LUT and TALB weights. The first run of each stack shape
+// builds them; every later run or session of the same shape — including
+// concurrent ones — starts in milliseconds instead of re-deriving
+// seconds of steady-state analysis. Results are bit-identical to cold-built runs. Nil (the
 // default) keeps the cold path: every run builds privately.
 func WithPlatformCache(pc *PlatformCache) Option {
 	return func(c *config) { c.pcache = pc }

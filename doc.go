@@ -9,7 +9,7 @@
 // The public API is the repro/coolsim package: context-cancellable
 // Run/RunMany/RunTraced over plain Scenario values, a Session/Sample
 // streaming API yielding allocation-free per-tick observations, functional
-// options (WithWorkers, WithGrid, WithSolver, WithTick, WithStepper,
+// options (WithWorkers, WithGrid, WithTick, WithStepper,
 // WithObserver, WithPlatformCache), typed errors, and the offline
 // Analysis sweeps.
 // Runs sharing a stack shape share their expensive setup — grid, solver
@@ -40,9 +40,10 @@
 // solver: a cached sparse LDLᵀ direct factorization (symbolic analysis
 // once per stack shape, numeric factors once per flow setting and time
 // step per stack shape — shared, immutable, by every run on it — and
-// two allocation-free triangular sweeps per tick) with
-// preconditioned CG as the selectable cross-check and automatic fallback
-// (-solver, rcnet.Config.Solver). On grids where the amalgamated
+// two allocation-free triangular sweeps per tick). It is the only
+// solver: conjugate gradient survives only as the tests' reference, and a
+// test shows every platform's system factorizes with positive pivots. On
+// grids where the amalgamated
 // elimination tree yields wide enough supernodes (the paper's 115×100
 // resolution), the analysis switches the LDLᵀ kernels to supernodal
 // dense panels — blocked rank-k factorization updates and dense panel

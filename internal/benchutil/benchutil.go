@@ -24,17 +24,14 @@ import (
 // StepModel builds the benchmark thermal model: the 2-layer liquid T1
 // stack at nx×ny with full-load block powers and mid (0.5 l/min) flow,
 // warmed by one tick so the timed loop measures the steady per-tick path
-// — with the default direct solver the first Step pays the one-time
-// symbolic analysis and factorization that every later tick reuses from
-// the (flow > 0, dt) cache.
-func StepModel(nx, ny int, solver rcnet.SolverKind) (*rcnet.Model, error) {
+// — the first Step pays the one-time symbolic analysis and factorization
+// that every later tick reuses from the (flow > 0, dt) cache.
+func StepModel(nx, ny int) (*rcnet.Model, error) {
 	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(nx, ny))
 	if err != nil {
 		return nil, err
 	}
-	cfg := rcnet.DefaultConfig()
-	cfg.Solver = solver
-	m, err := rcnet.New(g, cfg)
+	m, err := rcnet.New(g, rcnet.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -61,10 +58,7 @@ func StepModel(nx, ny int, solver rcnet.SolverKind) (*rcnet.Model, error) {
 }
 
 // StepLoop is the timed per-tick loop with a per-tick power update, the
-// regime every real simulation run is in. (With constant power the
-// temperature field settles and the warm-started CG reference converges
-// in a couple of iterations — a flattering, unrepresentative special
-// case; varying power is what the 100 ms tick loop actually does.)
+// regime every real simulation run is in.
 func StepLoop(b *testing.B, m *rcnet.Model) {
 	b.Helper()
 	layers := m.Grid.Stack.Layers
@@ -94,10 +88,10 @@ func StepLoop(b *testing.B, m *rcnet.Model) {
 }
 
 // ThermalStep returns the varying-power per-tick benchmark at one grid
-// resolution and solver.
-func ThermalStep(nx, ny int, solver rcnet.SolverKind) func(b *testing.B) {
+// resolution.
+func ThermalStep(nx, ny int) func(b *testing.B) {
 	return func(b *testing.B) {
-		m, err := StepModel(nx, ny, solver)
+		m, err := StepModel(nx, ny)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +105,7 @@ func ThermalStep(nx, ny int, solver rcnet.SolverKind) func(b *testing.B) {
 // op is the steady cached-factor path (0 B/op — the earlier snapshots'
 // ~4.4 KB/op was that first factorization amortized into the mean).
 func SteadyState(b *testing.B) {
-	m, err := StepModel(23, 20, rcnet.SolverAuto)
+	m, err := StepModel(23, 20)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"repro/internal/par"
-	"repro/internal/rcnet"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -49,12 +48,8 @@ func InletSweep(ctx context.Context, o Options, bench string, inletsC []float64)
 	cache := o.cacheOrNew()
 	err = par.ForEach(ctx, o.Workers, len(inletsC), func(ii int) error {
 		inlet := inletsC[ii]
-		rcCfg := rcnet.DefaultConfig()
-		rcCfg.CoolantInlet = units.Celsius(inlet).ToKelvin()
-		rcCfg.Solver = o.Solver
-
 		spec := o.spec(2, true)
-		spec.RC = rcCfg
+		spec.RC.CoolantInlet = units.Celsius(inlet).ToKelvin()
 		p, err := cache.Get(spec)
 		if err != nil {
 			return err
@@ -84,7 +79,7 @@ func InletSweep(ctx context.Context, o Options, bench string, inletsC []float64)
 			cfg.Duration = o.Duration
 			cfg.Warmup = o.Warmup
 			cfg.GridNX, cfg.GridNY = o.GridNX, o.GridNY
-			cfg.RC = &rcCfg
+			cfg.RC = &spec.RC
 			cfg.Platform = p
 			return sim.Run(ctx, cfg)
 		}

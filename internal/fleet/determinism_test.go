@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,6 +110,19 @@ func TestKilledWorkerRequeueByteIdenticalReport(t *testing.T) {
 		final.Attempts[0].Outcome != OutcomeLost ||
 		final.Attempts[1].Outcome != OutcomeCompleted {
 		t.Fatalf("attempt history = %+v", final.Attempts)
+	}
+}
+
+// TestDecodeScenarioRejectsSolver: the thermal solver is not a scenario
+// field (the direct LDLᵀ solver is the only one), so a body that still
+// names one fails strict decoding as an unknown field instead of being
+// silently ignored.
+func TestDecodeScenarioRejectsSolver(t *testing.T) {
+	for _, body := range []string{`{"solver":"auto"}`, `{"workload":"gzip","solver":"cg"}`} {
+		_, err := DecodeScenario(json.RawMessage(body))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "solver"`) {
+			t.Errorf("DecodeScenario(%s) = %v, want an unknown-field error", body, err)
+		}
 	}
 }
 

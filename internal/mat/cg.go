@@ -9,44 +9,12 @@ import (
 // iteration budget without reaching the requested tolerance.
 var ErrNoConvergence = errors.New("mat: iterative solver did not converge")
 
-// Preconditioner selects the preconditioner applied inside SolveCG.
-type Preconditioner int
-
-const (
-	// PrecondJacobi is diagonal scaling — cheap per iteration, and the
-	// historical default.
-	PrecondJacobi Preconditioner = iota
-	// PrecondSSOR is symmetric successive over-relaxation (symmetric
-	// Gauss-Seidel at ω=1), an IC(0)-class preconditioner: one forward and
-	// one backward triangular sweep per application. It roughly halves the
-	// iteration count on the thermal Laplacians this package solves, at
-	// about one extra matvec of work per iteration.
-	PrecondSSOR
-)
-
-// String implements fmt.Stringer.
-func (p Preconditioner) String() string {
-	switch p {
-	case PrecondJacobi:
-		return "jacobi"
-	case PrecondSSOR:
-		return "ssor"
-	default:
-		return fmt.Sprintf("Preconditioner(%d)", int(p))
-	}
-}
-
 // CGOptions configures the conjugate-gradient solver.
 type CGOptions struct {
 	// Tol is the relative residual tolerance ‖b-Ax‖/‖b‖. Zero means 1e-10.
 	Tol float64
 	// MaxIter bounds iterations. Zero means 4·N.
 	MaxIter int
-	// Precond selects the preconditioner (default Jacobi).
-	Precond Preconditioner
-	// Omega is the SSOR relaxation factor in (0,2); zero means 1 (symmetric
-	// Gauss-Seidel). Ignored by the Jacobi preconditioner.
-	Omega float64
 }
 
 // CGResult reports solver diagnostics.
@@ -55,93 +23,12 @@ type CGResult struct {
 	Residual   float64
 }
 
-// CGWorkspace holds the scratch vectors of the conjugate-gradient solver so
-// repeated solves (one per simulation tick) allocate nothing. A zero
-// CGWorkspace is ready to use; it grows on first solve and is reused as
-// long as the system size is unchanged. A workspace must not be shared
-// between concurrent solves — give each goroutine its own.
-type CGWorkspace struct {
-	r, z, p, ap []float64
-	invDiag     []float64
-	tmp         []float64 // SSOR forward-sweep intermediate
-
-	// diagIdx caches the position of each row's diagonal entry of the
-	// matrix last passed to Solve (the triangular SSOR sweeps need it).
-	// Revalidated per solve against the matrix identity, so alternating
-	// matrices is correct, merely slower.
-	diagIdx   []int
-	diagOwner *CSR
-}
-
-func (w *CGWorkspace) resize(n int) {
-	if cap(w.r) < n {
-		w.r = make([]float64, n)
-		w.z = make([]float64, n)
-		w.p = make([]float64, n)
-		w.ap = make([]float64, n)
-		w.invDiag = make([]float64, n)
-		w.tmp = make([]float64, n)
-	}
-	w.r = w.r[:n]
-	w.z = w.z[:n]
-	w.p = w.p[:n]
-	w.ap = w.ap[:n]
-	w.invDiag = w.invDiag[:n]
-	w.tmp = w.tmp[:n]
-}
-
-// diagIndex returns the cached diagonal positions of a, rebuilding the
-// cache when a different matrix (or structure) is presented.
-func (w *CGWorkspace) diagIndex(a *CSR) ([]int, error) {
-	if w.diagOwner == a && len(w.diagIdx) == a.N {
-		return w.diagIdx, nil
-	}
-	if cap(w.diagIdx) < a.N {
-		w.diagIdx = make([]int, a.N)
-	}
-	w.diagIdx = w.diagIdx[:a.N]
-	if err := a.DiagIndex(w.diagIdx); err != nil {
-		w.diagOwner = nil
-		return nil, fmt.Errorf("%w; SSOR needs a full diagonal", err)
-	}
-	w.diagOwner = a
-	return w.diagIdx, nil
-}
-
-// applySSOR computes z = M⁻¹·r for the SSOR preconditioner
-// M ∝ (D/ω + L)·(D/ω)⁻¹·(D/ω + U), using one forward and one backward
-// triangular sweep. The constant factor ω(2−ω) is dropped: CG is invariant
-// to a uniform scaling of the preconditioner. Column indices within each
-// CSR row are sorted (Builder guarantees it), so the split at the diagonal
-// is a single cached index.
-func (w *CGWorkspace) applySSOR(a *CSR, diagIdx []int, omega float64, z, r []float64) {
-	y := w.tmp
-	// Forward solve (D/ω + L)·y = r.
-	for i := 0; i < a.N; i++ {
-		s := r[i]
-		for k := a.RowPtr[i]; k < diagIdx[i]; k++ {
-			s -= a.Val[k] * y[a.Col[k]]
-		}
-		y[i] = s * omega * w.invDiag[i]
-	}
-	// Scale by D/ω.
-	for i := range y {
-		y[i] /= omega * w.invDiag[i]
-	}
-	// Backward solve (D/ω + U)·z = y.
-	for i := a.N - 1; i >= 0; i-- {
-		s := y[i]
-		for k := diagIdx[i] + 1; k < a.RowPtr[i+1]; k++ {
-			s -= a.Val[k] * z[a.Col[k]]
-		}
-		z[i] = s * omega * w.invDiag[i]
-	}
-}
-
-// Solve runs preconditioned conjugate gradient on A·x = b for symmetric
-// positive definite A, reusing the workspace's scratch vectors. x is the
-// starting guess and holds the solution on return.
-func (w *CGWorkspace) Solve(a *CSR, x, b []float64, opt CGOptions) (CGResult, error) {
+// SolveCG solves A·x = b for symmetric positive definite A by
+// Jacobi-preconditioned conjugate gradient. x is the starting guess and
+// holds the solution on return. It is the independent reference the
+// direct LDLᵀ solver is tested against, not a production path: it
+// allocates its scratch on every call.
+func SolveCG(a *CSR, x, b []float64, opt CGOptions) (CGResult, error) {
 	n := a.N
 	if len(x) != n || len(b) != n {
 		panic("mat: SolveCG dimension mismatch")
@@ -154,41 +41,22 @@ func (w *CGWorkspace) Solve(a *CSR, x, b []float64, opt CGOptions) (CGResult, er
 	if maxIter == 0 {
 		maxIter = 4 * n
 	}
-	omega := opt.Omega
-	if omega == 0 {
-		omega = 1
-	}
-	if opt.Precond == PrecondSSOR && (omega <= 0 || omega >= 2) {
-		return CGResult{}, fmt.Errorf("mat: SSOR omega %g outside (0,2)", omega)
-	}
 
-	w.resize(n)
-	a.Diagonal(w.invDiag)
-	for i, d := range w.invDiag {
+	invDiag := make([]float64, n)
+	a.Diagonal(invDiag)
+	for i, d := range invDiag {
 		if d <= 0 {
 			return CGResult{}, fmt.Errorf("mat: non-positive diagonal %g at %d; matrix not SPD", d, i)
 		}
-		w.invDiag[i] = 1 / d
+		invDiag[i] = 1 / d
 	}
-	var diagIdx []int
-	if opt.Precond == PrecondSSOR {
-		var err error
-		if diagIdx, err = w.diagIndex(a); err != nil {
-			return CGResult{}, err
-		}
-	}
-	applyPrecond := func() {
-		switch opt.Precond {
-		case PrecondSSOR:
-			w.applySSOR(a, diagIdx, omega, w.z, w.r)
-		default:
-			for i := range w.z {
-				w.z[i] = w.invDiag[i] * w.r[i]
-			}
+	r, z, p, ap := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	precond := func() {
+		for i := range z {
+			z[i] = invDiag[i] * r[i]
 		}
 	}
 
-	r, z, p, ap := w.r, w.z, w.p, w.ap
 	a.MulVec(r, x)
 	for i := range r {
 		r[i] = b[i] - r[i]
@@ -202,7 +70,7 @@ func (w *CGWorkspace) Solve(a *CSR, x, b []float64, opt CGOptions) (CGResult, er
 		return CGResult{Iterations: 0, Residual: 0}, nil
 	}
 
-	applyPrecond()
+	precond()
 	copy(p, z)
 	rz := Dot(r, z)
 
@@ -220,7 +88,7 @@ func (w *CGWorkspace) Solve(a *CSR, x, b []float64, opt CGOptions) (CGResult, er
 			x[i] += alpha * p[i]
 			r[i] -= alpha * ap[i]
 		}
-		applyPrecond()
+		precond()
 		rzNew := Dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew
@@ -233,11 +101,4 @@ func (w *CGWorkspace) Solve(a *CSR, x, b []float64, opt CGOptions) (CGResult, er
 		return CGResult{Iterations: it, Residual: res}, ErrNoConvergence
 	}
 	return CGResult{Iterations: it, Residual: res}, nil
-}
-
-// SolveCG solves A·x = b with a throwaway workspace. Hot paths that solve
-// every tick should hold a CGWorkspace and call its Solve method instead.
-func SolveCG(a *CSR, x, b []float64, opt CGOptions) (CGResult, error) {
-	var w CGWorkspace
-	return w.Solve(a, x, b, opt)
 }

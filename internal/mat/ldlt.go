@@ -3,6 +3,7 @@ package mat
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrNotPositiveDefinite is returned by Factorize when a pivot is not
@@ -343,6 +344,16 @@ func (s *LDLSymbolic) Factorize(a *CSR, f *LDLNumeric) (*LDLNumeric, error) {
 		f.invd[k] = 1 / dk
 	}
 	return f, nil
+}
+
+// MinPivot returns the smallest entry of D (NaN if any entry is NaN): the
+// factored matrix is positive definite exactly when it is > 0.
+func (f *LDLNumeric) MinPivot() float64 {
+	mn := math.Inf(1)
+	for _, v := range f.d {
+		mn = min(mn, v)
+	}
+	return mn
 }
 
 // Solve computes x = A⁻¹·b through the cached factors: permute, one

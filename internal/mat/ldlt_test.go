@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -126,13 +127,34 @@ func TestLDLGridAgainstCG(t *testing.T) {
 	xd := make([]float64, a.N)
 	f.Solve(xd, bvec)
 	xcg := make([]float64, a.N)
-	if _, err := SolveCG(a, xcg, bvec, CGOptions{Tol: 1e-12, Precond: PrecondSSOR}); err != nil {
+	if _, err := SolveCG(a, xcg, bvec, CGOptions{Tol: 1e-12}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range xd {
 		if d := math.Abs(xd[i] - xcg[i]); d > 1e-8 {
 			t.Fatalf("node %d: direct %g vs CG %g", i, xd[i], xcg[i])
 		}
+	}
+}
+
+func TestLDLMinPivot(t *testing.T) {
+	a := gridLaplacian(12, 10, 2.5)
+	s, err := AnalyzeLDL(a, OrderAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := s.Factorize(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := f.MinPivot(); !(p > 0) || p != slices.Min(f.d) {
+		t.Errorf("SPD factor: MinPivot = %g, smallest pivot %g", p, slices.Min(f.d))
+	}
+	if p := (&LDLNumeric{d: []float64{2, 0.5, 3}}).MinPivot(); p != 0.5 {
+		t.Errorf("MinPivot = %g, want 0.5", p)
+	}
+	if p := (&LDLNumeric{d: []float64{2, math.NaN(), 0.5}}).MinPivot(); !math.IsNaN(p) {
+		t.Errorf("MinPivot with a NaN pivot = %g, want NaN", p)
 	}
 }
 

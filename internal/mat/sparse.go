@@ -1,9 +1,11 @@
 // Package mat provides the small amount of numerical linear algebra the
-// thermal solver needs: compressed-sparse-row matrices, a preconditioned
-// conjugate-gradient solver (Jacobi or SSOR, with reusable scratch
-// workspaces for allocation-free tick loops) for the symmetric positive
-// definite systems that arise from RC thermal networks, and a dense LU
-// fallback used by tests and tiny systems.
+// thermal solver needs: compressed-sparse-row matrices, a sparse LDLᵀ
+// direct solver (symbolic analysis once per structure, numeric factors
+// per matrix, allocation-free triangular sweeps) for the symmetric
+// positive definite systems that arise from RC thermal networks, a
+// Jacobi-preconditioned conjugate-gradient solver the tests use as an
+// independent reference, and a dense LU solver for the tiny normal
+// equations of the ARMA fit.
 //
 // Go has no numerical ecosystem in the standard library, so this package is
 // deliberately self-contained and tuned only as far as the simulator

@@ -7,6 +7,16 @@ import (
 	"testing/quick"
 )
 
+// residual returns the relative residual ‖b − m·x‖/‖b‖.
+func residual(m *CSR, x, b []float64) float64 {
+	ax := make([]float64, m.N)
+	m.MulVec(ax, x)
+	for i := range ax {
+		ax[i] = b[i] - ax[i]
+	}
+	return Norm2(ax) / Norm2(b)
+}
+
 // laplacian1D builds the classic tridiagonal SPD matrix for an n-point
 // 1-D diffusion problem with Dirichlet ends.
 func laplacian1D(n int) *CSR {

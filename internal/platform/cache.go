@@ -61,7 +61,6 @@ func NewDiskCache(max int, dir string) *Cache {
 // shared numeric factors are released (those runs keep the ones they
 // hold).
 func (c *Cache) Get(spec Spec) (*Platform, error) {
-	spec = spec.Canonical()
 	c.mu.Lock()
 	if p, ok := c.entries[spec]; ok {
 		c.hits++

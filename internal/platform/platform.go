@@ -61,20 +61,17 @@ type Spec struct {
 	Liquid bool
 	// GridNX, GridNY are the thermal grid resolution.
 	GridNX, GridNY int
-	// RC is the thermal boundary/solver configuration (comparable: no
-	// slices or pointers).
+	// RC is the thermal boundary configuration (comparable: no slices or
+	// pointers).
 	RC rcnet.Config
 }
 
 // Canonical returns the spec with defaulted fields normalized, so two
 // specs that build identical artifacts compare equal (and hit the same
-// cache entry).
-func (s Spec) Canonical() Spec {
-	if s.RC.SolverTol == 0 {
-		s.RC.SolverTol = rcnet.DefaultConfig().SolverTol
-	}
-	return s
-}
+// cache entry). No field is defaulted any more, so it returns s
+// unchanged; it stays because the repository benchmark (perfbench, its
+// own module) canonicalizes the specs it builds.
+func (s Spec) Canonical() Spec { return s }
 
 // Validate reports whether the spec is buildable.
 func (s Spec) Validate() error {
@@ -93,7 +90,7 @@ func (s Spec) String() string {
 	if s.Liquid {
 		cooling = "liquid"
 	}
-	return fmt.Sprintf("%dL/%s/%dx%d/solver=%v", s.Layers, cooling, s.GridNX, s.GridNY, s.RC.Solver)
+	return fmt.Sprintf("%dL/%s/%dx%d", s.Layers, cooling, s.GridNX, s.GridNY)
 }
 
 // Stats counts the expensive builds a platform has performed. Each
@@ -230,7 +227,6 @@ func New(spec Spec) (*Platform, error) { return NewWithDir(spec, "") }
 // one's analyses. Corrupt or stale files are ignored (the analysis
 // simply runs again); save failures are non-fatal for the same reason.
 func NewWithDir(spec Spec, dir string) (*Platform, error) {
-	spec = spec.Canonical()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -279,18 +275,16 @@ func (p *Platform) symbolic(ctx context.Context) (*mat.LDLSymbolic, error) {
 
 // Warm eagerly builds the expensive artifacts a run on this platform
 // would otherwise build lazily at first use: the direct solver's
-// symbolic analysis always (unless the spec forces CG), the flow LUT
-// when lut is set (liquid platforms only — the flag is ignored
-// otherwise) and the TALB weight table when weights is set. Builds go
+// symbolic analysis always, the flow LUT when lut is set (liquid
+// platforms only — the flag is ignored otherwise) and the TALB weight
+// table when weights is set. Builds go
 // through the same deduplication cells as the lazy path, so a Warm
 // racing real runs never repeats work, and a canceled build is not
 // cached — the next caller retries. The campaign engine calls this once
 // per distinct platform shape before fanning members out.
 func (p *Platform) Warm(ctx context.Context, lut, weights bool) error {
-	if p.spec.RC.Solver != rcnet.SolverCG {
-		if _, err := p.symbolic(ctx); err != nil {
-			return err
-		}
+	if _, err := p.symbolic(ctx); err != nil {
+		return err
 	}
 	if lut && p.spec.Liquid {
 		if _, err := p.LUT(ctx); err != nil {
@@ -307,11 +301,11 @@ func (p *Platform) Warm(ctx context.Context, lut, weights bool) error {
 
 // NewModel returns a fresh thermal model on the shared network. Every
 // model owns its mutable state (temperatures, scratch) and reads the
-// network's assembly in place; with the direct solver it is seeded with
-// a private clone of the shared symbolic analysis, so per-model
-// construction skips assembly, ordering and fill analysis entirely, and
-// it solves through the platform's shared numeric factors. ctx bounds
-// the wait on a concurrent symbolic build.
+// network's assembly in place; it is seeded with a private clone of the
+// shared symbolic analysis, so per-model construction skips assembly,
+// ordering and fill analysis entirely, and it solves through the
+// platform's shared numeric factors. ctx bounds the wait on a concurrent
+// symbolic build.
 func (p *Platform) NewModel(ctx context.Context) (*rcnet.Model, error) {
 	return p.newModel(ctx, p.factors)
 }
@@ -328,13 +322,9 @@ func (p *Platform) NewScratchModel(ctx context.Context) (*rcnet.Model, error) {
 // newModel builds a model drawing its numeric factors from factors (nil:
 // a private cache).
 func (p *Platform) newModel(ctx context.Context, factors *rcnet.Factors) (*rcnet.Model, error) {
-	var symb *mat.LDLSymbolic
-	if p.spec.RC.Solver != rcnet.SolverCG {
-		s, err := p.symbolic(ctx)
-		if err != nil {
-			return nil, err
-		}
-		symb = s
+	symb, err := p.symbolic(ctx)
+	if err != nil {
+		return nil, err
 	}
 	m, err := p.net.NewModel(symb, factors)
 	if err != nil {

@@ -16,10 +16,8 @@ func quickSpec(layers int, liquid bool) Spec {
 }
 
 func TestSpecCanonicalEquality(t *testing.T) {
-	a := quickSpec(2, true)
-	a.RC.SolverTol = 0 // defaulted field
-	b := quickSpec(2, true)
-	if a.Canonical() != b.Canonical() {
+	a, b := quickSpec(2, true), quickSpec(2, true)
+	if a.Canonical() != a || a.Canonical() != b.Canonical() {
 		t.Errorf("canonical specs differ: %+v vs %+v", a.Canonical(), b.Canonical())
 	}
 	if a.Canonical() == quickSpec(2, false).Canonical() {

@@ -15,13 +15,13 @@ import (
 // drawing their numeric factors from one shared cache, as a platform's
 // run models do,
 // each with the T1 power map and flow 0.5 l/min.
-func sharedFleet(t *testing.T, n int, cfg Config) ([]*Model, *Factors) {
+func sharedFleet(t *testing.T, n int) ([]*Model, *Factors) {
 	t.Helper()
 	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(12, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := NewNetwork(g, cfg)
+	net, err := NewNetwork(g, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func sharedFleet(t *testing.T, n int, cfg Config) ([]*Model, *Factors) {
 // solving through views — computes identical temperatures.
 func TestSharedFactorConcurrentSingleBuild(t *testing.T) {
 	const n = 8
-	models, fc := sharedFleet(t, n, DefaultConfig())
+	models, fc := sharedFleet(t, n)
 	start := make(chan struct{})
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -97,7 +97,7 @@ func TestSharedFactorConcurrentSingleBuild(t *testing.T) {
 // solves through, and the holder's trajectory stays bit-identical to a
 // private model's.
 func TestSharedFactorEvictionKeepsHolders(t *testing.T) {
-	models, fc := sharedFleet(t, 2, DefaultConfig())
+	models, fc := sharedFleet(t, 2)
 	churn, holder := models[0], models[1]
 	ref, err := New(holder.Grid, DefaultConfig())
 	if err != nil {
@@ -170,9 +170,9 @@ func TestSharedFactorPanicReleasesWaiters(t *testing.T) {
 }
 
 // TestSharedFactorFailure: a key whose factorization failed is cached as
-// broken for every model on the shared cache. Under SolverAuto each of
-// them takes the CG fallback (and matches a CG model); under SolverDirect
-// each of them gets the error, not only the one that factorized.
+// broken for every model on the shared cache: each of them gets the
+// error, not only the one that factorized, and the key is never
+// factorized again.
 func TestSharedFactorFailure(t *testing.T) {
 	inject := func(fc *Factors, m *Model) {
 		t.Helper()
@@ -184,46 +184,8 @@ func TestSharedFactorFailure(t *testing.T) {
 		}
 	}
 
-	t.Run("auto", func(t *testing.T) {
-		models, fc := sharedFleet(t, 3, DefaultConfig())
-		inject(fc, models[0])
-		cgCfg := DefaultConfig()
-		cgCfg.Solver = SolverCG
-		ref, err := New(models[0].Grid, cgCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t1Power(t, ref)
-		if err := ref.SetFlow(0.5); err != nil {
-			t.Fatal(err)
-		}
-		for range 3 {
-			if err := ref.Step(0.1); err != nil {
-				t.Fatal(err)
-			}
-			for i, m := range models {
-				if err := m.Step(0.1); err != nil {
-					t.Fatalf("model %d: %v", i, err)
-				}
-				if d := maxAbsDiff(m.Temps(), ref.Temps()); d != 0 {
-					t.Fatalf("model %d did not take the CG fallback: |T − T_CG| = %g K", i, d)
-				}
-			}
-		}
-		for i, m := range models {
-			if got := m.Factorizations(); got != 0 {
-				t.Errorf("model %d factorized %d times on a broken key", i, got)
-			}
-		}
-		if builds, _ := fc.Counts(); builds != 1 {
-			t.Errorf("broken key factorized %d times, want 1", builds)
-		}
-	})
-
 	t.Run("direct", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.Solver = SolverDirect
-		models, fc := sharedFleet(t, 3, cfg)
+		models, fc := sharedFleet(t, 3)
 		inject(fc, models[0])
 		for i, m := range models {
 			for range 2 {
@@ -231,6 +193,12 @@ func TestSharedFactorFailure(t *testing.T) {
 					t.Fatalf("model %d: Step error %v, want ErrNotPositiveDefinite", i, err)
 				}
 			}
+			if got := m.Factorizations(); got != 0 {
+				t.Errorf("model %d factorized %d times on a broken key", i, got)
+			}
+		}
+		if builds, _ := fc.Counts(); builds != 1 {
+			t.Errorf("broken key factorized %d times, want 1", builds)
 		}
 	})
 
@@ -243,7 +211,6 @@ func TestSharedFactorFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := DefaultConfig()
-		cfg.Solver = SolverDirect
 		cfg.SinkConvectionR = -1e-4
 		net, err := NewNetwork(g, cfg)
 		if err != nil {

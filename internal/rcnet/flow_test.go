@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/floorplan"
-	"repro/internal/grid"
 	"repro/internal/units"
 )
 
@@ -127,51 +125,6 @@ func TestSinkNodeTransientSlow(t *testing.T) {
 	if steady-after1s < 3 {
 		t.Errorf("air package reached steady too fast: 1 s %v vs steady %v", after1s, steady)
 	}
-}
-
-func TestSolverToleranceConfigurable(t *testing.T) {
-	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(12, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.SolverTol = 1e-4
-	m, err := New(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1Power(t, m)
-	if err := m.SetFlow(0.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SteadyState(); err != nil {
-		t.Fatal(err)
-	}
-	// Loose tolerance still lands within ~0.5 K of the tight solution.
-	ref := testModelAt(t, 12, 10)
-	t1Power(t, ref)
-	if err := ref.SetFlow(0.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.SteadyState(); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(m.MaxDieTemp()-ref.MaxDieTemp())) > 0.5 {
-		t.Errorf("tolerance sensitivity too high: %v vs %v", m.MaxDieTemp(), ref.MaxDieTemp())
-	}
-}
-
-func testModelAt(t *testing.T, nx, ny int) *Model {
-	t.Helper()
-	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(nx, ny))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(g, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
 }
 
 func TestNumNodesAccounting(t *testing.T) {

@@ -26,9 +26,9 @@
 // factored numerically the first time each (flow > 0, dt) combination is
 // solved — once for all the models that share a factor cache (Factors; a
 // platform's run models do) — and every subsequent tick costs just two
-// triangular sweeps, allocation-free. Preconditioned conjugate gradient
-// (SSOR by default, Jacobi optional) remains available as a cross-check
-// (Config.Solver) and as the automatic fallback; steady states are
+// triangular sweeps, allocation-free. The analysis picks the LDLᵀ
+// kernel family (scalar columns vs dense supernodal panels) by system
+// size (mat.LDLSymbolic.SupernodalProfitable). Steady states are
 // fixed-point iterations between the conduction solve and the coolant
 // march.
 package rcnet
@@ -66,20 +66,6 @@ type Config struct {
 	SinkCapacitance float64
 	// InitTemp is the uniform initial temperature.
 	InitTemp units.Kelvin
-	// SolverTol is the CG relative tolerance (default 1e-8).
-	SolverTol float64
-	// Precond selects the CG preconditioner. The zero value is Jacobi
-	// scaling; DefaultConfig picks SSOR, which roughly halves the
-	// iteration count at about one extra matvec per iteration — ~30%
-	// faster per Step on the paper-resolution grid.
-	Precond mat.Preconditioner
-	// Solver selects the linear solver: the zero value SolverAuto uses
-	// the cached sparse LDLᵀ direct solver (factor once per (flow > 0,
-	// dt) key, two triangular sweeps per tick) with CG as the fallback;
-	// SolverCG forces the iterative path. The analysis picks the LDLᵀ
-	// kernel family (scalar columns vs dense supernodal panels) by
-	// system size (mat.LDLSymbolic.SupernodalProfitable).
-	Solver SolverKind
 }
 
 // DefaultConfig returns the configuration used throughout the experiments.
@@ -91,9 +77,6 @@ func DefaultConfig() Config {
 		SinkConvectionR:       0.1,
 		SinkCapacitance:       140,
 		InitTemp:              units.Celsius(60).ToKelvin(),
-		SolverTol:             1e-8,
-		Precond:               mat.PrecondSSOR,
-		Solver:                SolverAuto,
 	}
 }
 
@@ -166,8 +149,7 @@ type Model struct {
 	// the diagonal).
 	sys      *mat.CSR
 	rhs, old []float64
-	ws       mat.CGWorkspace // CG scratch, reused across Step/SteadyState
-	ssPrev   []float64       // SteadyState fixed-point scratch
+	ssPrev   []float64 // SteadyState fixed-point scratch
 
 	// Direct-solver state: one symbolic analysis per model (the sparsity
 	// is the network's; a clone of a shared one when NewModel is given
@@ -197,9 +179,6 @@ func New(g *grid.Grid, cfg Config) (*Model, error) {
 
 // NewNetwork assembles the thermal network for g.
 func NewNetwork(g *grid.Grid, cfg Config) (*Network, error) {
-	if cfg.SolverTol == 0 {
-		cfg.SolverTol = 1e-8
-	}
 	net := &Network{Grid: g, Cfg: cfg, sinkNode: -1}
 	net.n = g.TotalNodes()
 	if !g.Stack.LiquidCooled {
@@ -270,7 +249,7 @@ func (net *Network) NewModel(symb *mat.LDLSymbolic, factors *Factors) (*Model, e
 	for i := range m.temp {
 		m.temp[i] = float64(net.Cfg.InitTemp)
 	}
-	if symb != nil && net.Cfg.Solver != SolverCG {
+	if symb != nil {
 		if !symb.Matches(m.sys) {
 			return nil, fmt.Errorf("rcnet: shared symbolic analysis is for a different structure (%d nodes, model has %d)",
 				symb.N(), n)
@@ -593,42 +572,29 @@ func (m *Model) buildSystem(dt float64) {
 
 // Step advances the transient solution by dt seconds with backward Euler,
 // marching the coolant once per step (the paper re-computes flux-dependent
-// terms periodically rather than continuously). With the default direct
-// solver the first Step after a new (flow > 0, dt) combination factors
-// the system once; every later tick reuses the cached factors and performs
-// just two triangular sweeps, allocation-free.
+// terms periodically rather than continuously). The first Step after a
+// new (flow > 0, dt) combination factors the system once; every later
+// tick reuses the cached factors and performs just two triangular
+// sweeps, allocation-free.
 func (m *Model) Step(dt units.Second) error {
 	if dt <= 0 {
 		return fmt.Errorf("rcnet: non-positive dt %v", dt)
 	}
 	m.prepareStep(float64(dt))
-	return m.solvePrepared(float64(dt))
+	if err := m.solveDirect(float64(dt)); err != nil {
+		return fmt.Errorf("rcnet: transient solve: %w", err)
+	}
+	return nil
 }
 
 // prepareStep runs the pre-solve half of Step: coolant march, state
 // rotation and system assembly. After it, the model's (sys, rhs) pair is
-// ready for solvePrepared — or for a gang's SolveBatch sweep (see
+// ready for the direct solve — or for a gang's SolveBatch sweep (see
 // BatchStepper), which is why the halves are split.
 func (m *Model) prepareStep(dt float64) {
 	m.marchCoolant(1)
 	copy(m.old, m.temp)
 	m.buildSystem(dt)
-}
-
-// solvePrepared runs the post-assembly half of Step: the cached direct
-// solve with the CG fallback. Step ≡ prepareStep + solvePrepared.
-func (m *Model) solvePrepared(dt float64) error {
-	if done, err := m.solveDirect(dt); err != nil {
-		return fmt.Errorf("rcnet: transient solve: %w", err)
-	} else if done {
-		return nil
-	}
-	_, err := m.ws.Solve(m.sys, m.temp, m.rhs,
-		mat.CGOptions{Tol: m.Cfg.SolverTol, Precond: m.Cfg.Precond})
-	if err != nil {
-		return fmt.Errorf("rcnet: transient solve: %w", err)
-	}
-	return nil
 }
 
 // SteadyState solves for the equilibrium temperature field via fixed-point
@@ -669,14 +635,8 @@ func (m *Model) SteadyState() error {
 		// every outer iteration — and every ladder point at every pump
 		// setting of a controller.BuildLUT sweep — reuses the cached
 		// factors.
-		if done, err := m.solveDirect(0); err != nil {
+		if err := m.solveDirect(0); err != nil {
 			return fmt.Errorf("rcnet: steady solve: %w", err)
-		} else if !done {
-			_, err := m.ws.Solve(m.sys, m.temp, m.rhs,
-				mat.CGOptions{Tol: m.Cfg.SolverTol, MaxIter: 20 * m.n, Precond: m.Cfg.Precond})
-			if err != nil {
-				return fmt.Errorf("rcnet: steady solve: %w", err)
-			}
 		}
 		if totalTransport > 0 {
 			imbalance := float64(m.TotalPower()) - float64(m.HeatRemovedByCoolant())

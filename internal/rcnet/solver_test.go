@@ -1,12 +1,10 @@
 package rcnet
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/floorplan"
 	"repro/internal/grid"
-	"repro/internal/mat"
 	"repro/internal/units"
 )
 
@@ -32,105 +30,32 @@ func TestTempsCopyDoesNotAlias(t *testing.T) {
 	}
 }
 
-// TestSSORPrecondMatchesJacobi steps identically configured models with
-// the two preconditioners through a flow change and checks the trajectories
-// agree to solver tolerance — both the reusable-workspace fast path and the
-// SSOR option must reproduce the reference solution. SolverCG is forced so
-// the test keeps exercising the iterative path now that the direct LDLᵀ
-// solver is the default.
-func TestSSORPrecondMatchesJacobi(t *testing.T) {
-	build := func(pc mat.Preconditioner) *Model {
-		g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(12, 10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.Precond = pc
-		cfg.Solver = SolverCG
-		m, err := New(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t1Power(t, m)
-		if err := m.SetFlow(0.5); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	mj := build(mat.PrecondJacobi)
-	ms := build(mat.PrecondSSOR)
-	step := func(m *Model) {
-		for i := 0; i < 20; i++ {
-			if i == 10 {
-				if err := m.SetFlow(0.2); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := m.Step(0.1); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	step(mj)
-	step(ms)
-	tj, ts := mj.Temps(), ms.Temps()
-	for i := range tj {
-		if d := math.Abs(tj[i] - ts[i]); d > 1e-5 {
-			t.Fatalf("node %d: Jacobi %g vs SSOR %g (Δ=%g)", i, tj[i], ts[i], d)
-		}
-	}
-
-	// Steady state must agree too.
-	if err := mj.SteadyState(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.SteadyState(); err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(float64(mj.MaxDieTemp() - ms.MaxDieTemp())); d > 1e-4 {
-		t.Errorf("steady Tmax differs by %g K between preconditioners", d)
-	}
-}
-
-// TestStepAllocFree pins the per-tick fast paths: after the first step of
-// a configuration, the transient solve must not allocate — no CG scratch,
-// no matrix copy, no coolant-march buffers, and on the direct path no
-// factorization (the cached factors are reused, so Step is two triangular
-// sweeps).
+// TestStepAllocFree pins the per-tick fast path: after the first step of
+// a configuration, the transient solve must not allocate — no matrix
+// copy, no coolant-march buffers and no factorization (the cached factors
+// are reused, so Step is two triangular sweeps).
 func TestStepAllocFree(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  func(*Config)
-	}{
-		{"direct", func(c *Config) { c.Solver = SolverDirect }},
-		{"cg-jacobi", func(c *Config) { c.Solver = SolverCG; c.Precond = mat.PrecondJacobi }},
-		{"cg-ssor", func(c *Config) { c.Solver = SolverCG; c.Precond = mat.PrecondSSOR }},
+	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(12, 10))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(12, 10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		tc.cfg(&cfg)
-		m, err := New(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t1Power(t, m)
-		if err := m.SetFlow(0.5); err != nil {
-			t.Fatal(err)
-		}
+	m, err := New(g, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1Power(t, m)
+	if err := m.SetFlow(0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Step(0.1); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
 		if err := m.Step(0.1); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if err := m.Step(0.1); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: Step allocates %v objects per tick, want 0", tc.name, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("Step allocates %v objects per tick, want 0", allocs)
 	}
 }

@@ -25,14 +25,11 @@ type gangKey struct {
 }
 
 // gangable reports whether a config can be co-scheduled: it must ride a
-// shared platform (a private platform has nothing to share), use the
+// shared platform (a private platform has nothing to share) and use the
 // fixed engine (the adaptive engine's solve cadence is data-dependent, so
-// gang members would fall out of lock-step), and not force the CG solver
-// (no factorization to share).
+// gang members would fall out of lock-step).
 func gangable(cfg Config) bool {
-	return cfg.Platform != nil &&
-		cfg.Stepper.Kind == stepper.Fixed &&
-		cfg.Platform.Spec().RC.Solver != rcnet.SolverCG
+	return cfg.Platform != nil && cfg.Stepper.Kind == stepper.Fixed
 }
 
 // planJobs partitions config indices into worker jobs. With at least one

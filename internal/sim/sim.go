@@ -79,11 +79,6 @@ type Config struct {
 	// RC overrides the thermal boundary configuration; zero value means
 	// rcnet.DefaultConfig().
 	RC *rcnet.Config
-	// Solver overrides the thermal linear solver (applied on top of RC or
-	// the default config): rcnet.SolverAuto (the zero value) keeps the
-	// cached-LDLᵀ direct solver, rcnet.SolverCG forces the iterative
-	// path.
-	Solver rcnet.SolverKind
 	// ControllerCfg overrides the flow controller configuration (used by
 	// the ablation benches); nil means controller.DefaultConfig().
 	ControllerCfg *controller.Config
@@ -279,16 +274,13 @@ func (cfg Config) PlatformSpec() (platform.Spec, error) {
 	if cfg.RC != nil {
 		rcCfg = *cfg.RC
 	}
-	if cfg.Solver != rcnet.SolverAuto {
-		rcCfg.Solver = cfg.Solver
-	}
 	spec := platform.Spec{
 		Layers: cfg.Layers,
 		Liquid: cfg.Cooling != Air,
 		GridNX: cfg.GridNX,
 		GridNY: cfg.GridNY,
 		RC:     rcCfg,
-	}.Canonical()
+	}
 	return spec, spec.Validate()
 }
 
