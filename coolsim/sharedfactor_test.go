@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
 )
 
@@ -76,5 +77,51 @@ func TestSharedFactorsByteIdentical(t *testing.T) {
 	if st.FactorBuilds == 0 || st.FactorHits == 0 {
 		t.Errorf("factor_builds=%d factor_hits=%d: the runs did not share factors",
 			st.FactorBuilds, st.FactorHits)
+	}
+}
+
+// TestRunManySupernodalGOMAXPROCS is the end-to-end determinism check of
+// the subtree-parallel supernodal kernels: RunMany on the 4-layer 23×20
+// stack (n = 4140, the panel kernels, whose factorizations and solves
+// fork onto goroutines) gives byte-identical reports at GOMAXPROCS 1 and
+// 8. Only the placement-dependent gang diagnostic is excluded.
+func TestRunManySupernodalGOMAXPROCS(t *testing.T) {
+	ctx := context.Background()
+	var scs []Scenario
+	for i, cooling := range []string{CoolingMax, CoolingVar} {
+		sc := warmScenario("Web-high", int64(i+1))
+		sc.Layers = 4
+		sc.GridNX, sc.GridNY = 23, 20
+		sc.Duration = 2
+		sc.Warmup = 0.5
+		sc.Cooling = cooling
+		scs = append(scs, sc)
+	}
+	var want [][]byte
+	for _, p := range []int{1, 8} {
+		var reports []*Report
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
+			var err error
+			if reports, err = RunMany(ctx, scs, WithWorkers(2)); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		for i, r := range reports {
+			c := *r
+			c.BatchedSolves = 0
+			got, err := json.Marshal(&c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p == 1 {
+				want = append(want, got)
+				continue
+			}
+			if !bytes.Equal(got, want[i]) {
+				t.Errorf("scenario %d (%s): GOMAXPROCS=%d report differs from GOMAXPROCS=1\n1: %s\n%d: %s",
+					i, scs[i].Cooling, p, want[i], p, got)
+			}
+		}
 	}
 }

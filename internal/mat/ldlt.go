@@ -21,7 +21,8 @@ var ErrNotPositiveDefinite = errors.New("mat: matrix not positive definite")
 //
 // A symbolic object carries the scratch buffers of Factorize and Solve, so
 // neither allocates; consequently it must not be used from more than one
-// goroutine at a time.
+// goroutine at a time. (The supernodal kernels fork their own subtree
+// workers inside one call, each with its own slice of that scratch.)
 type LDLSymbolic struct {
 	n      int
 	nnzA   int    // stored entries of the analyzed matrix (structure check)
@@ -47,19 +48,18 @@ type LDLSymbolic struct {
 	super   *superState
 	superOn bool
 
-	// Scratch.
+	// Scratch, each buffer grown on first use (a Clone starts with none).
 	y       []float64
 	pattern []int
 	flag    []int
 	lnz     []int
-	w       []float64 // Solve permuted work vector
-	wb      []float64 // SolveBatch panel, grown to n·k on demand
-	ssmap   []int32   // supernodal factorize: global row → panel-local row
-	sidx    []int32   // supernodal factorize: per-update local row indices
-	supd    []float64 // supernodal factorize: dense Schur-update buffer
-	stmp    []float64 // supernodal solve: below-row accumulator / gather buffer
-	sbacc   []float64 // supernodal batch backward accumulator (one lane row), grown on demand
-	sbtmp   []float64 // supernodal batch below-row accumulator / gather, grown on demand
+	w       []float64      // Solve permuted work vector
+	wb      []float64      // SolveBatch panel, grown to n·k on demand
+	sw      []superScratch // supernodal kernels: one scratch per subtree worker
+	flog    []float64      // supernodal forward sweep: the task supernodes' above-root accumulators
+	fork    superFork      // supernodal kernels: fork-join state of the subtree tasks
+	sbacc   []float64      // supernodal batch backward accumulator (one lane row), grown on demand
+	sbtmp   []float64      // supernodal batch below-row accumulator / gather, grown on demand
 }
 
 // LDLNumeric holds the numeric factors of one matrix: PAPᵀ = L·D·Lᵀ with
@@ -99,13 +99,13 @@ func (s *LDLSymbolic) N() int { return s.n }
 // Clone returns a symbolic analysis that shares the immutable products of
 // AnalyzeLDL — the fill-reducing permutation, the permuted upper triangle,
 // the elimination tree, the complete pattern of L (column pointers and
-// row indices) — but owns its scratch buffers. The clone can therefore
-// factorize and solve concurrently with the original (and with other
-// clones), which is what lets one expensive analysis serve every model
-// of a shared platform.
-// Cloning costs a handful of O(n) allocations; the ordering and symbolic
-// passes are not repeated. The supernode partition is shared too and the
-// kernel-mode flag copied.
+// row indices), the supernode partition and its subtree schedule — and
+// copies the kernel-mode flag, but owns its scratch buffers. The clone
+// can therefore factorize and solve concurrently with the original (and
+// with other clones), which is what lets one expensive analysis serve
+// every model of a shared platform. Cloning allocates only the header:
+// the ordering and symbolic passes are not repeated, and each scratch
+// buffer is grown on the clone's first use of the call that needs it.
 func (s *LDLSymbolic) Clone() *LDLSymbolic {
 	return &LDLSymbolic{
 		n:      s.n,
@@ -119,12 +119,15 @@ func (s *LDLSymbolic) Clone() *LDLSymbolic {
 		li:      s.li,
 		super:   s.super,
 		superOn: s.superOn,
-		y:       make([]float64, s.n),
-		pattern: make([]int, s.n),
-		flag:    make([]int, s.n),
-		lnz:     make([]int, s.n),
-		w:       make([]float64, s.n),
 	}
+}
+
+// Detach returns a factor over f's numeric arrays bound to a fresh Clone
+// of its analysis. It is the form a cache of factors should hold: it
+// keeps L, D and the shared analysis alive but none of the solve and
+// factorization scratch of the analysis that built it.
+func (f *LDLNumeric) Detach() *LDLNumeric {
+	return &LDLNumeric{s: f.s.Clone(), lx: f.lx, d: f.d, invd: f.invd, super: f.super}
 }
 
 // NNZL returns the stored entry count of the L factor (fill diagnostics;
@@ -212,43 +215,40 @@ func AnalyzeLDL(a *CSR, ord Ordering) (*LDLSymbolic, error) {
 	// pass): row k's pattern is the union of the etree paths from the
 	// above-diagonal entries of column k up to k.
 	s.parent = make([]int, n)
-	s.flag = make([]int, n)
-	s.lnz = make([]int, n)
+	flag := make([]int, n)
+	lnz := make([]int, n)
 	for k := 0; k < n; k++ {
 		s.parent[k] = -1
-		s.flag[k] = k
+		flag[k] = k
 		for p := s.cp[k]; p < s.cp[k+1]; p++ {
-			for i := s.ci[p]; s.flag[i] != k; i = s.parent[i] {
+			for i := s.ci[p]; flag[i] != k; i = s.parent[i] {
 				if s.parent[i] < 0 {
 					s.parent[i] = k
 				}
-				s.lnz[i]++
-				s.flag[i] = k
+				lnz[i]++
+				flag[i] = k
 			}
 		}
 	}
 	s.lp = make([]int, n+1)
 	for k := 0; k < n; k++ {
-		s.lp[k+1] = s.lp[k] + s.lnz[k]
+		s.lp[k+1] = s.lp[k] + lnz[k]
 	}
 
 	// Fill the row indices of L with a second reach pass. Row k of L
 	// appends k to every column i in its pattern, and successive k are
 	// appended in ascending order — exactly the positions the up-looking
 	// numeric factorization writes — so the pattern becomes immutable and
-	// Clone can share it. lnz doubles as the per-column cursor (Factorize
-	// re-derives it row by row anyway).
+	// Clone can share it. lnz doubles as the per-column cursor.
 	s.li = make([]int32, s.lp[n])
-	for i := range s.lnz {
-		s.lnz[i] = 0
-	}
+	clear(lnz)
 	for k := 0; k < n; k++ {
-		s.flag[k] = k
+		flag[k] = k
 		for p := s.cp[k]; p < s.cp[k+1]; p++ {
-			for i := s.ci[p]; s.flag[i] != k; i = s.parent[i] {
-				s.li[s.lp[i]+s.lnz[i]] = int32(k)
-				s.lnz[i]++
-				s.flag[i] = k
+			for i := s.ci[p]; flag[i] != k; i = s.parent[i] {
+				s.li[s.lp[i]+lnz[i]] = int32(k)
+				lnz[i]++
+				flag[i] = k
 			}
 		}
 	}
@@ -259,10 +259,6 @@ func AnalyzeLDL(a *CSR, ord Ordering) (*LDLSymbolic, error) {
 	// then is its index structure kept.
 	s.buildSupernodes(maxSuperWidth, true, false)
 	s.superOn = s.SupernodalProfitable()
-
-	s.y = make([]float64, n)
-	s.pattern = make([]int, n)
-	s.w = make([]float64, n)
 	return s, nil
 }
 
@@ -294,6 +290,12 @@ func (s *LDLSymbolic) Factorize(a *CSR, f *LDLNumeric) (*LDLNumeric, error) {
 		return s.factorizeSuper(a, f)
 	}
 	n := s.n
+	if len(s.y) != n {
+		s.y = make([]float64, n)
+		s.pattern = make([]int, n)
+		s.flag = make([]int, n)
+		s.lnz = make([]int, n)
+	}
 	y, pattern, flag, lnz := s.y, s.pattern, s.flag, s.lnz
 	for k := 0; k < n; k++ {
 		// Pattern of row k of L via elimination-tree reach, values of
@@ -366,6 +368,9 @@ func (f *LDLNumeric) Solve(x, b []float64) {
 	n := s.n
 	if len(x) != n || len(b) != n {
 		panic("mat: LDL Solve dimension mismatch")
+	}
+	if len(s.w) != n {
+		s.w = make([]float64, n)
 	}
 	w := s.w
 	for k := 0; k < n; k++ {

@@ -2,7 +2,10 @@ package mat
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // Supernodal LDLᵀ: dense-panel storage and blocked kernels.
@@ -36,9 +39,39 @@ import (
 // compute the same values the scalar kernels do up to floating-point
 // reassociation (the property tests pin ≤1e-9 relative on L/D).
 //
-// Determinism: each supernode's kernel runs a fixed loop nest over a
-// fixed supernode order, so results are bit-identical run-to-run, and
-// SolveBatch reproduces sequential supernodal Solve bit-for-bit.
+// Subtree parallelism: the supernodal elimination tree splits into
+// independent subtrees (the fixed subtree-to-core mapping of Pothen &
+// Sun). buildSchedule moves the heaviest subtree's root into a serial
+// "top", starting from the roots, until no remaining subtree holds more
+// than half the panel work; each remaining subtree is a task. Factorize,
+// and the forward and backward sweeps of Solve, each run the tasks on
+// min(GOMAXPROCS, #tasks) goroutines in one fork-join (the caller is one
+// of them; one worker runs the same code inline) and the top serially:
+//
+//   - Factorize: a task's supernodes only read panels inside the task,
+//     so the tasks run first, each with its own scratch, then the top in
+//     ascending order.
+//   - Backward sweep: the top first, in descending order; then the tasks,
+//     which only gather final ancestor values.
+//   - Forward sweep: inside a task each supernode subtracts its below
+//     rows that lie inside the task directly. The rest are ancestors of
+//     the task root — always a suffix of its ascending row list — and
+//     their accumulators go to a per-supernode log at a fixed offset.
+//     One serial pass then visits, in ascending supernode order, every
+//     task supernode with a log (replaying it) and every top supernode
+//     (running its forward step).
+//
+// Determinism: each supernode's kernel runs a fixed loop nest, and every
+// target receives its updates in ascending descendant order, whatever
+// the worker count: inside a task that is the task's own ascending
+// order, and every top row gets its subtractions from the merged pass,
+// which walks all contributing supernodes in ascending order. (The tasks
+// are not contiguous supernode ranges, so replaying a whole task's log as
+// one block would reorder those subtractions.) A factorization that meets
+// a non-positive pivot reports the one with the lowest supernode, as a
+// serial ascending sweep would. So results are bit-identical at any
+// GOMAXPROCS and run-to-run, and SolveBatch (serial) reproduces Solve
+// bit-for-bit.
 
 const (
 	// maxSuperWidth caps a supernode's column count: wider panels
@@ -96,6 +129,22 @@ type superState struct {
 	aPtr []int32
 	aOff []int32
 	aSrc []int32
+
+	// Subtree schedule (buildSchedule). Task t owns the supernodes
+	// taskSn[taskPtr[t]:taskPtr[t+1]], ascending: one whole subtree of the
+	// supernodal elimination tree. Tasks are ordered by descending panel
+	// work, so workers claiming them in order balance greedily. top holds
+	// every other supernode (ancestors of the task roots), ascending.
+	// Supernode sn's forward log is flog[logPtr[sn]:logPtr[sn+1]], the
+	// accumulators of its last below rows, those above its task root
+	// (empty for the top). merge lists, ascending, the top supernodes and
+	// the task supernodes with a non-empty log: the forward sweep's
+	// serial pass.
+	taskPtr []int32
+	taskSn  []int32
+	top     []int32
+	logPtr  []int32
+	merge   []int32
 
 	maxNr    int // widest panel row count (scratch sizing)
 	maxW     int // widest panel column count
@@ -376,6 +425,92 @@ func (s *LDLSymbolic) buildSupernodes(maxW int, relax, index bool) {
 			sp.aOff[e] = mark[tmpRow[e]] + (tmpCol[e]-int32(c0))*int32(nr)
 		}
 	}
+	sp.buildSchedule()
+}
+
+// buildSchedule splits the supernodal elimination tree into subtree tasks
+// and the serial top (see the file comment). A supernode's parent is the
+// owner of its first below row, and its work is its subtree's panel
+// floats. A subtree is split (its root moved to the top, its children
+// made subtrees) while it holds more than half the total work and has
+// children; since two disjoint subtrees cannot both exceed half, the top
+// is the path of such roots from an etree root down.
+func (sp *superState) buildSchedule() {
+	nsn := sp.nsn
+	parent := make([]int32, nsn)
+	work := make([]int, nsn)
+	hasChild := make([]bool, nsn)
+	total := 0
+	for sn := 0; sn < nsn; sn++ {
+		parent[sn] = -1
+		if p := sp.rowPtr[sn] + sp.snPtr[sn+1] - sp.snPtr[sn]; p < sp.rowPtr[sn+1] {
+			parent[sn] = sp.snOf[sp.rows[p]]
+		}
+		work[sn] += sp.panelPtr[sn+1] - sp.panelPtr[sn]
+		if p := parent[sn]; p >= 0 {
+			work[p] += work[sn] // p > sn: its own total is still to come
+			hasChild[p] = true
+		} else {
+			total += work[sn]
+		}
+	}
+	// owner[sn] is the root of sn's task, or -1 in the top; parents come
+	// after their children, so a descending pass sees the parent first.
+	owner := make([]int32, nsn)
+	var roots []int32
+	for sn := nsn - 1; sn >= 0; sn-- {
+		switch p := parent[sn]; {
+		case 2*work[sn] > total && hasChild[sn]:
+			owner[sn] = -1
+		case p < 0 || owner[p] < 0:
+			owner[sn] = int32(sn)
+			roots = append(roots, int32(sn))
+		default:
+			owner[sn] = owner[p]
+		}
+	}
+	slices.SortFunc(roots, func(a, b int32) int {
+		if work[a] != work[b] {
+			return work[b] - work[a]
+		}
+		return int(a - b)
+	})
+	taskOf := make([]int32, nsn) // task index of a task root
+	for t, r := range roots {
+		taskOf[r] = int32(t)
+	}
+
+	sp.taskPtr = make([]int32, len(roots)+1)
+	for sn := 0; sn < nsn; sn++ {
+		if r := owner[sn]; r >= 0 {
+			sp.taskPtr[taskOf[r]+1]++
+		}
+	}
+	for t := range roots {
+		sp.taskPtr[t+1] += sp.taskPtr[t]
+	}
+	next := slices.Clone(sp.taskPtr[:len(roots)])
+	sp.taskSn = make([]int32, sp.taskPtr[len(roots)])
+	sp.logPtr = make([]int32, nsn+1)
+	for sn := 0; sn < nsn; sn++ {
+		r := owner[sn]
+		if r < 0 {
+			sp.top = append(sp.top, int32(sn))
+			sp.merge = append(sp.merge, int32(sn))
+			sp.logPtr[sn+1] = sp.logPtr[sn]
+			continue
+		}
+		t := taskOf[r]
+		sp.taskSn[next[t]] = int32(sn)
+		next[t]++
+		below := sp.rows[sp.rowPtr[sn]+sp.snPtr[sn+1]-sp.snPtr[sn] : sp.rowPtr[sn+1]]
+		above, _ := slices.BinarySearch(below, sp.snPtr[r+1])
+		nlog := int32(len(below) - above)
+		sp.logPtr[sn+1] = sp.logPtr[sn] + nlog
+		if nlog > 0 {
+			sp.merge = append(sp.merge, int32(sn))
+		}
+	}
 }
 
 // setSupernodal overrides the kernel pick of AnalyzeLDL: the dense-panel
@@ -433,42 +568,152 @@ func (s *LDLSymbolic) SupernodalProfitable() bool {
 		s.MeanPanelWidth() >= supernodalMinMeanWidth
 }
 
-// ensureSuperSolveScratch sizes the supernodal solve scratch — one
-// below-row buffer, the forward sweep's accumulator and the backward
-// sweep's gather (amortized: grown once, then the per-tick path
-// allocates nothing).
-func (s *LDLSymbolic) ensureSuperSolveScratch() {
+// superScratch is one subtree worker's scratch for the panel kernels.
+type superScratch struct {
+	acc  []float64 // solve: below-row accumulator / gather buffer
+	smap []int32   // factorize: global row → panel-local row
+	idx  []int32   // factorize: per-update local row indices
+	upd  []float64 // factorize: dense Schur-update buffer
+	fail superFail // factorize: the worker's lowest failing supernode
+}
+
+// superFail records a non-positive pivot: column k of supernode sn
+// (sn < 0: none).
+type superFail struct {
+	sn, k int
+	dk    float64
+}
+
+// superFork is the fork-join state of one symbolic object's subtree tasks:
+// the kernel and factor of the sweep in flight, the matrix of a
+// factorization, the next unclaimed task, and spawn[w], worker w's
+// goroutine body (the caller runs worker 0 itself), built once so that a
+// fork allocates nothing.
+type superFork struct {
+	kernel func(f *LDLNumeric, task int, ws *superScratch)
+	f      *LDLNumeric
+	a      *CSR
+	next   atomic.Int32
+	wg     sync.WaitGroup
+	spawn  []func()
+}
+
+// ensureSuperScratch sizes the panel kernels' scratch for the workers of
+// the next fork — min(GOMAXPROCS, #tasks) — and returns their count. A
+// factorization needs each worker's row map, index list and Schur-update
+// buffer, a solve its accumulator and the forward log. Amortized: grown
+// once per high-water worker count, then the per-tick path allocates
+// nothing.
+func (s *LDLSymbolic) ensureSuperScratch(factor bool) int {
 	sp := s.super
-	if cap(s.stmp) < sp.maxNr {
-		s.stmp = make([]float64, sp.maxNr)
+	nw := min(runtime.GOMAXPROCS(0), len(sp.taskPtr)-1)
+	for len(s.sw) < nw {
+		s.sw = append(s.sw, superScratch{})
+	}
+	for len(s.fork.spawn) < nw {
+		w := len(s.fork.spawn)
+		s.fork.spawn = append(s.fork.spawn, func() {
+			s.drainTasks(w)
+			s.fork.wg.Done()
+		})
+	}
+	for i := range s.sw[:nw] {
+		ws := &s.sw[i]
+		if factor {
+			if len(ws.smap) < s.n {
+				ws.smap = make([]int32, s.n)
+			}
+			if len(ws.idx) < sp.maxNr {
+				ws.idx = make([]int32, sp.maxNr)
+			}
+			if len(ws.upd) < sp.maxNr*sp.maxW {
+				ws.upd = make([]float64, sp.maxNr*sp.maxW)
+			}
+		} else if len(ws.acc) < sp.maxNr {
+			ws.acc = make([]float64, sp.maxNr)
+		}
+	}
+	if !factor && len(s.flog) < int(sp.logPtr[sp.nsn]) {
+		s.flog = make([]float64, sp.logPtr[sp.nsn])
+	}
+	return nw
+}
+
+// forkTasks runs kernel over every subtree task on nw workers (sized by
+// ensureSuperScratch): the caller is worker 0 and nw−1 goroutines join
+// it; each worker claims the next unclaimed task until none is left.
+// With one worker no goroutine starts.
+func (s *LDLSymbolic) forkTasks(nw int, kernel func(*LDLNumeric, int, *superScratch), f *LDLNumeric, a *CSR) {
+	fk := &s.fork
+	fk.kernel, fk.f, fk.a = kernel, f, a
+	fk.next.Store(0)
+	fk.wg.Add(nw - 1)
+	for w := 1; w < nw; w++ {
+		go fk.spawn[w]()
+	}
+	s.drainTasks(0)
+	fk.wg.Wait()
+	fk.f, fk.a = nil, nil
+}
+
+// drainTasks is worker w's loop: claim tasks until none is left.
+func (s *LDLSymbolic) drainTasks(w int) {
+	fk := &s.fork
+	ntask := int32(len(s.super.taskPtr) - 1)
+	for t := fk.next.Add(1) - 1; t < ntask; t = fk.next.Add(1) - 1 {
+		fk.kernel(fk.f, int(t), &s.sw[w])
 	}
 }
 
-// ensureSuperFactorScratch sizes the supernodal factorization scratch: the global row map, the local-index list and the dense
-// Schur-update buffer.
-func (s *LDLSymbolic) ensureSuperFactorScratch() {
-	sp := s.super
-	if cap(s.ssmap) < s.n {
-		s.ssmap = make([]int32, s.n)
-	}
-	if cap(s.sidx) < sp.maxNr {
-		s.sidx = make([]int32, sp.maxNr)
-	}
-	if cap(s.supd) < sp.maxNr*sp.maxW {
-		s.supd = make([]float64, sp.maxNr*sp.maxW)
-	}
+// taskSupernodes returns task t's supernodes, ascending.
+func (sp *superState) taskSupernodes(t int) []int32 {
+	return sp.taskSn[sp.taskPtr[t]:sp.taskPtr[t+1]]
 }
 
 // factorizeSuper is the supernodal numeric factorization: left-looking
-// over supernodes in elimination order.
+// over supernodes, the subtree tasks in parallel and then the top in
+// ascending order. A top supernode above the lowest failing supernode is
+// never factorized, so the failure reported is the one a serial
+// ascending sweep meets first.
 func (s *LDLSymbolic) factorizeSuper(a *CSR, f *LDLNumeric) (*LDLNumeric, error) {
-	s.ensureSuperFactorScratch()
-	for sn := 0; sn < s.super.nsn; sn++ {
-		if k, dk := f.factorSupernode(sn, a); k >= 0 {
-			return nil, fmt.Errorf("%w: pivot %g at permuted index %d", ErrNotPositiveDefinite, dk, k)
+	nw := s.ensureSuperScratch(true)
+	for i := range s.sw[:nw] {
+		s.sw[i].fail = superFail{sn: -1}
+	}
+	s.forkTasks(nw, (*LDLNumeric).factorTask, f, a)
+	fail := superFail{sn: -1}
+	for _, ws := range s.sw[:nw] {
+		if ws.fail.sn >= 0 && (fail.sn < 0 || ws.fail.sn < fail.sn) {
+			fail = ws.fail
 		}
 	}
+	for _, sn := range s.super.top {
+		if fail.sn >= 0 && int(sn) > fail.sn {
+			break
+		}
+		if k, dk := f.factorSupernode(int(sn), a, &s.sw[0]); k >= 0 {
+			fail = superFail{int(sn), k, dk}
+			break
+		}
+	}
+	if fail.sn >= 0 {
+		return nil, fmt.Errorf("%w: pivot %g at permuted index %d", ErrNotPositiveDefinite, fail.dk, fail.k)
+	}
 	return f, nil
+}
+
+// factorTask factorizes task t's supernodes in ascending order, stopping
+// at the first failing one (recorded in ws.fail when it is the worker's
+// lowest).
+func (f *LDLNumeric) factorTask(t int, ws *superScratch) {
+	for _, sn := range f.s.super.taskSupernodes(t) {
+		if k, dk := f.factorSupernode(int(sn), f.s.fork.a, ws); k >= 0 {
+			if ws.fail.sn < 0 || int(sn) < ws.fail.sn {
+				ws.fail = superFail{int(sn), k, dk}
+			}
+			return
+		}
+	}
 }
 
 // factorSupernode computes supernode sn's panel: scatter the fresh A
@@ -477,10 +722,9 @@ func (s *LDLSymbolic) factorizeSuper(a *CSR, f *LDLNumeric) (*LDLNumeric, error)
 // small dense LDLᵀ. On a non-positive pivot it records the first failing
 // column, poisons invd with 0 and finishes the panel deterministically;
 // the caller turns failK ≥ 0 into ErrNotPositiveDefinite.
-func (f *LDLNumeric) factorSupernode(sn int, a *CSR) (failK int, failDk float64) {
-	s := f.s
-	sp := s.super
-	smap, idx, upd := s.ssmap, s.sidx, s.supd
+func (f *LDLNumeric) factorSupernode(sn int, a *CSR, ws *superScratch) (failK int, failDk float64) {
+	sp := f.s.super
+	smap, idx, upd := ws.smap, ws.idx, ws.upd
 	c0 := int(sp.snPtr[sn])
 	w := int(sp.snPtr[sn+1]) - c0
 	r0 := int(sp.rowPtr[sn])
@@ -583,10 +827,12 @@ func (f *LDLNumeric) factorSupernode(sn int, a *CSR) (failK int, failDk float64)
 // pushed its update, so the diagonal block's values are final after the
 // dense unit-lower solve on it. The below-diagonal block is then read
 // column by column, in storage order, into one accumulator per below
-// row, and each row is subtracted from w once. Every w[r] so receives
-// one subtraction per descendant, in ascending descendant order — the
-// fixed order the batch path shares.
-func (f *LDLNumeric) forwardSuper(sn int) {
+// row (acc). Each row inside sn's task is subtracted from w at once; the
+// accumulators of the rows above the task root are written to sn's
+// forward log for the merged pass (a top supernode has no log). Every
+// w[r] so receives one subtraction per descendant, in ascending
+// descendant order — the fixed order the batch path shares.
+func (f *LDLNumeric) forwardSuper(sn int, acc []float64) {
 	s := f.s
 	sp := s.super
 	w := s.w
@@ -602,7 +848,7 @@ func (f *LDLNumeric) forwardSuper(sn int) {
 			w[c0+i] -= col[i] * t
 		}
 	}
-	acc := s.stmp[:nr-wid]
+	acc = acc[:nr-wid]
 	clear(acc)
 	for k := 0; k < wid; k++ {
 		t := w[c0+k]
@@ -611,19 +857,22 @@ func (f *LDLNumeric) forwardSuper(sn int) {
 			acc[i] += v * t
 		}
 	}
-	for i, r := range sp.rows[r0+wid : r0+nr] {
+	lg := s.flog[sp.logPtr[sn]:sp.logPtr[sn+1]]
+	in := len(acc) - len(lg)
+	for i, r := range sp.rows[r0+wid : r0+wid+in] {
 		w[r] -= acc[i]
 	}
+	copy(lg, acc[in:])
 }
 
 // backwardSuper applies supernode sn's slice of the backward (Lᵀ) sweep:
 // gather the already-final ancestor values of the below rows into tmp,
 // subtract each column's dot product, then the transposed dense solve on
 // the diagonal block.
-func (f *LDLNumeric) backwardSuper(sn int) {
+func (f *LDLNumeric) backwardSuper(sn int, tmp []float64) {
 	s := f.s
 	sp := s.super
-	w, tmp := s.w, s.stmp
+	w := s.w
 	c0 := int(sp.snPtr[sn])
 	wid := int(sp.snPtr[sn+1]) - c0
 	r0 := int(sp.rowPtr[sn])
@@ -653,22 +902,50 @@ func (f *LDLNumeric) backwardSuper(sn int) {
 	}
 }
 
+// forwardTask runs the forward sweep over task t's supernodes, ascending.
+func (f *LDLNumeric) forwardTask(t int, ws *superScratch) {
+	for _, sn := range f.s.super.taskSupernodes(t) {
+		f.forwardSuper(int(sn), ws.acc)
+	}
+}
+
+// backwardTask runs the backward sweep over task t's supernodes,
+// descending.
+func (f *LDLNumeric) backwardTask(t int, ws *superScratch) {
+	sns := f.s.super.taskSupernodes(t)
+	for i := len(sns) - 1; i >= 0; i-- {
+		f.backwardSuper(int(sns[i]), ws.acc)
+	}
+}
+
 // solveSuper is the supernodal Solve body over the permuted work vector
-// (permutation handled by the caller).
+// (permutation handled by the caller): the forward tasks, the merged
+// pass, the diagonal scaling, the backward top, the backward tasks.
 func (f *LDLNumeric) solveSuper() {
 	s := f.s
-	s.ensureSuperSolveScratch()
 	sp := s.super
 	w := s.w
-	for sn := 0; sn < sp.nsn; sn++ {
-		f.forwardSuper(sn)
+	nw := s.ensureSuperScratch(false)
+	acc := s.sw[0].acc
+	s.forkTasks(nw, (*LDLNumeric).forwardTask, f, nil)
+	for _, sn := range sp.merge {
+		lg := s.flog[sp.logPtr[sn]:sp.logPtr[sn+1]]
+		if len(lg) == 0 {
+			f.forwardSuper(int(sn), acc)
+			continue
+		}
+		end := int(sp.rowPtr[sn+1])
+		for i, r := range sp.rows[end-len(lg) : end] {
+			w[r] -= lg[i]
+		}
 	}
 	for j := 0; j < s.n; j++ {
 		w[j] *= f.invd[j]
 	}
-	for sn := sp.nsn - 1; sn >= 0; sn-- {
-		f.backwardSuper(sn)
+	for i := len(sp.top) - 1; i >= 0; i-- {
+		f.backwardSuper(int(sp.top[i]), acc)
 	}
+	s.forkTasks(nw, (*LDLNumeric).backwardTask, f, nil)
 }
 
 // solveBatchSuper runs the supernodal triangular sweeps over the packed

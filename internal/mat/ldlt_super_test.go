@@ -2,8 +2,11 @@ package mat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -230,17 +233,65 @@ func TestSupernodalAutoSelection(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// procsLevels are the GOMAXPROCS values the subtree-parallel kernels
+// are pinned at: inline, one fork per task pair, oversubscribed.
+var procsLevels = []int{1, 2, 8}
+
+// withProcs runs fn at GOMAXPROCS p and restores the previous value.
+func withProcs(p int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
+	fn()
+}
+
+// allocsPerRunAt is testing.AllocsPerRun — the integer mean of the
+// process-wide heap allocations over runs calls of fn — at GOMAXPROCS p
+// instead of AllocsPerRun's pin to 1, so the forked subtree workers run
+// and count. A fork starts goroutines, which the runtime recycles from
+// per-P free lists; warm calls first fill those lists.
+func allocsPerRunAt(p, warm, runs int, fn func()) float64 {
+	var n uint64
+	withProcs(p, func() {
+		for range warm {
+			fn()
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range runs {
+			fn()
+		}
+		runtime.ReadMemStats(&m1)
+		n = m1.Mallocs - m0.Mallocs
+	})
+	return float64(n / uint64(runs))
+}
+
 // TestSupernodalHotPathAllocFree extends the per-tick contract to the
 // panel kernels: refactorization into a reused numeric object, Solve and
-// SolveBatch all allocate nothing in steady state.
+// SolveBatch all allocate nothing in steady state — with the subtree
+// tasks inline and forked. The auto gate picks the panel kernels for the
+// 70×60 grid; the forced 30×25 one keeps the warmed refactorizations
+// cheap. Under the race detector only the inline level is measured: the
+// thousand warm calls a forked level needs take minutes there.
 func TestSupernodalHotPathAllocFree(t *testing.T) {
-	a := gridLaplacian(70, 60, 2)
+	big := gridLaplacian(70, 60, 2)
+	sb, err := AnalyzeLDL(big, OrderAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sb.Supernodal() {
+		t.Fatal("expected the auto gate to pick supernodal at this size")
+	}
+	a := gridLaplacian(30, 25, 2)
 	s, err := AnalyzeLDL(a, OrderAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Supernodal() {
-		t.Fatal("expected the auto gate to pick supernodal at this size")
+	s.setSupernodal(true)
+	if nt := len(s.super.taskPtr) - 1; nt < 2 {
+		t.Fatalf("schedule has %d subtree tasks, want ≥ 2 (nothing would fork)", nt)
 	}
 	f, err := s.Factorize(a, nil)
 	if err != nil {
@@ -251,17 +302,6 @@ func TestSupernodalHotPathAllocFree(t *testing.T) {
 		bvec[i] = 1
 	}
 	x := make([]float64, a.N)
-	if allocs := testing.AllocsPerRun(10, func() { f.Solve(x, bvec) }); allocs != 0 {
-		t.Errorf("supernodal Solve allocates %v objects, want 0", allocs)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := s.Factorize(a, f); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("reused supernodal Factorize allocates %v objects, want 0", allocs)
-	}
 	const k = 4
 	xs := make([][]float64, k)
 	bs := make([][]float64, k)
@@ -269,33 +309,64 @@ func TestSupernodalHotPathAllocFree(t *testing.T) {
 		xs[r] = make([]float64, a.N)
 		bs[r] = bvec
 	}
-	f.SolveBatch(xs, bs) // grow the panel scratch once
-	if allocs := testing.AllocsPerRun(10, func() { f.SolveBatch(xs, bs) }); allocs != 0 {
-		t.Errorf("supernodal SolveBatch allocates %v objects, want 0", allocs)
+	levels := procsLevels
+	if raceEnabled {
+		levels = levels[:1]
+	}
+	for _, p := range levels {
+		if allocs := allocsPerRunAt(p, 1000, 100, func() { f.Solve(x, bvec) }); allocs != 0 {
+			t.Errorf("GOMAXPROCS=%d: supernodal Solve allocates %v objects, want 0", p, allocs)
+		}
+		allocs := allocsPerRunAt(p, 1000, 100, func() {
+			if _, err := s.Factorize(a, f); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("GOMAXPROCS=%d: reused supernodal Factorize allocates %v objects, want 0", p, allocs)
+		}
+		if allocs := allocsPerRunAt(p, 1000, 100, func() { f.SolveBatch(xs, bs) }); allocs != 0 {
+			t.Errorf("GOMAXPROCS=%d: supernodal SolveBatch allocates %v objects, want 0", p, allocs)
+		}
 	}
 }
 
 // TestSupernodalNotPositiveDefinite: an indefinite system fails with
-// ErrNotPositiveDefinite, and the symbolic object stays reusable
-// afterwards.
+// ErrNotPositiveDefinite, reporting the column and pivot a serial
+// ascending factorization meets first at every GOMAXPROCS, and the
+// symbolic object stays reusable afterwards.
 func TestSupernodalNotPositiveDefinite(t *testing.T) {
 	nx, ny := 30, 20
 	good := gridLaplacian(nx, ny, 2)
-	bad := gridLaplacian(nx, ny, 2)
-	// Same structure, one diagonal entry driven negative.
-	sink := (ny/2)*nx + nx/2
-	for p := bad.RowPtr[sink]; p < bad.RowPtr[sink+1]; p++ {
-		if bad.Col[p] == sink {
-			bad.Val[p] = -3
-		}
-	}
 	s, err := AnalyzeLDL(good, OrderAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.setSupernodal(true)
-	if _, err := s.Factorize(bad, nil); !errors.Is(err, ErrNotPositiveDefinite) {
-		t.Fatalf("got %v, want ErrNotPositiveDefinite", err)
+	// Same structure, diagonal entries driven negative: one at the grid
+	// centre, and the sets of poisonSets.
+	poisons := append([][]int{{(ny/2)*nx + nx/2}}, poisonSets(s)...)
+	for _, cols := range poisons {
+		bad := gridLaplacian(nx, ny, 2)
+		for _, c := range cols {
+			for p := bad.RowPtr[c]; p < bad.RowPtr[c+1]; p++ {
+				if bad.Col[p] == c {
+					bad.Val[p] = -3
+				}
+			}
+		}
+		_, want := factorSerialOracle(s, bad)
+		if !errors.Is(want, ErrNotPositiveDefinite) {
+			t.Fatalf("poison %v: oracle got %v, want ErrNotPositiveDefinite", cols, want)
+		}
+		for _, p := range procsLevels {
+			withProcs(p, func() {
+				_, err := s.Factorize(bad, nil)
+				if !errors.Is(err, ErrNotPositiveDefinite) || err.Error() != want.Error() {
+					t.Errorf("poison %v GOMAXPROCS=%d: got %v, want %v", cols, p, err, want)
+				}
+			})
+		}
 	}
 	// Recovery: the same symbolic object factorizes the SPD system.
 	f, err := s.Factorize(good, nil)
@@ -311,6 +382,267 @@ func TestSupernodalNotPositiveDefinite(t *testing.T) {
 	}
 }
 
+// poisonSets returns sets of original-order nodes to drive negative so
+// that pivots fail in different parts of s's schedule — where the lowest
+// failing supernode must win: the lowest top supernode with the highest
+// task root, the first task's root with the highest top supernode (above
+// it, so the top must stop at the task's failure), and the roots of the
+// first two tasks (apart when two workers run them).
+func poisonSets(s *LDLSymbolic) [][]int {
+	sp := s.super
+	col := func(sn int32) int { return s.perm[sp.snPtr[sn]] }
+	root := func(t int) int32 { sns := sp.taskSupernodes(t); return sns[len(sns)-1] }
+	lastRoot := int32(-1)
+	for t := range len(sp.taskPtr) - 1 {
+		lastRoot = max(lastRoot, root(t))
+	}
+	return [][]int{
+		{col(sp.top[0]), col(lastRoot)},
+		{col(root(0)), col(sp.top[len(sp.top)-1])},
+		{col(root(0)), col(root(1))},
+	}
+}
+
+// factorSerialOracle is the supernodal factorization as one serial
+// ascending sweep over every supernode, stopping at the first failing
+// one — the order the subtree schedule must reproduce bit for bit.
+func factorSerialOracle(s *LDLSymbolic, a *CSR) (*LDLNumeric, error) {
+	f := &LDLNumeric{s: s, lx: make([]float64, s.super.panelNNZ),
+		d: make([]float64, s.n), invd: make([]float64, s.n), super: true}
+	s.ensureSuperScratch(true)
+	for sn := 0; sn < s.super.nsn; sn++ {
+		if k, dk := f.factorSupernode(sn, a, &s.sw[0]); k >= 0 {
+			return nil, fmt.Errorf("%w: pivot %g at permuted index %d", ErrNotPositiveDefinite, dk, k)
+		}
+	}
+	return f, nil
+}
+
+// checkSchedule verifies the subtree schedule's invariants: every
+// supernode is in exactly one task or in the top; each task is one whole
+// subtree of the supernodal etree, listed ascending, whose root's parent
+// is in the top; the top is closed under parents; the tasks come in
+// descending work, and one holds more than half the work only if it is a
+// single leaf; every forward log is exactly the suffix of the below rows
+// that lie above the task root, each owned by a top ancestor of that
+// root; and merge lists the top and the logging task supernodes,
+// ascending.
+func checkSchedule(s *LDLSymbolic) error {
+	sp := s.super
+	nsn := sp.nsn
+	parent := make([]int, nsn)
+	work := make([]int, nsn)
+	for sn := 0; sn < nsn; sn++ {
+		parent[sn] = -1
+		if p := sp.rowPtr[sn] + sp.snPtr[sn+1] - sp.snPtr[sn]; p < sp.rowPtr[sn+1] {
+			parent[sn] = int(sp.snOf[sp.rows[p]])
+		}
+		work[sn] += sp.panelPtr[sn+1] - sp.panelPtr[sn]
+		if p := parent[sn]; p >= 0 {
+			work[p] += work[sn]
+		}
+	}
+	const top = -1
+	task := make([]int, nsn)
+	for sn := range task {
+		task[sn] = -2
+	}
+	for _, sn := range sp.top {
+		task[sn] = top
+	}
+	if !slices.IsSorted(sp.top) {
+		return fmt.Errorf("top %v not ascending", sp.top)
+	}
+	ntask := len(sp.taskPtr) - 1
+	roots := make([]int, ntask)
+	for t := range ntask {
+		sns := sp.taskSupernodes(t)
+		if len(sns) == 0 || !slices.IsSorted(sns) {
+			return fmt.Errorf("task %d empty or not ascending", t)
+		}
+		for _, sn := range sns {
+			if task[sn] != -2 {
+				return fmt.Errorf("supernode %d in task %d and in %d", sn, t, task[sn])
+			}
+			task[sn] = t
+		}
+		roots[t] = int(sns[len(sns)-1])
+	}
+	leaf := make([]bool, nsn)
+	for sn := range leaf {
+		leaf[sn] = true
+	}
+	for _, p := range parent {
+		if p >= 0 {
+			leaf[p] = false
+		}
+	}
+	for sn := 0; sn < nsn; sn++ {
+		t, p := task[sn], parent[sn]
+		switch {
+		case t == -2:
+			return fmt.Errorf("supernode %d in no task and not in the top", sn)
+		case t == top && p >= 0 && task[p] != top:
+			return fmt.Errorf("top supernode %d has parent %d outside the top", sn, p)
+		case t >= 0 && sn == roots[t] && p >= 0 && task[p] != top:
+			return fmt.Errorf("task %d root %d has parent %d outside the top", t, sn, p)
+		case t >= 0 && sn != roots[t] && (p < 0 || task[p] != t):
+			return fmt.Errorf("task %d is not a whole subtree: supernode %d, parent %d in task %d", t, sn, p, task[max(p, 0)])
+		}
+	}
+	total := 0
+	for sn, p := range parent {
+		if p < 0 {
+			total += work[sn]
+		}
+	}
+	for t, r := range roots {
+		if t > 0 && work[r] > work[roots[t-1]] {
+			return fmt.Errorf("task %d (work %d) after task %d (work %d)", t, work[r], t-1, work[roots[t-1]])
+		}
+		if 2*work[r] > total && !leaf[r] {
+			return fmt.Errorf("task %d holds %d of %d panel floats and could split", t, work[r], total)
+		}
+	}
+	var merge []int32
+	for sn := 0; sn < nsn; sn++ {
+		lg := int(sp.logPtr[sn+1] - sp.logPtr[sn])
+		t := task[sn]
+		if t == top {
+			if lg != 0 {
+				return fmt.Errorf("top supernode %d has a %d-row log", sn, lg)
+			}
+			merge = append(merge, int32(sn))
+			continue
+		}
+		if lg > 0 {
+			merge = append(merge, int32(sn))
+		}
+		r := roots[t]
+		below := sp.rows[int(sp.rowPtr[sn])+int(sp.snPtr[sn+1]-sp.snPtr[sn]) : sp.rowPtr[sn+1]]
+		for i, row := range below {
+			o := int(sp.snOf[row])
+			logged := i >= len(below)-lg
+			if logged != (task[o] == top) {
+				return fmt.Errorf("supernode %d row %d (owner %d, task %d): logged=%v", sn, row, o, task[o], logged)
+			}
+			if logged {
+				a := r
+				for a >= 0 && a != o {
+					a = parent[a]
+				}
+				if a != o {
+					return fmt.Errorf("supernode %d logs row %d, not above its task root %d", sn, row, r)
+				}
+			}
+		}
+	}
+	if !slices.Equal(merge, sp.merge) {
+		return fmt.Errorf("merge list %v, want %v", sp.merge, merge)
+	}
+	return nil
+}
+
+// TestSupernodalSchedule checks the subtree schedule's invariants on grid
+// Laplacians under every ordering and on the width-1 partition, and that
+// the ND-ordered grids split into several tasks.
+func TestSupernodalSchedule(t *testing.T) {
+	ordName := map[Ordering]string{OrderNatural: "natural", OrderRCM: "RCM", OrderND: "ND", OrderAuto: "auto"}
+	for _, g := range [][2]int{{23, 20}, {70, 60}} {
+		a := gridLaplacian(g[0], g[1], 0.5)
+		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderND, OrderAuto} {
+			for _, width1 := range []bool{false, true} {
+				s, err := AnalyzeLDL(a, ord)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if width1 {
+					s.buildSupernodes(1, false, true)
+				}
+				s.setSupernodal(true)
+				if err := checkSchedule(s); err != nil {
+					t.Errorf("%dx%d %s width1=%v: %v", g[0], g[1], ordName[ord], width1, err)
+				}
+				if nt := len(s.super.taskPtr) - 1; ord == OrderND && nt < 2 {
+					t.Errorf("%dx%d ND width1=%v: %d subtree tasks, want ≥ 2", g[0], g[1], width1, nt)
+				}
+			}
+		}
+	}
+}
+
+// TestSupernodalSubtreeBitIdentical pins the subtree-parallel kernels to
+// their serial oracles bit for bit at every GOMAXPROCS level, on grid
+// Laplacians under ND and RCM orderings: L and D against the serial
+// ascending factorization, Solve against the gather-form serial solve,
+// and every SolveBatch lane against Solve. (The simulator's own systems
+// are covered by the external stack tests.)
+func TestSupernodalSubtreeBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, ord := range []Ordering{OrderND, OrderRCM} {
+		a := gridLaplacian(60, 50, 0.5)
+		s, err := AnalyzeLDL(a, ord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.setSupernodal(true)
+		ref, err := factorSerialOracle(s, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lx, d := slices.Clone(ref.lx), slices.Clone(ref.d)
+		bs := make([][]float64, 3)
+		for r := range bs {
+			bs[r] = make([]float64, a.N)
+			for i := range bs[r] {
+				bs[r][i] = rng.NormFloat64()
+			}
+		}
+		for _, p := range procsLevels {
+			withProcs(p, func() {
+				f, err := s.Factorize(a, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i := firstBitDiff(f.lx, lx); i >= 0 {
+					t.Fatalf("ord %v GOMAXPROCS=%d: L[%d]=%g serial %g", ord, p, i, f.lx[i], lx[i])
+				}
+				if i := firstBitDiff(f.d, d); i >= 0 {
+					t.Fatalf("ord %v GOMAXPROCS=%d: D[%d]=%g serial %g", ord, p, i, f.d[i], d[i])
+				}
+				xs := make([][]float64, len(bs))
+				for r := range xs {
+					xs[r] = make([]float64, a.N)
+				}
+				f.SolveBatch(xs, bs)
+				got := make([]float64, a.N)
+				want := make([]float64, a.N)
+				for r, b := range bs {
+					solveGatherOracle(f, want, b)
+					f.Solve(got, b)
+					if i := firstBitDiff(got, want); i >= 0 {
+						t.Fatalf("ord %v GOMAXPROCS=%d rhs %d: Solve x[%d]=%g oracle %g", ord, p, r, i, got[i], want[i])
+					}
+					if i := firstBitDiff(xs[r], got); i >= 0 {
+						t.Fatalf("ord %v GOMAXPROCS=%d rhs %d: SolveBatch x[%d]=%g Solve %g", ord, p, r, i, xs[r][i], got[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// firstBitDiff returns the first index where got and want differ in
+// their bits, or -1.
+func firstBitDiff(got, want []float64) int {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
 // solveGatherOracle is the left-looking (gather-form) supernodal solve,
 // kept as a test-only reference for the right-looking forwardSuper: for
 // each target supernode it walks the update list and gathers every
@@ -322,7 +654,10 @@ func TestSupernodalNotPositiveDefinite(t *testing.T) {
 func solveGatherOracle(f *LDLNumeric, x, b []float64) {
 	s := f.s
 	sp := s.super
-	s.ensureSuperSolveScratch()
+	s.ensureSuperScratch(false)
+	if len(s.w) != s.n {
+		s.w = make([]float64, s.n)
+	}
 	w := s.w
 	for k := 0; k < s.n; k++ {
 		w[k] = b[s.perm[k]]
@@ -365,7 +700,7 @@ func solveGatherOracle(f *LDLNumeric, x, b []float64) {
 		w[j] *= f.invd[j]
 	}
 	for sn := sp.nsn - 1; sn >= 0; sn-- {
-		f.backwardSuper(sn)
+		f.backwardSuper(sn, s.sw[0].acc)
 	}
 	for k := 0; k < s.n; k++ {
 		x[s.perm[k]] = w[k]

@@ -7,6 +7,16 @@
 // independent reference, and a dense LU solver for the tiny normal
 // equations of the ARMA fit.
 //
+// Large systems (n ≥ 4096) run the supernodal dense-panel kernels
+// (ldlt_super.go). Their analysis also fixes a subtree schedule:
+// independent subtrees of the supernodal elimination tree, factorized
+// and swept on min(GOMAXPROCS, #subtrees) goroutines, plus a serial top
+// of their ancestors. The forward sweep logs each subtree's updates to
+// the top and replays them in one ascending pass, so every entry
+// receives its updates in the serial order: results are bit-identical
+// at any GOMAXPROCS. There is no knob; one worker runs the same code
+// inline.
+//
 // Go has no numerical ecosystem in the standard library, so this package is
 // deliberately self-contained and tuned only as far as the simulator
 // requires: matrices are assembled once per configuration, values (but not

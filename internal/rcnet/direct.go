@@ -22,11 +22,12 @@ func (m *Model) solveDirect(dt float64) error {
 // source, which factorizes on its own miss (through this model's
 // symbolic analysis and system matrix) and otherwise hands back the
 // factor another model built; the view over it is allocated once per key
-// and memoized. A failed factorization is an error; the factor source
-// caches it, so every later solve of the key reports it without
-// refactorizing. This is solveDirect minus the solve itself, shared with
-// the gang scheduler's BatchStepper, which solves many models through
-// one factor.
+// and memoized. The source caches the factor detached from the building
+// model's analysis, so it pins none of that model's solver scratch. A
+// failed factorization is an error; the factor source caches it, so
+// every later solve of the key reports it without refactorizing. This is
+// solveDirect minus the solve itself, shared with the gang scheduler's
+// BatchStepper, which solves many models through one factor.
 func (m *Model) factorFor(dt float64) (*mat.LDLNumeric, error) {
 	key := m.factorKey(dt)
 	if v, ok := m.views[key]; ok {
@@ -37,10 +38,11 @@ func (m *Model) factorFor(dt float64) (*mat.LDLNumeric, error) {
 	}
 	num, err := m.factors.get(key, func() (*mat.LDLNumeric, error) {
 		num, err := m.symb.Factorize(m.sys, nil)
-		if err == nil {
-			m.nFactor++
+		if err != nil {
+			return nil, err
 		}
-		return num, err
+		m.nFactor++
+		return num.Detach(), nil
 	})
 	if err != nil {
 		return nil, err

@@ -2,8 +2,10 @@ package rcnet
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/floorplan"
 	"repro/internal/grid"
@@ -234,4 +236,72 @@ func TestSharedFactorFailure(t *testing.T) {
 			t.Errorf("builds=%d hits=%d, want 1 and 1", builds, hits)
 		}
 	})
+}
+
+// TestSharedFactorHoldsNoModelScratch: a cached factor does not keep the
+// model that built it alive. The cache holds the factor detached from
+// the builder's symbolic analysis, so once the builder is dropped its
+// analysis clone — with the O(n) solve and factorization scratch — is
+// collected, while the factor keeps serving the other models.
+func TestSharedFactorHoldsNoModelScratch(t *testing.T) {
+	g, err := grid.Build(floorplan.NewT1Stack4(true), grid.DefaultParams(23, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := NewNetwork(g, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	symb, err := net.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := NewFactors()
+	newModel := func() *Model {
+		m, err := net.NewModel(symb, fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t1Power(t, m)
+		if err := m.SetFlow(0.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Step(0.1); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	collected := make(chan struct{})
+	func() {
+		builder := newModel()
+		if builder.Factorizations() != 1 {
+			t.Fatalf("builder factorized %d times, want 1", builder.Factorizations())
+		}
+		runtime.AddCleanup(builder.symb, func(ch chan struct{}) { close(ch) }, collected)
+	}()
+	user := newModel()
+	if user.Factorizations() != 0 {
+		t.Fatalf("second model factorized %d times, want a cache hit", user.Factorizations())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("the builder's symbolic analysis is still reachable through the factor cache")
+			}
+		}
+	}
+	if builds, _ := fc.Counts(); builds != 1 {
+		t.Fatalf("factor cache built %d factors, want 1", builds)
+	}
+	if err := newModel().Step(0.1); err != nil {
+		t.Fatal(err)
+	}
+	if builds, _ := fc.Counts(); builds != 1 {
+		t.Errorf("a model after the builder was collected refactorized (%d builds)", builds)
+	}
 }

@@ -1,6 +1,7 @@
 package rcnet
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -30,32 +31,75 @@ func TestTempsCopyDoesNotAlias(t *testing.T) {
 	}
 }
 
-// TestStepAllocFree pins the per-tick fast path: after the first step of
-// a configuration, the transient solve must not allocate — no matrix
-// copy, no coolant-march buffers and no factorization (the cached factors
-// are reused, so Step is two triangular sweeps).
+// TestStepAllocFree pins the per-tick fast path on both kernel families:
+// after the first step of a configuration, the transient solve must not
+// allocate — no matrix copy, no coolant-march buffers and no
+// factorization (the cached factors are reused, so Step is two
+// triangular sweeps). The 2-layer 12×10 model runs the scalar kernels;
+// the 4-layer 23×20 one (n = 4140) the supernodal ones, whose subtree
+// tasks fork onto goroutines above GOMAXPROCS 1, so it is measured at
+// 1, 2 and 8 (testing.AllocsPerRun would pin GOMAXPROCS to 1; under the
+// race detector only at 1).
 func TestStepAllocFree(t *testing.T) {
-	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(12, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(g, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1Power(t, m)
-	if err := m.SetFlow(0.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Step(0.1); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
+	for _, c := range []struct {
+		name     string
+		newStack func(liquid bool) *floorplan.Stack
+		nx, ny   int
+		super    bool
+	}{
+		{"scalar", floorplan.NewT1Stack2, 12, 10, false},
+		{"supernodal", floorplan.NewT1Stack4, 23, 20, true},
+	} {
+		g, err := grid.Build(c.newStack(true), grid.DefaultParams(c.nx, c.ny))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(g, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t1Power(t, m)
+		if err := m.SetFlow(0.5); err != nil {
+			t.Fatal(err)
+		}
 		if err := m.Step(0.1); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("Step allocates %v objects per tick, want 0", allocs)
+		if _, _, active := m.SupernodeStats(); active != c.super {
+			t.Fatalf("%s: supernodal kernels active = %v", c.name, active)
+		}
+		step := func() {
+			if err := m.Step(0.1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		levels := []int{1, 2, 8}
+		if raceEnabled {
+			levels = levels[:1] // a forked level's warm calls take minutes there
+		}
+		for _, p := range levels {
+			if allocs := allocsPerRunAt(p, 1000, 100, step); allocs != 0 {
+				t.Errorf("%s GOMAXPROCS=%d: Step allocates %v objects per tick, want 0", c.name, p, allocs)
+			}
+		}
 	}
+}
+
+// allocsPerRunAt is testing.AllocsPerRun — the integer mean of the
+// process-wide heap allocations over runs calls of fn — at GOMAXPROCS p
+// instead of AllocsPerRun's pin to 1, so forked solver workers run and
+// count. The runtime recycles exited goroutines from per-P free lists;
+// warm calls first fill those lists.
+func allocsPerRunAt(p, warm, runs int, fn func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
+	for range warm {
+		fn()
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		fn()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64((m1.Mallocs - m0.Mallocs) / uint64(runs))
 }
