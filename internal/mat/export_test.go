@@ -4,25 +4,15 @@ package mat
 // the simulator's own systems (package mat_test, which may import rcnet).
 
 var (
-	// SolveGatherOracle is solveGatherOracle: the serial gather-form
-	// supernodal solve.
-	SolveGatherOracle = solveGatherOracle
-	// FactorizeSerialOracle is factorSerialOracle: the serial ascending
-	// supernodal factorization.
-	FactorizeSerialOracle = factorSerialOracle
 	// CheckSchedule is checkSchedule: the subtree schedule's invariants.
 	CheckSchedule = checkSchedule
+	// CheckBitIdentical is checkBitIdentical: L/D, Solve and SolveBatch
+	// against the serial oracles bit for bit at every GOMAXPROCS level.
+	CheckBitIdentical = checkBitIdentical
+	// CheckPoisonPivots is checkPoisonPivots: the reported failing pivot
+	// against the serial oracle at every GOMAXPROCS level.
+	CheckPoisonPivots = checkPoisonPivots
 )
-
-// FactorValues returns f's L values (panels or columns) and D.
-func FactorValues(f *LDLNumeric) (lx, d []float64) { return f.lx, f.d }
 
 // SubtreeTasks returns the subtree task count of s's schedule.
 func SubtreeTasks(s *LDLSymbolic) int { return len(s.super.taskPtr) - 1 }
-
-// PoisonSets is poisonSets: node sets whose pivots fail in different
-// parts of the schedule.
-var PoisonSets = poisonSets
-
-// RaceEnabled reports whether the tests run under the race detector.
-func RaceEnabled() bool { return raceEnabled }

@@ -122,14 +122,6 @@ func (s *LDLSymbolic) Clone() *LDLSymbolic {
 	}
 }
 
-// Detach returns a factor over f's numeric arrays bound to a fresh Clone
-// of its analysis. It is the form a cache of factors should hold: it
-// keeps L, D and the shared analysis alive but none of the solve and
-// factorization scratch of the analysis that built it.
-func (f *LDLNumeric) Detach() *LDLNumeric {
-	return &LDLNumeric{s: f.s.Clone(), lx: f.lx, d: f.d, invd: f.invd, super: f.super}
-}
-
 // NNZL returns the stored entry count of the L factor (fill diagnostics;
 // excludes the unit diagonal and D).
 func (s *LDLSymbolic) NNZL() int { return s.lp[s.n] }

@@ -586,15 +586,17 @@ type superFail struct {
 
 // superFork is the fork-join state of one symbolic object's subtree tasks:
 // the kernel and factor of the sweep in flight, the matrix of a
-// factorization, the next unclaimed task, and spawn[w], worker w's
-// goroutine body (the caller runs worker 0 itself), built once so that a
-// fork allocates nothing.
+// factorization, the next unclaimed task, the first panic a worker
+// recovered, and spawn[w], worker w's goroutine body (the caller runs
+// worker 0 itself), built once so that a fork allocates nothing.
 type superFork struct {
 	kernel func(f *LDLNumeric, task int, ws *superScratch)
 	f      *LDLNumeric
 	a      *CSR
 	next   atomic.Int32
 	wg     sync.WaitGroup
+	mu     sync.Mutex
+	failed any
 	spawn  []func()
 }
 
@@ -613,8 +615,8 @@ func (s *LDLSymbolic) ensureSuperScratch(factor bool) int {
 	for len(s.fork.spawn) < nw {
 		w := len(s.fork.spawn)
 		s.fork.spawn = append(s.fork.spawn, func() {
+			defer s.fork.wg.Done()
 			s.drainTasks(w)
-			s.fork.wg.Done()
 		})
 	}
 	for i := range s.sw[:nw] {
@@ -642,7 +644,10 @@ func (s *LDLSymbolic) ensureSuperScratch(factor bool) int {
 // forkTasks runs kernel over every subtree task on nw workers (sized by
 // ensureSuperScratch): the caller is worker 0 and nw−1 goroutines join
 // it; each worker claims the next unclaimed task until none is left.
-// With one worker no goroutine starts.
+// With one worker no goroutine starts. A panicking kernel stops its
+// worker only; forkTasks waits for the others and then re-panics with
+// the first value on the caller's goroutine, so the caller's recover
+// sees it as it would a serial sweep's.
 func (s *LDLSymbolic) forkTasks(nw int, kernel func(*LDLNumeric, int, *superScratch), f *LDLNumeric, a *CSR) {
 	fk := &s.fork
 	fk.kernel, fk.f, fk.a = kernel, f, a
@@ -654,14 +659,32 @@ func (s *LDLSymbolic) forkTasks(nw int, kernel func(*LDLNumeric, int, *superScra
 	s.drainTasks(0)
 	fk.wg.Wait()
 	fk.f, fk.a = nil, nil
+	if p := fk.failed; p != nil {
+		fk.failed = nil
+		panic(p)
+	}
 }
 
-// drainTasks is worker w's loop: claim tasks until none is left.
+// drainTasks is worker w's loop — claim tasks until none is left — with
+// a panic recorded in the fork state instead of unwinding the worker's
+// goroutine.
 func (s *LDLSymbolic) drainTasks(w int) {
+	defer s.fork.recoverWorker()
 	fk := &s.fork
 	ntask := int32(len(s.super.taskPtr) - 1)
 	for t := fk.next.Add(1) - 1; t < ntask; t = fk.next.Add(1) - 1 {
 		fk.kernel(fk.f, int(t), &s.sw[w])
+	}
+}
+
+// recoverWorker, deferred by drainTasks, keeps the first recovered panic.
+func (fk *superFork) recoverWorker() {
+	if p := recover(); p != nil {
+		fk.mu.Lock()
+		if fk.failed == nil {
+			fk.failed = p
+		}
+		fk.mu.Unlock()
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
+	"sync"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 // scalarColumn collects column j of a scalar-layout factor as a row→value
@@ -233,41 +235,6 @@ func TestSupernodalAutoSelection(t *testing.T) {
 	}
 }
 
-// raceEnabled is set under the race detector (race_test.go).
-var raceEnabled bool
-
-// procsLevels are the GOMAXPROCS values the subtree-parallel kernels
-// are pinned at: inline, one fork per task pair, oversubscribed.
-var procsLevels = []int{1, 2, 8}
-
-// withProcs runs fn at GOMAXPROCS p and restores the previous value.
-func withProcs(p int, fn func()) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
-	fn()
-}
-
-// allocsPerRunAt is testing.AllocsPerRun — the integer mean of the
-// process-wide heap allocations over runs calls of fn — at GOMAXPROCS p
-// instead of AllocsPerRun's pin to 1, so the forked subtree workers run
-// and count. A fork starts goroutines, which the runtime recycles from
-// per-P free lists; warm calls first fill those lists.
-func allocsPerRunAt(p, warm, runs int, fn func()) float64 {
-	var n uint64
-	withProcs(p, func() {
-		for range warm {
-			fn()
-		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for range runs {
-			fn()
-		}
-		runtime.ReadMemStats(&m1)
-		n = m1.Mallocs - m0.Mallocs
-	})
-	return float64(n / uint64(runs))
-}
-
 // TestSupernodalHotPathAllocFree extends the per-tick contract to the
 // panel kernels: refactorization into a reused numeric object, Solve and
 // SolveBatch all allocate nothing in steady state — with the subtree
@@ -309,15 +276,15 @@ func TestSupernodalHotPathAllocFree(t *testing.T) {
 		xs[r] = make([]float64, a.N)
 		bs[r] = bvec
 	}
-	levels := procsLevels
-	if raceEnabled {
+	levels := testutil.ProcsLevels
+	if testutil.RaceEnabled {
 		levels = levels[:1]
 	}
 	for _, p := range levels {
-		if allocs := allocsPerRunAt(p, 1000, 100, func() { f.Solve(x, bvec) }); allocs != 0 {
+		if allocs := testutil.AllocsPerRunAt(p, 1000, 100, func() { f.Solve(x, bvec) }); allocs != 0 {
 			t.Errorf("GOMAXPROCS=%d: supernodal Solve allocates %v objects, want 0", p, allocs)
 		}
-		allocs := allocsPerRunAt(p, 1000, 100, func() {
+		allocs := testutil.AllocsPerRunAt(p, 1000, 100, func() {
 			if _, err := s.Factorize(a, f); err != nil {
 				t.Fatal(err)
 			}
@@ -325,7 +292,7 @@ func TestSupernodalHotPathAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("GOMAXPROCS=%d: reused supernodal Factorize allocates %v objects, want 0", p, allocs)
 		}
-		if allocs := allocsPerRunAt(p, 1000, 100, func() { f.SolveBatch(xs, bs) }); allocs != 0 {
+		if allocs := testutil.AllocsPerRunAt(p, 1000, 100, func() { f.SolveBatch(xs, bs) }); allocs != 0 {
 			t.Errorf("GOMAXPROCS=%d: supernodal SolveBatch allocates %v objects, want 0", p, allocs)
 		}
 	}
@@ -343,30 +310,11 @@ func TestSupernodalNotPositiveDefinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.setSupernodal(true)
-	// Same structure, diagonal entries driven negative: one at the grid
-	// centre, and the sets of poisonSets.
-	poisons := append([][]int{{(ny/2)*nx + nx/2}}, poisonSets(s)...)
-	for _, cols := range poisons {
-		bad := gridLaplacian(nx, ny, 2)
-		for _, c := range cols {
-			for p := bad.RowPtr[c]; p < bad.RowPtr[c+1]; p++ {
-				if bad.Col[p] == c {
-					bad.Val[p] = -3
-				}
-			}
-		}
-		_, want := factorSerialOracle(s, bad)
-		if !errors.Is(want, ErrNotPositiveDefinite) {
-			t.Fatalf("poison %v: oracle got %v, want ErrNotPositiveDefinite", cols, want)
-		}
-		for _, p := range procsLevels {
-			withProcs(p, func() {
-				_, err := s.Factorize(bad, nil)
-				if !errors.Is(err, ErrNotPositiveDefinite) || err.Error() != want.Error() {
-					t.Errorf("poison %v GOMAXPROCS=%d: got %v, want %v", cols, p, err, want)
-				}
-			})
-		}
+	checkPoisonPivots(t, good, s)
+	// Same structure, one diagonal entry at the grid centre driven
+	// negative.
+	if _, err := s.Factorize(poisoned(good, []int{(ny/2)*nx + nx/2}), nil); !errors.Is(err, ErrNotPositiveDefinite) {
+		t.Fatalf("got %v, want ErrNotPositiveDefinite", err)
 	}
 	// Recovery: the same symbolic object factorizes the SPD system.
 	f, err := s.Factorize(good, nil)
@@ -379,6 +327,42 @@ func TestSupernodalNotPositiveDefinite(t *testing.T) {
 	f.Solve(x, b)
 	if res := residual(good, x, b); res > 1e-10 {
 		t.Fatalf("recovery residual %g", res)
+	}
+}
+
+// poisoned returns a copy of a (sharing its structure) with the diagonal
+// entries of the given original-order nodes set to −1.
+func poisoned(a *CSR, nodes []int) *CSR {
+	bad := &CSR{N: a.N, RowPtr: a.RowPtr, Col: a.Col, Val: slices.Clone(a.Val)}
+	for _, c := range nodes {
+		for p := bad.RowPtr[c]; p < bad.RowPtr[c+1]; p++ {
+			if bad.Col[p] == c {
+				bad.Val[p] = -1
+			}
+		}
+	}
+	return bad
+}
+
+// checkPoisonPivots drives the node sets of poisonSets negative in a
+// copy of a, failing pivots in different tasks and in the top of s's
+// schedule, and checks that every GOMAXPROCS level reports the column
+// and pivot the serial ascending factorization meets first.
+func checkPoisonPivots(t *testing.T, a *CSR, s *LDLSymbolic) {
+	t.Helper()
+	for _, nodes := range poisonSets(s) {
+		bad := poisoned(a, nodes)
+		_, want := factorSerialOracle(s, bad)
+		if !errors.Is(want, ErrNotPositiveDefinite) {
+			t.Fatalf("poison %v: serial oracle got %v, want ErrNotPositiveDefinite", nodes, want)
+		}
+		for _, p := range testutil.ProcsLevels {
+			testutil.WithProcs(p, func() {
+				if _, err := s.Factorize(bad, nil); err == nil || err.Error() != want.Error() {
+					t.Errorf("poison %v GOMAXPROCS=%d: got %v, want %v", nodes, p, err, want)
+				}
+			})
+		}
 	}
 }
 
@@ -571,14 +555,10 @@ func TestSupernodalSchedule(t *testing.T) {
 	}
 }
 
-// TestSupernodalSubtreeBitIdentical pins the subtree-parallel kernels to
-// their serial oracles bit for bit at every GOMAXPROCS level, on grid
-// Laplacians under ND and RCM orderings: L and D against the serial
-// ascending factorization, Solve against the gather-form serial solve,
-// and every SolveBatch lane against Solve. (The simulator's own systems
+// TestSupernodalSubtreeBitIdentical runs checkBitIdentical on grid
+// Laplacians under ND and RCM orderings. (The simulator's own systems
 // are covered by the external stack tests.)
 func TestSupernodalSubtreeBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
 	for _, ord := range []Ordering{OrderND, OrderRCM} {
 		a := gridLaplacian(60, 50, 0.5)
 		s, err := AnalyzeLDL(a, ord)
@@ -586,49 +566,60 @@ func TestSupernodalSubtreeBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.setSupernodal(true)
-		ref, err := factorSerialOracle(s, a)
-		if err != nil {
-			t.Fatal(err)
+		checkBitIdentical(t, a, s)
+	}
+}
+
+// checkBitIdentical pins the subtree-parallel kernels on (a, s) to their
+// serial oracles bit for bit at every GOMAXPROCS level: L and D after
+// Factorize against the serial ascending factorization (the one-worker
+// run included), Solve against the gather-form serial solve, and every
+// SolveBatch lane against Solve.
+func checkBitIdentical(t *testing.T, a *CSR, s *LDLSymbolic) {
+	t.Helper()
+	ref, err := factorSerialOracle(s, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lx, d := slices.Clone(ref.lx), slices.Clone(ref.d)
+	rng := rand.New(rand.NewSource(int64(a.N)))
+	bs := make([][]float64, 3)
+	for r := range bs {
+		bs[r] = make([]float64, a.N)
+		for i := range bs[r] {
+			bs[r][i] = 300 + 50*rng.NormFloat64()
 		}
-		lx, d := slices.Clone(ref.lx), slices.Clone(ref.d)
-		bs := make([][]float64, 3)
-		for r := range bs {
-			bs[r] = make([]float64, a.N)
-			for i := range bs[r] {
-				bs[r][i] = rng.NormFloat64()
+	}
+	for _, p := range testutil.ProcsLevels {
+		testutil.WithProcs(p, func() {
+			f, err := s.Factorize(a, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for _, p := range procsLevels {
-			withProcs(p, func() {
-				f, err := s.Factorize(a, nil)
-				if err != nil {
-					t.Fatal(err)
+			if i := firstBitDiff(f.lx, lx); i >= 0 {
+				t.Fatalf("GOMAXPROCS=%d: L[%d]=%g serial %g", p, i, f.lx[i], lx[i])
+			}
+			if i := firstBitDiff(f.d, d); i >= 0 {
+				t.Fatalf("GOMAXPROCS=%d: D[%d]=%g serial %g", p, i, f.d[i], d[i])
+			}
+			xs := make([][]float64, len(bs))
+			for r := range xs {
+				xs[r] = make([]float64, a.N)
+			}
+			f.SolveBatch(xs, bs)
+			got := make([]float64, a.N)
+			want := make([]float64, a.N)
+			for r, b := range bs {
+				solveGatherOracle(f, want, b)
+				f.Solve(got, b)
+				if i := firstBitDiff(got, want); i >= 0 {
+					t.Fatalf("GOMAXPROCS=%d rhs %d: Solve x[%d]=%g oracle %g", p, r, i, got[i], want[i])
 				}
-				if i := firstBitDiff(f.lx, lx); i >= 0 {
-					t.Fatalf("ord %v GOMAXPROCS=%d: L[%d]=%g serial %g", ord, p, i, f.lx[i], lx[i])
+				if i := firstBitDiff(xs[r], got); i >= 0 {
+					t.Fatalf("GOMAXPROCS=%d rhs %d: SolveBatch x[%d]=%g Solve %g", p, r, i, xs[r][i], got[i])
 				}
-				if i := firstBitDiff(f.d, d); i >= 0 {
-					t.Fatalf("ord %v GOMAXPROCS=%d: D[%d]=%g serial %g", ord, p, i, f.d[i], d[i])
-				}
-				xs := make([][]float64, len(bs))
-				for r := range xs {
-					xs[r] = make([]float64, a.N)
-				}
-				f.SolveBatch(xs, bs)
-				got := make([]float64, a.N)
-				want := make([]float64, a.N)
-				for r, b := range bs {
-					solveGatherOracle(f, want, b)
-					f.Solve(got, b)
-					if i := firstBitDiff(got, want); i >= 0 {
-						t.Fatalf("ord %v GOMAXPROCS=%d rhs %d: Solve x[%d]=%g oracle %g", ord, p, r, i, got[i], want[i])
-					}
-					if i := firstBitDiff(xs[r], got); i >= 0 {
-						t.Fatalf("ord %v GOMAXPROCS=%d rhs %d: SolveBatch x[%d]=%g Solve %g", ord, p, r, i, xs[r][i], got[i])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -773,4 +764,58 @@ func TestSupernodalForwardMatchesGatherOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSupernodalForkPanicReachesCaller: a kernel panic on a forked
+// subtree worker, or on every worker, does not kill the process — the
+// fork waits for its workers and re-panics on the caller's goroutine,
+// where a recover sees it — and the symbolic object then factorizes and
+// solves as before.
+func TestSupernodalForkPanicReachesCaller(t *testing.T) {
+	a := gridLaplacian(30, 25, 2)
+	s, err := AnalyzeLDL(a, OrderAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.setSupernodal(true)
+	if nt := len(s.super.taskPtr) - 1; nt < 2 {
+		t.Fatalf("schedule has %d subtree tasks, want ≥ 2 (nothing would fork)", nt)
+	}
+	forkPanic := func(kernel func(*LDLNumeric, int, *superScratch)) (p any) {
+		defer func() { p = recover() }()
+		s.forkTasks(s.ensureSuperScratch(false), kernel, nil, nil)
+		return nil
+	}
+	testutil.WithProcs(2, func() {
+		// Worker 0 holds its first task until a forked worker has
+		// panicked on another.
+		forked := make(chan struct{})
+		var once sync.Once
+		onForked := func(_ *LDLNumeric, _ int, ws *superScratch) {
+			if ws == &s.sw[0] {
+				<-forked
+				return
+			}
+			once.Do(func() { close(forked) })
+			panic("forked worker")
+		}
+		if p := forkPanic(onForked); p != "forked worker" {
+			t.Errorf("forked worker's panic: caller recovered %v", p)
+		}
+		everywhere := func(*LDLNumeric, int, *superScratch) { panic("every worker") }
+		if p := forkPanic(everywhere); p != "every worker" {
+			t.Errorf("every worker's panic: caller recovered %v", p)
+		}
+		f, err := s.Factorize(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]float64, a.N)
+		b[0] = 1
+		x := make([]float64, a.N)
+		f.Solve(x, b)
+		if res := residual(a, x, b); res > 1e-10 {
+			t.Fatalf("residual %g after the recovered panics", res)
+		}
+	})
 }

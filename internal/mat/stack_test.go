@@ -1,22 +1,14 @@
 package mat_test
 
 import (
-	"errors"
-	"math"
-	"math/rand"
-	"runtime"
-	"slices"
 	"testing"
 
 	"repro/internal/floorplan"
 	"repro/internal/grid"
 	"repro/internal/mat"
 	"repro/internal/rcnet"
+	"repro/internal/testutil"
 )
-
-// procsLevels are the GOMAXPROCS values the subtree-parallel kernels are
-// pinned at: inline, one fork per task pair, oversubscribed.
-var procsLevels = []int{1, 2, 8}
 
 // stackCase is one of the simulator's liquid-cooled systems on the panel
 // kernels: the 4-layer 23×20 stack (n = 4140, the smallest the size gate
@@ -39,7 +31,7 @@ var stackCases = []stackCase{
 func forEachStack(t *testing.T, fn func(t *testing.T, a *mat.CSR, s *mat.LDLSymbolic)) {
 	for _, c := range stackCases {
 		t.Run(c.name, func(t *testing.T) {
-			if c.nx > 23 && (testing.Short() || mat.RaceEnabled()) {
+			if c.nx > 23 && (testing.Short() || testutil.RaceEnabled) {
 				t.Skip("paper-resolution system: skipped under -short and -race")
 			}
 			g, err := grid.Build(c.newStack(true), grid.DefaultParams(c.nx, c.ny))
@@ -72,23 +64,6 @@ func forEachStack(t *testing.T, fn func(t *testing.T, a *mat.CSR, s *mat.LDLSymb
 	}
 }
 
-// withProcs runs fn at GOMAXPROCS p and restores the previous value.
-func withProcs(p int, fn func()) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
-	fn()
-}
-
-// firstBitDiff returns the first index where got and want differ in
-// their bits, or -1.
-func firstBitDiff(got, want []float64) int {
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			return i
-		}
-	}
-	return -1
-}
-
 // TestSupernodalStackSchedule checks the subtree schedule's invariants
 // on the simulator's systems.
 func TestSupernodalStackSchedule(t *testing.T) {
@@ -100,88 +75,19 @@ func TestSupernodalStackSchedule(t *testing.T) {
 }
 
 // TestSupernodalStackBitIdentical pins the subtree-parallel kernels on
-// the simulator's systems at GOMAXPROCS 1, 2 and 8, bit for bit: L and D
-// after Factorize against the serial ascending factorization (the
-// one-worker run included), Solve against the serial gather-form solve,
+// the simulator's systems at GOMAXPROCS 1, 2 and 8, bit for bit
+// (mat.CheckBitIdentical): L and D after Factorize against the serial
+// ascending factorization, Solve against the serial gather-form solve,
 // and every SolveBatch lane against Solve.
 func TestSupernodalStackBitIdentical(t *testing.T) {
-	forEachStack(t, func(t *testing.T, a *mat.CSR, s *mat.LDLSymbolic) {
-		ref, err := mat.FactorizeSerialOracle(s, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refL, refD := mat.FactorValues(ref)
-		lx, d := slices.Clone(refL), slices.Clone(refD)
-		rng := rand.New(rand.NewSource(int64(a.N)))
-		bs := make([][]float64, 3)
-		for r := range bs {
-			bs[r] = make([]float64, a.N)
-			for i := range bs[r] {
-				bs[r][i] = 300 + 50*rng.Float64()
-			}
-		}
-		for _, p := range procsLevels {
-			withProcs(p, func() {
-				f, err := s.Factorize(a, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotL, gotD := mat.FactorValues(f)
-				if i := firstBitDiff(gotL, lx); i >= 0 {
-					t.Fatalf("GOMAXPROCS=%d: L[%d]=%g serial %g", p, i, gotL[i], lx[i])
-				}
-				if i := firstBitDiff(gotD, d); i >= 0 {
-					t.Fatalf("GOMAXPROCS=%d: D[%d]=%g serial %g", p, i, gotD[i], d[i])
-				}
-				xs := make([][]float64, len(bs))
-				for r := range xs {
-					xs[r] = make([]float64, a.N)
-				}
-				f.SolveBatch(xs, bs)
-				got := make([]float64, a.N)
-				want := make([]float64, a.N)
-				for r, b := range bs {
-					mat.SolveGatherOracle(f, want, b)
-					f.Solve(got, b)
-					if i := firstBitDiff(got, want); i >= 0 {
-						t.Fatalf("GOMAXPROCS=%d rhs %d: Solve x[%d]=%g oracle %g", p, r, i, got[i], want[i])
-					}
-					if i := firstBitDiff(xs[r], got); i >= 0 {
-						t.Fatalf("GOMAXPROCS=%d rhs %d: SolveBatch x[%d]=%g Solve %g", p, r, i, xs[r][i], got[i])
-					}
-				}
-			})
-		}
-	})
+	forEachStack(t, mat.CheckBitIdentical)
 }
 
 // TestSupernodalStackNotPositiveDefinite drives pairs of diagonal
 // entries of the simulator's systems negative, failing pivots in
 // different tasks and in the top, and checks that every GOMAXPROCS
 // reports the column and pivot the serial ascending factorization meets
-// first.
+// first (mat.CheckPoisonPivots).
 func TestSupernodalStackNotPositiveDefinite(t *testing.T) {
-	forEachStack(t, func(t *testing.T, a *mat.CSR, s *mat.LDLSymbolic) {
-		for _, cols := range mat.PoisonSets(s) {
-			bad := &mat.CSR{N: a.N, RowPtr: a.RowPtr, Col: a.Col, Val: slices.Clone(a.Val)}
-			for _, c := range cols {
-				for p := bad.RowPtr[c]; p < bad.RowPtr[c+1]; p++ {
-					if bad.Col[p] == c {
-						bad.Val[p] = -1
-					}
-				}
-			}
-			_, want := mat.FactorizeSerialOracle(s, bad)
-			if !errors.Is(want, mat.ErrNotPositiveDefinite) {
-				t.Fatalf("poison %v: serial oracle got %v, want ErrNotPositiveDefinite", cols, want)
-			}
-			for _, p := range procsLevels {
-				withProcs(p, func() {
-					if _, err := s.Factorize(bad, nil); err == nil || err.Error() != want.Error() {
-						t.Errorf("poison %v GOMAXPROCS=%d: got %v, want %v", cols, p, err, want)
-					}
-				})
-			}
-		}
-	})
+	forEachStack(t, mat.CheckPoisonPivots)
 }

@@ -22,12 +22,12 @@ func (m *Model) solveDirect(dt float64) error {
 // source, which factorizes on its own miss (through this model's
 // symbolic analysis and system matrix) and otherwise hands back the
 // factor another model built; the view over it is allocated once per key
-// and memoized. The source caches the factor detached from the building
-// model's analysis, so it pins none of that model's solver scratch. A
-// failed factorization is an error; the factor source caches it, so
-// every later solve of the key reports it without refactorizing. This is
-// solveDirect minus the solve itself, shared with the gang scheduler's
-// BatchStepper, which solves many models through one factor.
+// and memoized. The source caches the factor as a view through a fresh
+// Clone of the analysis, so it pins none of the building model's solver
+// scratch. A failed factorization is an error; the factor source caches
+// it, so every later solve of the key reports it without refactorizing.
+// This is solveDirect minus the solve itself, shared with the gang
+// scheduler's BatchStepper, which solves many models through one factor.
 func (m *Model) factorFor(dt float64) (*mat.LDLNumeric, error) {
 	key := m.factorKey(dt)
 	if v, ok := m.views[key]; ok {
@@ -42,7 +42,7 @@ func (m *Model) factorFor(dt float64) (*mat.LDLNumeric, error) {
 			return nil, err
 		}
 		m.nFactor++
-		return num.Detach(), nil
+		return num.View(m.symb.Clone()), nil
 	})
 	if err != nil {
 		return nil, err

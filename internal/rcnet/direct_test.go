@@ -11,6 +11,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/mat"
 	"repro/internal/pump"
+	"repro/internal/testutil"
 	"repro/internal/units"
 )
 
@@ -323,9 +324,6 @@ func TestSteadyStateSharesFactorAcrossLadder(t *testing.T) {
 	}
 }
 
-// raceEnabled is set when the test binary runs under the race detector.
-var raceEnabled bool
-
 // TestDirectFactorizesEveryPlatform shows the direct solver needs no
 // fallback: on every system matrix a platform's runs factorize — 2 and 4
 // layers, air and liquid cooling, the pump off and at its lowest and
@@ -357,7 +355,7 @@ func TestDirectFactorizesEveryPlatform(t *testing.T) {
 			}
 		}
 	}
-	if !testing.Short() && !raceEnabled {
+	if !testing.Short() && !testutil.RaceEnabled {
 		platforms = append(platforms, platform{2, true, 115, 100})
 	}
 	const tick = 0.1

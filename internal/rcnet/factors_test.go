@@ -239,10 +239,11 @@ func TestSharedFactorFailure(t *testing.T) {
 }
 
 // TestSharedFactorHoldsNoModelScratch: a cached factor does not keep the
-// model that built it alive. The cache holds the factor detached from
-// the builder's symbolic analysis, so once the builder is dropped its
-// analysis clone — with the O(n) solve and factorization scratch — is
-// collected, while the factor keeps serving the other models.
+// model that built it alive. The cache holds a view of the factor through
+// a fresh clone of the builder's symbolic analysis, so once the builder
+// is dropped its analysis clone — with the O(n) solve and factorization
+// scratch — is collected, while the factor keeps serving the other
+// models.
 func TestSharedFactorHoldsNoModelScratch(t *testing.T) {
 	g, err := grid.Build(floorplan.NewT1Stack4(true), grid.DefaultParams(23, 20))
 	if err != nil {

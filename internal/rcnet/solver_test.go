@@ -1,11 +1,11 @@
 package rcnet
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/floorplan"
 	"repro/internal/grid"
+	"repro/internal/testutil"
 	"repro/internal/units"
 )
 
@@ -73,33 +73,14 @@ func TestStepAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		levels := []int{1, 2, 8}
-		if raceEnabled {
+		levels := testutil.ProcsLevels
+		if testutil.RaceEnabled {
 			levels = levels[:1] // a forked level's warm calls take minutes there
 		}
 		for _, p := range levels {
-			if allocs := allocsPerRunAt(p, 1000, 100, step); allocs != 0 {
+			if allocs := testutil.AllocsPerRunAt(p, 1000, 100, step); allocs != 0 {
 				t.Errorf("%s GOMAXPROCS=%d: Step allocates %v objects per tick, want 0", c.name, p, allocs)
 			}
 		}
 	}
-}
-
-// allocsPerRunAt is testing.AllocsPerRun — the integer mean of the
-// process-wide heap allocations over runs calls of fn — at GOMAXPROCS p
-// instead of AllocsPerRun's pin to 1, so forked solver workers run and
-// count. The runtime recycles exited goroutines from per-P free lists;
-// warm calls first fill those lists.
-func allocsPerRunAt(p, warm, runs int, fn func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
-	for range warm {
-		fn()
-	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for range runs {
-		fn()
-	}
-	runtime.ReadMemStats(&m1)
-	return float64((m1.Mallocs - m0.Mallocs) / uint64(runs))
 }
