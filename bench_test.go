@@ -377,17 +377,6 @@ func BenchmarkAnalyzePaperResolution(b *testing.B) {
 	benchutil.AnalyzePaper(b)
 }
 
-// BenchmarkSolveBatch8 measures one blocked multi-RHS sweep of the
-// paper-resolution factor (8 right-hand sides per op) against the same
-// 8 systems solved one at a time. The blocked kernel traverses the
-// factor once for the whole panel, so its per-RHS cost must be ≤ 50% of
-// a lone Solve — the win rcnet.BatchStepper and the sim gang scheduler
-// bank on.
-func BenchmarkSolveBatch8(b *testing.B) {
-	b.Run("batch", benchutil.SolveBatch8)
-	b.Run("sequential", benchutil.SolveSequential8)
-}
-
 // BenchmarkFactorizePaperResolution measures the refactorize+solve at
 // the paper's 115×100 grid — the flow-transition cost a running
 // simulation pays — on the supernodal kernels the size gate picks there;

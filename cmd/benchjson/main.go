@@ -28,11 +28,10 @@
 // RunManyWarm pair, which tracks the end-to-end setup amortization of
 // the shared platform layer (cold = per-run artifact builds, warm = a
 // primed coolsim.PlatformCache), RunManySharedFactor (the co-scheduled
-// gang path batching platform-sharing runs through one SolveBatch sweep
-// per tick), the SolveBatch8/SolveSequential8 pair tracking the blocked
-// multi-RHS kernel's per-RHS win at paper resolution, and CampaignExpand
-// — the server-side sweep-to-scenarios expansion every campaign
-// submission pays before its members reach the queue.
+// gang path batching platform-sharing runs through one SolveBatch call
+// per tick), and CampaignExpand — the server-side sweep-to-scenarios
+// expansion every campaign submission pays before its members reach the
+// queue.
 package main
 
 import (
@@ -117,8 +116,6 @@ func run(out string, paper bool) (path string, err error) {
 		{name: "RunManyCold", fn: benchutil.RunManyCold},
 		{name: "RunManyWarm", fn: benchutil.RunManyWarm},
 		{name: "RunManySharedFactor", fn: benchutil.RunManySharedFactor},
-		{name: "SolveBatch8", fn: benchutil.SolveBatch8},
-		{name: "SolveSequential8", fn: benchutil.SolveSequential8},
 		{name: "CampaignExpand", fn: benchutil.CampaignExpand},
 		{name: "SampleEncode", fn: benchutil.SampleEncode},
 		{name: "StreamFanout1", fn: benchutil.StreamFanout(1)},

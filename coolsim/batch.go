@@ -14,9 +14,11 @@ type BatchCounters struct {
 // BatchStats is a point-in-time snapshot of BatchCounters, JSON-ready
 // for metrics surfaces.
 type BatchStats struct {
-	// Sweeps is the number of multi-RHS sweeps performed: each solved
+	// Sweeps is the number of grouped solves performed: each solved
 	// one factorized system against the right-hand sides of every
-	// co-scheduled scenario sharing it.
+	// co-scheduled scenario sharing it — one blocked sweep on the
+	// scalar kernels, one supernodal solve per right-hand side on the
+	// panel kernels.
 	Sweeps int64 `json:"sweeps"`
 	// BatchedSolves is the number of per-scenario solves served through
 	// those sweeps (the sum of their widths).

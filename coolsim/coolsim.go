@@ -28,9 +28,11 @@
 // solver analysis, controller tables — through a PlatformCache; see
 // WithPlatformCache. An oversubscribed RunMany additionally
 // co-schedules platform-sharing fixed-flow runs so their per-tick
-// thermal solves ride one blocked multi-RHS sweep of the shared factor
-// — reports stay byte-identical to solo runs at any worker count, and
-// Report.BatchedSolves / WithBatchCounters expose what was ganged.
+// thermal solves go through one multi-RHS solve of the shared factor
+// (a blocked sweep on the scalar kernels, one supernodal solve per run
+// on the panel kernels) — reports stay byte-identical to solo runs at
+// any worker count, and Report.BatchedSolves / WithBatchCounters expose
+// what was ganged.
 package coolsim
 
 import (
@@ -249,7 +251,7 @@ type Report struct {
 	Refinements   int `json:"refinements"`
 	ThermalSolves int `json:"thermal_solves"`
 	// BatchedSolves is the number of this scenario's thermal solves that
-	// were served through shared multi-RHS sweeps — nonzero only when
+	// were served through grouped multi-RHS solves — nonzero only when
 	// RunMany co-schedules platform-sharing scenarios over fewer worker
 	// slots (see WithPlatformCache, WithWorkers, WithBatchCounters).
 	// Batching never changes the simulated trajectory.

@@ -95,8 +95,10 @@ func WithControlEvery(n int) Option {
 // WithBatchCounters makes the call report batched-solve statistics into
 // ctr: when RunMany co-schedules platform-sharing scenarios over fewer
 // worker slots, each lock-stepped tick serves compatible thermal solves
-// through one multi-RHS sweep, and ctr counts those sweeps and their
-// widths. ctr may be shared across calls and read concurrently.
+// through one multi-RHS solve of the shared factor (a blocked sweep on
+// the scalar kernels, one supernodal solve per scenario on the panel
+// kernels), and ctr counts those grouped solves and their widths. ctr
+// may be shared across calls and read concurrently.
 func WithBatchCounters(ctr *BatchCounters) Option {
 	return func(c *config) { c.batch = ctr }
 }

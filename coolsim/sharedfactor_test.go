@@ -84,7 +84,10 @@ func TestSharedFactorsByteIdentical(t *testing.T) {
 // the subtree-parallel supernodal kernels: RunMany on the 4-layer 23×20
 // stack (n = 4140, the panel kernels, whose factorizations and solves
 // fork onto goroutines) gives byte-identical reports at GOMAXPROCS 1 and
-// 8. Only the placement-dependent gang diagnostic is excluded.
+// 8, solo (2 workers) and ganged (1 worker on a shared platform, where
+// the pair's per-tick solves go through one SolveBatch call and so fork
+// inside the gang). Only the placement-dependent gang diagnostic is
+// excluded; the ganged run must have batched.
 func TestRunManySupernodalGOMAXPROCS(t *testing.T) {
 	ctx := context.Background()
 	var scs []Scenario
@@ -99,28 +102,39 @@ func TestRunManySupernodalGOMAXPROCS(t *testing.T) {
 	}
 	var want [][]byte
 	for _, p := range []int{1, 8} {
-		var reports []*Report
-		func() {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
-			var err error
-			if reports, err = RunMany(ctx, scs, WithWorkers(2)); err != nil {
-				t.Fatal(err)
+		for _, workers := range []int{2, 1} {
+			var reports []*Report
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
+				var err error
+				opts := []Option{WithWorkers(workers)}
+				if workers == 1 {
+					opts = append(opts, WithPlatformCache(NewPlatformCache(0)))
+				}
+				if reports, err = RunMany(ctx, scs, opts...); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			var batched int64
+			for i, r := range reports {
+				batched += r.BatchedSolves
+				c := *r
+				c.BatchedSolves = 0
+				got, err := json.Marshal(&c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) < len(scs) {
+					want = append(want, got)
+					continue
+				}
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("scenario %d (%s): GOMAXPROCS=%d workers=%d report differs from GOMAXPROCS=1 workers=2\n1/2: %s\n%d/%d: %s",
+						i, scs[i].Cooling, p, workers, want[i], p, workers, got)
+				}
 			}
-		}()
-		for i, r := range reports {
-			c := *r
-			c.BatchedSolves = 0
-			got, err := json.Marshal(&c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p == 1 {
-				want = append(want, got)
-				continue
-			}
-			if !bytes.Equal(got, want[i]) {
-				t.Errorf("scenario %d (%s): GOMAXPROCS=%d report differs from GOMAXPROCS=1\n1: %s\n%d: %s",
-					i, scs[i].Cooling, p, want[i], p, got)
+			if workers == 1 && batched == 0 {
+				t.Errorf("GOMAXPROCS=%d workers=1: no batched solves, the pair did not gang", p)
 			}
 		}
 	}

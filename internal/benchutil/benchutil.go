@@ -310,53 +310,6 @@ func AnalyzePaper(b *testing.B) {
 	b.ReportMetric(symb.MeanPanelWidth(), "mean-panel-width")
 }
 
-// batchRHS allocates k solution buffers and k distinct right-hand sides
-// of size n (distinct so the batch sweep cannot benefit from identical
-// columns).
-func batchRHS(n, k int) (xs, bs [][]float64) {
-	xs = make([][]float64, k)
-	bs = make([][]float64, k)
-	for j := range bs {
-		xs[j] = make([]float64, n)
-		bs[j] = make([]float64, n)
-		for i := range bs[j] {
-			bs[j][i] = 1 + float64((i+3*j)%7)
-		}
-	}
-	return xs, bs
-}
-
-// SolveBatch8 benchmarks one blocked multi-RHS sweep of the paper-
-// resolution factor: a single SolveBatch over 8 right-hand sides per op.
-// Against SolveSequential8 — the identical 8 systems as individual Solve
-// calls — it tracks the per-RHS win of traversing the factor once for
-// the whole block (acceptance: per-RHS cost ≤ 50% of a lone Solve). The
-// supernodal batch body mirrors the sequential solve's operation order
-// lane by lane, so its lanes are bit-identical to 8 lone Solves
-// (mat.TestSupernodalSolveBatchMatchesSequential).
-func SolveBatch8(b *testing.B) {
-	_, num, sys := paperFactor(b)
-	xs, bs := batchRHS(sys.N, 8)
-	num.SolveBatch(xs, bs) // warm sweep: allocates the width-8 panel buffers
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		num.SolveBatch(xs, bs)
-	}
-}
-
-// SolveSequential8 is the unblocked reference for SolveBatch8: the same
-// factor and the same 8 right-hand sides, solved one at a time.
-func SolveSequential8(b *testing.B) {
-	_, num, sys := paperFactor(b)
-	xs, bs := batchRHS(sys.N, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range bs {
-			num.Solve(xs[j], bs[j])
-		}
-	}
-}
-
 // unitRHS returns a fixed non-trivial right-hand side of size n.
 func unitRHS(n int) []float64 {
 	rhs := make([]float64, n)

@@ -54,12 +54,10 @@ type LDLSymbolic struct {
 	flag    []int
 	lnz     []int
 	w       []float64      // Solve permuted work vector
-	wb      []float64      // SolveBatch panel, grown to n·k on demand
+	wb      []float64      // scalar SolveBatch panel, grown to n·k on demand
 	sw      []superScratch // supernodal kernels: one scratch per subtree worker
 	flog    []float64      // supernodal forward sweep: the task supernodes' above-root accumulators
 	fork    superFork      // supernodal kernels: fork-join state of the subtree tasks
-	sbacc   []float64      // supernodal batch backward accumulator (one lane row), grown on demand
-	sbtmp   []float64      // supernodal batch below-row accumulator / gather, grown on demand
 }
 
 // LDLNumeric holds the numeric factors of one matrix: PAPᵀ = L·D·Lᵀ with

@@ -1,20 +1,25 @@
 package mat
 
 // SolveBatch solves the k = len(xs) systems A·xs[r] = bs[r] through the
-// cached factors in one blocked pass. The right-hand sides are packed
-// into a node-major panel (all k values of one node contiguous), so the
-// two triangular sweeps stream the factor's values and indices once for
-// the whole batch instead of once per RHS — the index and L traffic that
-// dominates a single Solve is amortized k ways. Per-RHS results are
-// bit-identical to sequential Solve calls, except that the blocked
-// forward sweep does not reproduce the scalar Solve's skip of exact-zero
-// multipliers. Subtracting the skipped ±0 products changes a result bit
-// only when an accumulator holds -0 — never the case for the strictly
-// positive thermal systems this package serves.
+// cached factors. On a scalar-column factor the right-hand sides are
+// packed into a node-major panel (all k values of one node contiguous),
+// so the two triangular sweeps stream the factor's values and indices
+// once for the whole batch instead of once per RHS — the index and L
+// traffic that dominates a single Solve is amortized k ways. Per-RHS
+// results are bit-identical to sequential Solve calls, except that the
+// blocked forward sweep does not reproduce the scalar Solve's skip of
+// exact-zero multipliers. Subtracting the skipped ±0 products changes a
+// result bit only when an accumulator holds -0 — never the case for the
+// strictly positive thermal systems this package serves.
+//
+// A supernodal factor has no separate batch kernel: SolveBatch runs
+// Solve once per right-hand side, so each lane is Solve's result by
+// construction and every solve forks its subtree tasks like a lone one.
 //
 // Each xs[r]/bs[r] must have length N; xs[r] may alias bs[r]. Like
-// Solve, SolveBatch allocates nothing in steady state: the panel scratch
-// lives on the symbolic object and is grown once per high-water k.
+// Solve, SolveBatch allocates nothing in steady state: the scalar panel
+// scratch lives on the symbolic object and is grown once per high-water
+// k.
 func (f *LDLNumeric) SolveBatch(xs, bs [][]float64) {
 	s := f.s
 	n := s.n
@@ -34,6 +39,12 @@ func (f *LDLNumeric) SolveBatch(xs, bs [][]float64) {
 			panic("mat: LDL SolveBatch dimension mismatch")
 		}
 	}
+	if f.super {
+		for r := range xs {
+			f.Solve(xs[r], bs[r])
+		}
+		return
+	}
 	if cap(s.wb) < n*k {
 		s.wb = make([]float64, n*k)
 	}
@@ -46,18 +57,6 @@ func (f *LDLNumeric) SolveBatch(xs, bs [][]float64) {
 		for r := 0; r < k; r++ {
 			row[r] = bs[r][src]
 		}
-	}
-	if f.super {
-		f.solveBatchSuper(wb, k)
-		// Unpack.
-		for i := 0; i < n; i++ {
-			dst := s.perm[i]
-			row := wb[i*k : i*k+k]
-			for r := 0; r < k; r++ {
-				xs[r][dst] = row[r]
-			}
-		}
-		return
 	}
 	// Forward sweep, scatter form over columns (Solve's order).
 	for j := 0; j < n; j++ {

@@ -49,35 +49,39 @@ func TestSolveBatchMatchesSolve(t *testing.T) {
 }
 
 // TestSolveBatchAliasing: xs[r] may alias bs[r] (the thermal stepper
-// solves into the state vector the RHS was built from).
+// solves into the state vector the RHS was built from), on the scalar
+// blocked kernel and on a panel factor's per-RHS Solve.
 func TestSolveBatchAliasing(t *testing.T) {
 	a := gridLaplacian(9, 7, 1.5)
-	s, err := AnalyzeLDL(a, OrderAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := s.Factorize(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 3
-	var xs, bs, want [][]float64
-	for r := 0; r < k; r++ {
-		v := make([]float64, a.N)
-		for i := range v {
-			v[i] = float64(i%11) + float64(r)
+	for _, super := range []bool{false, true} {
+		s, err := AnalyzeLDL(a, OrderAuto)
+		if err != nil {
+			t.Fatal(err)
 		}
-		w := make([]float64, a.N)
-		f.Solve(w, v)
-		want = append(want, w)
-		xs = append(xs, v) // alias: solve in place
-		bs = append(bs, v)
-	}
-	f.SolveBatch(xs, bs)
-	for r := 0; r < k; r++ {
-		for i := range xs[r] {
-			if xs[r][i] != want[r][i] {
-				t.Fatalf("aliased batch rhs %d node %d: %g vs %g", r, i, xs[r][i], want[r][i])
+		s.setSupernodal(super)
+		f, err := s.Factorize(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const k = 3
+		var xs, bs, want [][]float64
+		for r := 0; r < k; r++ {
+			v := make([]float64, a.N)
+			for i := range v {
+				v[i] = float64(i%11) + float64(r)
+			}
+			w := make([]float64, a.N)
+			f.Solve(w, v)
+			want = append(want, w)
+			xs = append(xs, v) // alias: solve in place
+			bs = append(bs, v)
+		}
+		f.SolveBatch(xs, bs)
+		for r := 0; r < k; r++ {
+			for i := range xs[r] {
+				if xs[r][i] != want[r][i] {
+					t.Fatalf("supernodal=%v aliased batch rhs %d node %d: %g vs %g", super, r, i, xs[r][i], want[r][i])
+				}
 			}
 		}
 	}

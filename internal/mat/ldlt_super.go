@@ -70,8 +70,8 @@ import (
 // one block would reorder those subtractions.) A factorization that meets
 // a non-positive pivot reports the one with the lowest supernode, as a
 // serial ascending sweep would. So results are bit-identical at any
-// GOMAXPROCS and run-to-run, and SolveBatch (serial) reproduces Solve
-// bit-for-bit.
+// GOMAXPROCS and run-to-run. SolveBatch on a panel factor is Solve once
+// per right-hand side, so its lanes are Solve's results by construction.
 
 const (
 	// maxSuperWidth caps a supernode's column count: wider panels
@@ -515,7 +515,8 @@ func (sp *superState) buildSchedule() {
 
 // setSupernodal overrides the kernel pick of AnalyzeLDL: the dense-panel
 // kernels (true) or the scalar column kernels (false) for this symbolic
-// object's Factorize/Solve/SolveBatch. Only the cross-family reference
+// object's Factorize and Solve (and SolveBatch, which on panels is one
+// Solve per right-hand side). Only the cross-family reference
 // tests call it; clones inherit the setting. Selecting the panel kernels
 // on an analysis that kept only the partition counts builds the index
 // structure first (for this object only; clones made before keep
@@ -854,7 +855,7 @@ func (f *LDLNumeric) factorSupernode(sn int, a *CSR, ws *superScratch) (failK in
 // accumulators of the rows above the task root are written to sn's
 // forward log for the merged pass (a top supernode has no log). Every
 // w[r] so receives one subtraction per descendant, in ascending
-// descendant order — the fixed order the batch path shares.
+// descendant order, whatever the worker count.
 func (f *LDLNumeric) forwardSuper(sn int, acc []float64) {
 	s := f.s
 	sp := s.super
@@ -969,112 +970,4 @@ func (f *LDLNumeric) solveSuper() {
 		f.backwardSuper(int(sp.top[i]), acc)
 	}
 	s.forkTasks(nw, (*LDLNumeric).backwardTask, f, nil)
-}
-
-// solveBatchSuper runs the supernodal triangular sweeps over the packed
-// node-major k-wide panel wb (permutation and pack/unpack handled by
-// SolveBatch). Per-RHS the operation sequence mirrors solveSuper exactly
-// — same right-looking per-panel accumulate-then-subtract forward pass,
-// same dense triangular loops — so each lane is bit-identical to a
-// sequential supernodal Solve.
-func (f *LDLNumeric) solveBatchSuper(wb []float64, kb int) {
-	s := f.s
-	sp := s.super
-	if cap(s.sbacc) < kb {
-		s.sbacc = make([]float64, kb)
-	}
-	if cap(s.sbtmp) < sp.maxNr*kb {
-		s.sbtmp = make([]float64, sp.maxNr*kb)
-	}
-	acc := s.sbacc[:kb]
-	tmp := s.sbtmp
-	for sn := 0; sn < sp.nsn; sn++ {
-		c0 := int(sp.snPtr[sn])
-		wid := int(sp.snPtr[sn+1]) - c0
-		r0 := int(sp.rowPtr[sn])
-		nr := int(sp.rowPtr[sn+1]) - r0
-		pan := f.lx[sp.panelPtr[sn]:]
-		for k := 0; k < wid; k++ {
-			trow := wb[(c0+k)*kb : (c0+k)*kb+kb]
-			col := pan[k*nr:]
-			for i := k + 1; i < wid; i++ {
-				v := col[i]
-				drow := wb[(c0+i)*kb : (c0+i)*kb+kb]
-				for r, t := range trow {
-					drow[r] -= v * t
-				}
-			}
-		}
-		below := nr - wid
-		a := tmp[: below*kb : below*kb]
-		clear(a)
-		for k := 0; k < wid; k++ {
-			trow := wb[(c0+k)*kb : (c0+k)*kb+kb]
-			col := pan[k*nr+wid : k*nr+nr]
-			for i, v := range col {
-				arow := a[i*kb : i*kb+kb]
-				for r, t := range trow {
-					arow[r] += v * t
-				}
-			}
-		}
-		for i, row := range sp.rows[r0+wid : r0+nr] {
-			dst := wb[int(row)*kb:]
-			dst = dst[:kb:kb]
-			arow := a[i*kb : i*kb+kb]
-			for r := range dst {
-				dst[r] -= arow[r]
-			}
-		}
-	}
-	n := s.n
-	for j := 0; j < n; j++ {
-		iv := f.invd[j]
-		row := wb[j*kb : j*kb+kb]
-		for r := range row {
-			row[r] *= iv
-		}
-	}
-	for sn := sp.nsn - 1; sn >= 0; sn-- {
-		c0 := int(sp.snPtr[sn])
-		wid := int(sp.snPtr[sn+1]) - c0
-		r0 := int(sp.rowPtr[sn])
-		nr := int(sp.rowPtr[sn+1]) - r0
-		pan := f.lx[sp.panelPtr[sn]:]
-		below := nr - wid
-		rws := sp.rows[r0+wid : r0+nr]
-		t := tmp[: below*kb : below*kb]
-		for a, r := range rws {
-			copy(t[a*kb:a*kb+kb], wb[int(r)*kb:int(r)*kb+kb])
-		}
-		for k := 0; k < wid; k++ {
-			col := pan[k*nr+wid : k*nr+nr]
-			clear(acc)
-			for a, v := range col {
-				srow := t[a*kb : a*kb+kb]
-				for r, tv := range srow {
-					acc[r] += v * tv
-				}
-			}
-			drow := wb[(c0+k)*kb : (c0+k)*kb+kb]
-			for r := range drow {
-				drow[r] -= acc[r]
-			}
-		}
-		for k := wid - 1; k >= 0; k-- {
-			col := pan[k*nr:]
-			clear(acc)
-			for i := k + 1; i < wid; i++ {
-				v := col[i]
-				srow := wb[(c0+i)*kb : (c0+i)*kb+kb]
-				for r, tv := range srow {
-					acc[r] += v * tv
-				}
-			}
-			drow := wb[(c0+k)*kb : (c0+k)*kb+kb]
-			for r := range drow {
-				drow[r] -= acc[r]
-			}
-		}
-	}
 }

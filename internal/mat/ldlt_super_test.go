@@ -171,43 +171,6 @@ func TestSupernodalDegenerateWidthOne(t *testing.T) {
 	}
 }
 
-// TestSupernodalSolveBatchMatchesSequential: each lane of a supernodal
-// SolveBatch is bit-identical to a sequential supernodal Solve of that
-// right-hand side.
-func TestSupernodalSolveBatchMatchesSequential(t *testing.T) {
-	a := gridLaplacian(35, 25, 2)
-	s, err := AnalyzeLDL(a, OrderAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.setSupernodal(true)
-	f, err := s.Factorize(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	const k = 8
-	xs := make([][]float64, k)
-	bs := make([][]float64, k)
-	for r := range xs {
-		xs[r] = make([]float64, a.N)
-		bs[r] = make([]float64, a.N)
-		for i := range bs[r] {
-			bs[r][i] = rng.NormFloat64()
-		}
-	}
-	f.SolveBatch(xs, bs)
-	want := make([]float64, a.N)
-	for r := range xs {
-		f.Solve(want, bs[r])
-		for i := range want {
-			if math.Float64bits(xs[r][i]) != math.Float64bits(want[i]) {
-				t.Fatalf("rhs %d: x[%d]=%g sequential %g", r, i, xs[r][i], want[i])
-			}
-		}
-	}
-}
-
 // TestSupernodalAutoSelection pins the profitability gate: small systems
 // stay scalar (golden byte-stability depends on it), a paper-scale grid
 // flips supernodal automatically.

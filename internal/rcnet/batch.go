@@ -91,8 +91,9 @@ func (c *BatchCounters) Snapshot() BatchSnapshot {
 
 // BatchStepper advances a set of models built on one shared platform in
 // lock-step, grouping the per-tick linear solves of models that share a
-// factorKey (pump on or off, same dt) into single SolveBatch sweeps:
-// the factor's indices and values are streamed once for the whole group.
+// factorKey (pump on or off, same dt) into single SolveBatch calls on
+// one factor acquisition (on the scalar kernels the factor's indices and
+// values are then streamed once for the whole group).
 // Per-model state — temperatures, coolant march, factor caches — stays
 // fully isolated; only the leader's numeric factor is shared, and models
 // whose key diverges fall back to their own serial Step path,
@@ -184,7 +185,8 @@ func (st *BatchStepper) Step(models []*Model, dt units.Second) error {
 
 // solveGroup solves one key group. The leader (lowest model index)
 // acquires the factor through its own cache — identical cache traffic to
-// its serial Step — and the group sweeps once through it.
+// its serial Step — and the whole group solves through it in one
+// SolveBatch call.
 func (st *BatchStepper) solveGroup(models []*Model, mem []int, dtF float64) error {
 	lead := models[mem[0]]
 	num, err := lead.factorFor(dtF)

@@ -19,11 +19,12 @@ import (
 // When configs outnumber worker slots, runs that share a platform, base
 // tick and the fixed stepping engine are co-scheduled into lock-step
 // gangs: each tick's thermal solves against a common (flow > 0, dt)
-// factorization — Max and Var runs alike while their pumps run — are served by one multi-RHS sweep instead of repeated
-// triangular solves (see rcnet.BatchStepper). Ganging changes only how
-// solves are computed, never their values — results stay byte-identical
-// to a serial loop at every worker count. Config.BatchCounters observes
-// the batching.
+// factorization — Max and Var runs alike while their pumps run — are
+// served by one multi-RHS SolveBatch call on one factor acquisition (a
+// blocked sweep on the scalar kernels, see rcnet.BatchStepper). Ganging
+// changes only how solves are computed, never their values — results
+// stay byte-identical to a serial loop at every worker count.
+// Config.BatchCounters observes the batching.
 //
 // Cancellation is prompt: every in-flight Run watches ctx tick by tick and
 // no queued config starts once ctx is done, so RunAll returns ctx.Err()

@@ -168,7 +168,7 @@ type Result struct {
 	// migration overhead shows even when throughput is slack-absorbed.
 	MeanResponse units.Second
 	// BatchedSolves is the number of this run's thermal solves that were
-	// served through a shared multi-RHS sweep (RunAll gang scheduling);
+	// served through a grouped multi-RHS solve (RunAll gang scheduling);
 	// 0 for a solo Run. Excluded from the JSON golden surface — batching
 	// never changes the simulated trajectory, only how it was computed.
 	BatchedSolves int64 `json:"-"`
