@@ -26,10 +26,8 @@ fmt-check:
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# Substrate benchmark snapshot (ThermalStepCoarse/PaperResolution,
-# SteadyState, SimTick, the fixed/adaptive quiet-phase
-# stepping pair, RunManyCold/Warm) as BENCH_<date>.json — the per-PR
-# performance trajectory artifact CI archives. `go run ./cmd/benchjson
-# -paper` adds the nightly paper-resolution factor/fill trackers.
+# Substrate benchmark snapshot: every entry of the internal/benchutil
+# registry, as BENCH_<date>.json — the per-PR performance trajectory
+# artifact CI archives.
 bench-json:
 	$(GO) run ./cmd/benchjson

@@ -7,18 +7,11 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/arma"
 	"repro/internal/benchutil"
 	"repro/internal/controller"
 	"repro/internal/experiments"
-	"repro/internal/floorplan"
-	"repro/internal/grid"
-	"repro/internal/pump"
-	"repro/internal/rcnet"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/stepper"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -272,183 +265,12 @@ func BenchmarkAblationWeighting(b *testing.B) {
 
 // --- Substrate micro-benchmarks ---------------------------------------------
 
-// The substrate benchmark bodies live in internal/benchutil, shared with
-// cmd/benchjson so `go test -bench` and the BENCH_<date>.json snapshots
-// always measure the identical regime (same model setup, same warm-up
-// tick, same varying-power step loop).
-
-func BenchmarkThermalStepCoarse(b *testing.B) {
-	benchutil.ThermalStep(23, 20)(b)
-}
-
-func BenchmarkThermalStepPaperResolution(b *testing.B) {
-	// The paper's 100 µm grid: 115×100 cells per slab, 5 slabs.
-	benchutil.ThermalStep(115, 100)(b)
-}
-
-func BenchmarkSteadyState(b *testing.B) {
-	benchutil.SteadyState(b)
-}
-
-func BenchmarkLUTBuild(b *testing.B) {
-	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(12, 10))
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkSubstrate runs the internal/benchutil registry, the one list
+// of substrate hot-path benchmarks, as Substrate/<Name>: the same bodies
+// cmd/benchjson snapshots to BENCH_<date>.json. -bench
+// 'Substrate/^<Name>$' selects one entry.
+func BenchmarkSubstrate(b *testing.B) {
+	for _, e := range benchutil.Benches {
+		b.Run(e.Name, e.Run)
 	}
-	pm, err := pump.New(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	full := sim.FullLoadPowers(g.Stack)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := rcnet.New(g, rcnet.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := controller.BuildLUT(context.Background(), m, pm, full, controller.TargetTemp, controller.DefaultLadder()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkARMAFit(b *testing.B) {
-	series := make([]float64, 300)
-	for i := range series {
-		series[i] = 75 + 3*float64(i%60)/60
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := arma.Fit(series, arma.DefaultP, arma.DefaultQ); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkControllerDecide(b *testing.B) {
-	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(12, 10))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := rcnet.New(g, rcnet.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pm, err := pump.New(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lut, err := controller.BuildLUT(context.Background(), m, pm, sim.FullLoadPowers(g.Stack),
-		controller.TargetTemp, controller.DefaultLadder())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := controller.New(lut, controller.DefaultConfig(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Observe(units.Celsius(76 + 2*float64(i%10)/10))
-		c.Decide()
-	}
-}
-
-func BenchmarkSimTick(b *testing.B) {
-	benchutil.SimTick(b)
-}
-
-// BenchmarkAdaptiveQuietPhase compares SimTick-equivalent throughput of
-// the fixed and adaptive stepping engines on a thermally quiet phase
-// (idle generator, DPM asleep, flow pinned): the adaptive engine covers
-// the phase with max-length macro-steps, so its per-emitted-tick cost
-// drops to the base-tick phases plus ~3 cached-factor solves per 16
-// ticks. Acceptance: adaptive ≥ 3× faster per tick (the matching ≤ 0.1 °C
-// error bound is pinned by sim.TestAdaptiveQuietPhaseMacroSteps).
-func BenchmarkAdaptiveQuietPhase(b *testing.B) {
-	b.Run("fixed", benchutil.QuietPhase(stepper.Fixed, 23, 20))
-	b.Run("adaptive", benchutil.QuietPhase(stepper.Adaptive, 23, 20))
-}
-
-// BenchmarkAnalyzePaperResolution measures the direct solver's symbolic
-// analysis plus first numeric factorization at the paper's 115×100 grid,
-// reporting L-factor fill — the numbers the opt-in nightly CI job tracks.
-func BenchmarkAnalyzePaperResolution(b *testing.B) {
-	benchutil.AnalyzePaper(b)
-}
-
-// BenchmarkFactorizePaperResolution measures the refactorize+solve at
-// the paper's 115×100 grid — the flow-transition cost a running
-// simulation pays — on the supernodal kernels the size gate picks there;
-// 0 B/op in steady state.
-func BenchmarkFactorizePaperResolution(b *testing.B) {
-	benchutil.FactorizePaper(b)
-}
-
-// BenchmarkSolvePaperResolution is the per-tick counterpart: one
-// cached-factor triangular solve at paper resolution, the supernodal
-// panel sweeps (one contiguous pass per panel each way) every thermal
-// tick pays there.
-func BenchmarkSolvePaperResolution(b *testing.B) {
-	benchutil.SolvePaper(b)
-}
-
-// BenchmarkRunManySharedFactor tracks the co-scheduled batch path: four
-// platform-sharing fixed-flow scenarios on one worker, ganged through
-// SolveBatch each tick. Compare against BenchmarkRunManyWarm for the
-// ganging win on an oversubscribed batch.
-func BenchmarkRunManySharedFactor(b *testing.B) {
-	benchutil.RunManySharedFactor(b)
-}
-
-// BenchmarkRunManyCold / BenchmarkRunManyWarm bracket the platform
-// layer's setup amortization: the same three-scenario short-run batch,
-// once with per-run artifact construction (cold) and once through a
-// primed coolsim.PlatformCache (warm). The cold/warm ratio is the
-// end-to-end speedup a warm service job sees (acceptance: ≥ 2×).
-func BenchmarkRunManyCold(b *testing.B) {
-	benchutil.RunManyCold(b)
-}
-
-func BenchmarkRunManyWarm(b *testing.B) {
-	benchutil.RunManyWarm(b)
-}
-
-// BenchmarkSessionStep is the streaming counterpart of BenchmarkSimTick:
-// the same tick driven through the public coolsim.Session API with its
-// per-tick Sample refresh. The delta between the two is the streaming
-// overhead, which must stay at 0 B/op.
-func BenchmarkSessionStep(b *testing.B) {
-	benchutil.SessionStep(b)
-}
-
-// BenchmarkCampaignExpand measures the server-side sweep expansion a
-// campaign submission pays up front: a 1440-member cartesian grid with
-// a skip filter, materialized and validated into 1200 scenarios per op.
-func BenchmarkCampaignExpand(b *testing.B) {
-	benchutil.CampaignExpand(b)
-}
-
-// BenchmarkSampleEncode is the broadcast hub's per-tick encode: one
-// Sample rendered once into a recycled NDJSON frame buffer, regardless
-// of the subscriber count. Steady state must be 0 B/op.
-func BenchmarkSampleEncode(b *testing.B) {
-	benchutil.SampleEncode(b)
-}
-
-// BenchmarkStreamFanout{1,64,1024} measure the serve-millions fan-out:
-// each op publishes one frame and delivers it to every subscriber.
-// Acceptance: 0 allocs/op in steady state at any width, and the
-// per-subscriber delivery cost (the ns/frame-delivery metric) stays
-// ≤ 5% of re-simulating a tick (BenchmarkSimTick).
-func BenchmarkStreamFanout1(b *testing.B) {
-	benchutil.StreamFanout(1)(b)
-}
-
-func BenchmarkStreamFanout64(b *testing.B) {
-	benchutil.StreamFanout(64)(b)
-}
-
-func BenchmarkStreamFanout1024(b *testing.B) {
-	benchutil.StreamFanout(1024)(b)
 }

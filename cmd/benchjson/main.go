@@ -1,9 +1,11 @@
-// Command benchjson runs the substrate micro-benchmarks (the thermal hot
-// paths that dominate every figure and table run) with memory statistics
-// and writes a machine-readable BENCH_<date>.json snapshot, so the
-// per-PR performance trajectory can be tracked and archived by CI. Each
-// snapshot names its host (num_cpu, and cpu_model on linux), since
-// numbers from different machines do not compare.
+// Command benchjson runs every substrate micro-benchmark of the
+// internal/benchutil registry (the hot paths that dominate every figure,
+// table, service and stream run) with memory statistics and writes a
+// machine-readable BENCH_<date>.json snapshot with one result per
+// registry entry, so the per-PR performance trajectory can be tracked
+// and archived by CI. Each snapshot names its host (num_cpu, and
+// cpu_model on linux), since numbers from different machines do not
+// compare.
 //
 // Usage:
 //
@@ -11,35 +13,16 @@
 //	                     # up front if that file exists (a same-day
 //	                     # snapshot is never overwritten — name it with -o)
 //	benchjson -o out.json
-//	benchjson -paper     # adds the paper-resolution factor/fill trackers
-//	                     # (symbolic analysis + first factorization at
-//	                     # 115×100, with the L fill, supernode count and
-//	                     # mean panel width reported, plus the
-//	                     # refactorize+solve and lone-solve bodies) — the
-//	                     # opt-in nightly CI job's configuration; each is
-//	                     # timed over at least 3 ops (minPaperIters)
 //
-// The benchmark bodies are the ones bench_test.go runs (shared through
-// internal/benchutil): ThermalStepCoarse, ThermalStepPaperResolution,
-// SteadyState, SimTick and SessionStep — per-tick loops
-// with varying power, the regime real runs are in, with model
-// construction and the first factorizing tick as setup so op times
-// measure the steady cached-factor path — plus the RunManyCold/
-// RunManyWarm pair, which tracks the end-to-end setup amortization of
-// the shared platform layer (cold = per-run artifact builds, warm = a
-// primed coolsim.PlatformCache), RunManySharedFactor (the co-scheduled
-// gang path batching platform-sharing runs through one SolveBatch call
-// per tick), and CampaignExpand — the server-side sweep-to-scenarios
-// expansion every campaign submission pays before its members reach the
-// queue.
+// An entry with MinIters (the paper-resolution trackers) is timed over
+// at least that many ops; iterations records how many. A benchmark that
+// fails exits with status 1 and writes no snapshot.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
 	"runtime"
 	"strings"
@@ -47,14 +30,7 @@ import (
 	"time"
 
 	"repro/internal/benchutil"
-	"repro/internal/stepper"
 )
-
-// minPaperIters is the fewest timed ops a paper-resolution tracker is
-// measured over: its analysis and factorization take over a second per
-// op, so one testing.Benchmark run of the default benchtime stops after
-// a single sample.
-const minPaperIters = 3
 
 // Result is one benchmark measurement.
 type Result struct {
@@ -86,10 +62,8 @@ type Snapshot struct {
 
 func main() {
 	out := flag.String("o", "", "output path (default BENCH_<yyyy-mm-dd>.json)")
-	paper := flag.Bool("paper", false,
-		"add the paper-resolution (115x100) factor/fill trackers (nightly CI configuration)")
 	flag.Parse()
-	path, err := run(*out, *paper)
+	path, err := run(*out, benchutil.Benches)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -97,65 +71,25 @@ func main() {
 	fmt.Println(path)
 }
 
-// run measures the benchmarks and writes the snapshot to out (or to the
-// per-day default name), returning the path written.
-func run(out string, paper bool) (path string, err error) {
-	type bench struct {
-		name    string
-		fn      func(b *testing.B)
-		minIter int // fewest timed ops (0: one testing.Benchmark run)
-	}
-	benches := []bench{
-		{name: "ThermalStepCoarse", fn: benchutil.ThermalStep(23, 20)},
-		{name: "ThermalStepPaperResolution", fn: benchutil.ThermalStep(115, 100)},
-		{name: "SteadyState", fn: benchutil.SteadyState},
-		{name: "SimTick", fn: benchutil.SimTick},
-		{name: "SessionStep", fn: benchutil.SessionStep},
-		{name: "QuietPhaseFixed", fn: benchutil.QuietPhase(stepper.Fixed, 23, 20)},
-		{name: "QuietPhaseAdaptive", fn: benchutil.QuietPhase(stepper.Adaptive, 23, 20)},
-		{name: "RunManyCold", fn: benchutil.RunManyCold},
-		{name: "RunManyWarm", fn: benchutil.RunManyWarm},
-		{name: "RunManySharedFactor", fn: benchutil.RunManySharedFactor},
-		{name: "CampaignExpand", fn: benchutil.CampaignExpand},
-		{name: "SampleEncode", fn: benchutil.SampleEncode},
-		{name: "StreamFanout1", fn: benchutil.StreamFanout(1)},
-		{name: "StreamFanout64", fn: benchutil.StreamFanout(64)},
-		{name: "StreamFanout1024", fn: benchutil.StreamFanout(1024)},
-	}
-	if paper {
-		benches = append(benches,
-			bench{"AnalyzePaperResolution", benchutil.AnalyzePaper, minPaperIters},
-			bench{"FactorizePaperResolution", benchutil.FactorizePaper, minPaperIters},
-			bench{"SolvePaperResolution", benchutil.SolvePaper, minPaperIters},
-		)
-	}
+// run measures benches and writes the snapshot to out (or to the
+// per-day default name), returning the path written. The file is
+// created only once every benchmark has succeeded, so a failed run
+// leaves nothing behind.
+func run(out string, benches []benchutil.Bench) (string, error) {
+	// Outside go test the testing flags are unregistered, and a failing
+	// body's b.Fatal dereferences them.
+	testing.Init()
 
 	date := time.Now().Format("2006-01-02")
-	path = out
-	var f *os.File
+	path, flags := out, os.O_WRONLY|os.O_CREATE|os.O_TRUNC
 	if path == "" {
 		// The default name is per day: refuse to clobber an earlier
 		// snapshot of the same day, and say so before the long run.
-		path = fmt.Sprintf("BENCH_%s.json", date)
-		f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if errors.Is(err, fs.ErrExist) {
+		path, flags = fmt.Sprintf("BENCH_%s.json", date), os.O_WRONLY|os.O_CREATE|os.O_EXCL
+		if _, err := os.Stat(path); err == nil {
 			return "", fmt.Errorf("%s already exists; choose another name with -o", path)
 		}
-	} else {
-		f, err = os.Create(path)
 	}
-	if err != nil {
-		return "", err
-	}
-	// Until the snapshot is written the file is only a reservation: drop
-	// it on any failure, a panicking benchmark included.
-	written := false
-	defer func() {
-		if !written {
-			f.Close()
-			os.Remove(path)
-		}
-	}()
 
 	snap := Snapshot{
 		Date:      date,
@@ -165,26 +99,23 @@ func run(out string, paper bool) (path string, err error) {
 		NumCPU:    runtime.NumCPU(),
 		CPUModel:  cpuModel(),
 	}
-	for _, bench := range benches {
-		fmt.Fprintf(os.Stderr, "benchjson: running %s...\n", bench.name)
-		r := benchAtLeast(bench.minIter, func() testing.BenchmarkResult { return testing.Benchmark(bench.fn) })
-		res := Result{
-			Name:        bench.name,
+	for _, e := range benches {
+		fmt.Fprintf(os.Stderr, "benchjson: running %s...\n", e.Name)
+		r := benchAtLeast(e.MinIters, func() testing.BenchmarkResult { return testing.Benchmark(e.Run) })
+		if r.N == 0 {
+			return "", fmt.Errorf("benchmark %s failed; go test -run xxx -bench 'Substrate/^%s$' . shows its log", e.Name, e.Name)
+		}
+		snap.Benchmarks = append(snap.Benchmarks, Result{
+			Name:        e.Name,
 			Iterations:  r.N,
 			NsPerOp:     r.NsPerOp(),
 			MsPerOp:     float64(r.NsPerOp()) / 1e6,
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
-		}
-		if len(r.Extra) > 0 {
-			res.Extra = map[string]float64{}
-			for k, v := range r.Extra {
-				res.Extra[k] = v
-			}
-		}
-		snap.Benchmarks = append(snap.Benchmarks, res)
+			Extra:       r.Extra,
+		})
 		fmt.Fprintf(os.Stderr, "benchjson: %s %d ops, %.3f ms/op, %d B/op, %d allocs/op\n",
-			bench.name, r.N, float64(r.NsPerOp())/1e6, r.AllocedBytesPerOp(), r.AllocsPerOp())
+			e.Name, r.N, float64(r.NsPerOp())/1e6, r.AllocedBytesPerOp(), r.AllocsPerOp())
 	}
 
 	buf, err := json.MarshalIndent(snap, "", "  ")
@@ -192,30 +123,38 @@ func run(out string, paper bool) (path string, err error) {
 		return "", err
 	}
 	buf = append(buf, '\n')
-	if _, err := f.Write(buf); err != nil {
+	f, err := os.OpenFile(path, flags, 0o644)
+	if err != nil {
 		return "", err
 	}
-	if err := f.Close(); err != nil {
+	_, err = f.Write(buf)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
 		return "", err
 	}
-	written = true
 	return path, nil
 }
 
 // benchAtLeast calls run (one testing.Benchmark of a body) until the runs
 // have timed at least minIter ops in total, and sums their ops, time and
 // allocations into one result; the reported metrics are the last run's.
-// A failed run (0 ops) ends the loop.
+// A failed run (0 ops) fails the whole measurement: the zero result.
 func benchAtLeast(minIter int, run func() testing.BenchmarkResult) testing.BenchmarkResult {
 	var sum testing.BenchmarkResult
 	for {
 		r := run()
+		if r.N == 0 {
+			return testing.BenchmarkResult{}
+		}
 		sum.N += r.N
 		sum.T += r.T
 		sum.MemAllocs += r.MemAllocs
 		sum.MemBytes += r.MemBytes
 		sum.Extra = r.Extra
-		if r.N == 0 || sum.N >= minIter {
+		if sum.N >= minIter {
 			return sum
 		}
 	}

@@ -73,7 +73,7 @@ func (sp *sampler) size(n int) {
 }
 
 // fill refreshes the reused Sample from the simulator state. It must not
-// allocate: BenchmarkSessionStep holds the streaming path to the same
+// allocate: the SessionStep benchmark holds the streaming path to the same
 // 0 B/op overhead budget as the underlying sim tick.
 func (sp *sampler) fill(s *sim.Sim, measured bool) *Sample {
 	sp.size(s.NumLayers())

@@ -1,6 +1,9 @@
 package coolsim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // DefaultSweepLimit bounds Sweep.Expand when Sweep.MaxScenarios is
 // unset: a cartesian grid larger than this is rejected with
@@ -119,18 +122,34 @@ func (sc Scenario) materialized() Scenario {
 }
 
 // Count returns the unfiltered cartesian size of the grid — the number
-// Expand checks against the limit. Empty axes count one.
+// Expand checks against the limit. Empty axes count one. A grid larger
+// than the limit (MaxScenarios, default DefaultSweepLimit) counts one
+// more than the limit, so huge axis products cannot overflow into a
+// small or negative count.
 func (s Sweep) Count() int {
+	limit := s.limit()
 	n := 1
 	for _, l := range []int{
 		len(s.Layers), len(s.Cooling), len(s.Policy), len(s.Workload),
 		len(s.DPM), len(s.ControlEvery), len(s.Stepping), len(s.Seeds),
 	} {
 		if l > 0 {
+			if n > limit/l { // n·l > limit
+				return limit + 1
+			}
 			n *= l
 		}
 	}
 	return n
+}
+
+// limit is the expansion limit: MaxScenarios, or DefaultSweepLimit when
+// unset, capped below math.MaxInt so Count's limit+1 cannot overflow.
+func (s Sweep) limit() int {
+	if s.MaxScenarios <= 0 {
+		return DefaultSweepLimit
+	}
+	return min(s.MaxScenarios, math.MaxInt-1)
 }
 
 // Expand materializes the grid into validated, fully-specified
@@ -141,14 +160,10 @@ func (s Sweep) Count() int {
 // never validated, so Skip is also the escape hatch for invalid
 // corners of an otherwise useful grid.
 func (s Sweep) Expand() ([]Scenario, error) {
-	limit := s.MaxScenarios
-	if limit <= 0 {
-		limit = DefaultSweepLimit
-	}
-	total := s.Count()
+	limit, total := s.limit(), s.Count()
 	if total > limit {
-		return nil, fmt.Errorf("%w: %d members (limit %d; raise max_scenarios to override)",
-			ErrSweepTooLarge, total, limit)
+		return nil, fmt.Errorf("%w: more than %d members (raise max_scenarios to override)",
+			ErrSweepTooLarge, limit)
 	}
 
 	// Each axis becomes a list of field setters; empty axes contribute

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -123,6 +124,37 @@ func TestSweepTooLarge(t *testing.T) {
 	sw.Seeds = make([]int64, DefaultSweepLimit+1)
 	if _, err := sw.Expand(); !errors.Is(err, ErrSweepTooLarge) {
 		t.Fatalf("default limit: err = %v, want ErrSweepTooLarge", err)
+	}
+	// Grids past the int range are too large too: not a negative count
+	// (Expand panicked in makeslice) or an empty grid (Expand admitted
+	// zero members), at the default and at the largest limit.
+	for _, c := range []struct{ seeds, max, wantCount int }{
+		{128, 0, DefaultSweepLimit + 1},
+		{256, 0, DefaultSweepLimit + 1},
+		{128, math.MaxInt, math.MaxInt},
+		{256, math.MaxInt, math.MaxInt},
+	} {
+		sw := hugeSweep(c.seeds)
+		sw.MaxScenarios = c.max
+		if n := sw.Count(); n != c.wantCount {
+			t.Errorf("%d seeds, limit %d: Count = %d, want %d", c.seeds, c.max, n, c.wantCount)
+		}
+		if scs, err := sw.Expand(); !errors.Is(err, ErrSweepTooLarge) {
+			t.Errorf("%d seeds, limit %d: Expand = %d members, %v; want ErrSweepTooLarge", c.seeds, c.max, len(scs), err)
+		}
+	}
+}
+
+// hugeSweep is a grid whose axis product overflows int: six axes of
+// 256 values, 256 dpm values and the given number of seeds. 128 seeds
+// make 2⁶³ members, which a wrapping product counts as −2⁶³; 256 make
+// 2⁶⁴, which it counts as 0. The zero values need not be valid: the
+// limit check comes before any validation.
+func hugeSweep(seeds int) Sweep {
+	return Sweep{
+		Layers: make([]int, 256), Cooling: make([]string, 256), Policy: make([]string, 256),
+		Workload: make([]string, 256), DPM: make([]bool, 256), ControlEvery: make([]int, 256),
+		Stepping: make([]Stepping, 256), Seeds: make([]int64, seeds),
 	}
 }
 

@@ -51,8 +51,8 @@
 // and 1e-6 K end-to-end while roughly doubling factorization and solve
 // throughput.
 // EXPERIMENTS.md documents the experiment knobs and
-// calibration; cmd/benchjson snapshots the substrate benchmarks to
-// BENCH_<date>.json per PR (the opt-in nightly workflow adds the
-// paper-resolution factor/fill trackers). The benchmark harness in
-// bench_test.go regenerates every table and figure.
+// calibration; cmd/benchjson snapshots the substrate benchmark
+// registry (internal/benchutil) to BENCH_<date>.json per PR. The
+// benchmark harness in bench_test.go regenerates every table and
+// figure and runs the registry as BenchmarkSubstrate.
 package repro

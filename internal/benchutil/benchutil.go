@@ -1,7 +1,9 @@
-// Package benchutil holds the substrate benchmark bodies shared by the
-// go-test harness (bench_test.go) and the JSON snapshot tool
-// (cmd/benchjson), so the two always measure the identical regime: the
-// same model setup, the same warm-up, the same varying-power tick loop.
+// Package benchutil is the substrate benchmark registry: one ordered
+// list of the thermal, simulation, service and streaming hot-path
+// benchmarks that the go-test harness (BenchmarkSubstrate in
+// bench_test.go) and the JSON snapshot tool (cmd/benchjson) both run,
+// so the two always measure the identical regime: the same model setup,
+// the same warm-up, the same varying-power tick loop.
 package benchutil
 
 import (
@@ -9,9 +11,12 @@ import (
 	"testing"
 
 	"repro/coolsim"
+	"repro/internal/arma"
+	"repro/internal/controller"
 	"repro/internal/floorplan"
 	"repro/internal/grid"
 	"repro/internal/mat"
+	"repro/internal/pump"
 	"repro/internal/rcnet"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -21,94 +26,122 @@ import (
 	"repro/internal/workload"
 )
 
-// StepModel builds the benchmark thermal model: the 2-layer liquid T1
-// stack at nx×ny with full-load block powers and mid (0.5 l/min) flow,
-// warmed by one tick so the timed loop measures the steady per-tick path
-// — the first Step pays the one-time symbolic analysis and factorization
-// that every later tick reuses from the (flow > 0, dt) cache.
-func StepModel(nx, ny int) (*rcnet.Model, error) {
+// Bench is one entry of the registry.
+type Bench struct {
+	// Name names the entry in snapshots and, as Substrate/<Name>, under
+	// go test: letters and digits only, so -bench 'Substrate/^<Name>$'
+	// selects exactly this entry.
+	Name string
+	Run  func(*testing.B)
+	// MinIters is the fewest timed ops a snapshot measures Run over (0:
+	// one testing.Benchmark run). The paper-resolution trackers set it:
+	// over a second per op, one default run would time a single sample.
+	MinIters int
+}
+
+// Benches is the registry, in snapshot order. Snapshot names are kept
+// stable across changes so BENCH_*.json trajectories compare.
+var Benches = []Bench{
+	{Name: "ThermalStepCoarse", Run: thermalStep(23, 20)},
+	// The paper's 100 µm grid: 115×100 cells per slab.
+	{Name: "ThermalStepPaperResolution", Run: thermalStep(115, 100)},
+	{Name: "SteadyState", Run: steadyState},
+	{Name: "LUTBuild", Run: lutBuild},
+	{Name: "ARMAFit", Run: armaFit},
+	{Name: "ControllerDecide", Run: controllerDecide},
+	{Name: "SimTick", Run: simTick},
+	{Name: "SessionStep", Run: sessionStep},
+	{Name: "QuietPhaseFixed", Run: quietPhase(stepper.Fixed, 23, 20)},
+	{Name: "QuietPhaseAdaptive", Run: quietPhase(stepper.Adaptive, 23, 20)},
+	{Name: "RunManyCold", Run: runManyCold},
+	{Name: "RunManyWarm", Run: runManyWarm},
+	{Name: "RunManySharedFactor", Run: runManySharedFactor},
+	{Name: "CampaignExpand", Run: campaignExpand},
+	{Name: "SampleEncode", Run: sampleEncode},
+	{Name: "StreamFanout1", Run: streamFanout(1)},
+	{Name: "StreamFanout64", Run: streamFanout(64)},
+	{Name: "StreamFanout1024", Run: streamFanout(1024)},
+	{Name: "AnalyzePaperResolution", Run: analyzePaper, MinIters: 3},
+	{Name: "FactorizePaperResolution", Run: factorizePaper, MinIters: 3},
+	{Name: "SolvePaperResolution", Run: solvePaper, MinIters: 3},
+}
+
+// liquidModel builds the benchmark thermal model: the 2-layer liquid T1
+// stack at nx×ny with mid (0.5 l/min) flow.
+func liquidModel(b *testing.B, nx, ny int) *rcnet.Model {
+	b.Helper()
 	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(nx, ny))
 	if err != nil {
-		return nil, err
+		b.Fatal(err)
 	}
 	m, err := rcnet.New(g, rcnet.DefaultConfig())
 	if err != nil {
-		return nil, err
-	}
-	for li, layer := range g.Stack.Layers {
-		p := make([]float64, len(layer.Blocks))
-		for bi, blk := range layer.Blocks {
-			if blk.Kind == floorplan.KindCore {
-				p[bi] = 3
-			} else {
-				p[bi] = 1
-			}
-		}
-		if err := m.SetLayerPower(li, p); err != nil {
-			return nil, err
-		}
+		b.Fatal(err)
 	}
 	if err := m.SetFlow(0.5); err != nil {
-		return nil, err
+		b.Fatal(err)
 	}
-	if err := m.Step(0.1); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m
 }
 
-// StepLoop is the timed per-tick loop with a per-tick power update, the
-// regime every real simulation run is in.
-func StepLoop(b *testing.B, m *rcnet.Model) {
+// stepModel is the liquidModel at full-load block powers, warmed by one
+// tick so the timed loop measures the steady per-tick path — the first
+// Step pays the one-time symbolic analysis and factorization that every
+// later tick reuses from the (flow > 0, dt) cache. It returns the
+// per-layer power buffers setPower fills.
+func stepModel(b *testing.B, nx, ny int) (*rcnet.Model, [][]float64) {
 	b.Helper()
+	m := liquidModel(b, nx, ny)
 	layers := m.Grid.Stack.Layers
 	power := make([][]float64, len(layers))
 	for li, layer := range layers {
 		power[li] = make([]float64, len(layer.Blocks))
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scale := 0.5 + 0.5*float64(i%10)/10
-		for li, layer := range layers {
-			for bi, blk := range layer.Blocks {
-				if blk.Kind == floorplan.KindCore {
-					power[li][bi] = 3 * scale
-				} else {
-					power[li][bi] = 1 * scale
-				}
+	setPower(b, m, power, 1)
+	if err := m.Step(0.1); err != nil {
+		b.Fatal(err)
+	}
+	return m, power
+}
+
+// setPower injects scale W into every block, 3·scale W into every core.
+func setPower(b *testing.B, m *rcnet.Model, power [][]float64, scale float64) {
+	for li, layer := range m.Grid.Stack.Layers {
+		for bi, blk := range layer.Blocks {
+			power[li][bi] = scale
+			if blk.Kind == floorplan.KindCore {
+				power[li][bi] = 3 * scale
 			}
-			if err := m.SetLayerPower(li, power[li]); err != nil {
+		}
+		if err := m.SetLayerPower(li, power[li]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// thermalStep returns the per-tick benchmark at one grid resolution: a
+// power update and one Step per op, the regime every real simulation
+// run is in.
+func thermalStep(nx, ny int) func(b *testing.B) {
+	return func(b *testing.B) {
+		m, power := stepModel(b, nx, ny)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			setPower(b, m, power, 0.5+0.5*float64(i%10)/10)
+			if err := m.Step(0.1); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := m.Step(0.1); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
-// ThermalStep returns the varying-power per-tick benchmark at one grid
-// resolution.
-func ThermalStep(nx, ny int) func(b *testing.B) {
-	return func(b *testing.B) {
-		m, err := StepModel(nx, ny)
-		if err != nil {
-			b.Fatal(err)
-		}
-		StepLoop(b, m)
-	}
-}
-
-// SteadyState benchmarks the steady-state fixed point on the coarse grid,
+// steadyState benchmarks the steady-state fixed point on the coarse grid,
 // re-converging from a uniform 60 °C field each iteration. One warm solve
 // before the timer pays the one-time dt=0 factorization, so the measured
 // op is the steady cached-factor path (0 B/op — the earlier snapshots'
 // ~4.4 KB/op was that first factorization amortized into the mean).
-func SteadyState(b *testing.B) {
-	m, err := StepModel(23, 20)
-	if err != nil {
-		b.Fatal(err)
-	}
+func steadyState(b *testing.B) {
+	m, _ := stepModel(b, 23, 20)
 	if err := m.SteadyState(); err != nil {
 		b.Fatal(err)
 	}
@@ -121,12 +154,81 @@ func SteadyState(b *testing.B) {
 	}
 }
 
-// SessionStep benchmarks one tick of the public streaming API: a full
+// lutStack is the 2-layer liquid 12×10 grid, pump and full-load block
+// powers the LUT benchmarks sweep.
+func lutStack(b *testing.B) (*grid.Grid, *pump.Pump, [][]float64) {
+	b.Helper()
+	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(12, 10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pm, err := pump.New(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, pm, sim.FullLoadPowers(g.Stack)
+}
+
+// buildLUT sweeps the controller's flow LUT on a fresh thermal model of g.
+func buildLUT(b *testing.B, g *grid.Grid, pm *pump.Pump, full [][]float64) *controller.LUT {
+	m, err := rcnet.New(g, rcnet.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	lut, err := controller.BuildLUT(context.Background(), m, pm, full, controller.TargetTemp, controller.DefaultLadder())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return lut
+}
+
+// lutBuild measures one buildLUT of the lutStack: the cold-platform
+// setup cost every new stack shape pays once.
+func lutBuild(b *testing.B) {
+	g, pm, full := lutStack(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildLUT(b, g, pm, full)
+	}
+}
+
+// armaFit measures one ARMA model fit over a 300-sample temperature
+// history, the controller's periodic predictor refit.
+func armaFit(b *testing.B) {
+	series := make([]float64, 300)
+	for i := range series {
+		series[i] = 75 + 3*float64(i%60)/60
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := arma.Fit(series, arma.DefaultP, arma.DefaultQ); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// controllerDecide measures one controller observation plus flow
+// decision on a built LUT, the per-tick cost of variable-flow control.
+func controllerDecide(b *testing.B) {
+	g, pm, full := lutStack(b)
+	lut := buildLUT(b, g, pm, full)
+	c, err := controller.New(lut, controller.DefaultConfig(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Observe(units.Celsius(76 + 2*float64(i%10)/10))
+		c.Decide()
+	}
+}
+
+// sessionStep benchmarks one tick of the public streaming API: a full
 // simulator tick plus the per-tick Sample refresh of coolsim.Session.
 // Comparing it against SimTick isolates the streaming overhead, which
 // must stay at 0 B/op so Session/observer streaming cannot regress the
 // allocation-free tick loop.
-func SessionStep(b *testing.B) {
+func sessionStep(b *testing.B) {
 	sc := coolsim.DefaultScenario()
 	sc.Duration = 1e9 // stepped manually
 	sc.Warmup = 0
@@ -138,68 +240,60 @@ func SessionStep(b *testing.B) {
 	// Warm ticks: the first tick factors the (flow > 0, dt) system and the
 	// controller's predictor fills its lags; the timed loop measures the
 	// steady allocation-free path.
-	for i := 0; i < 10; i++ {
-		if _, err := s.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	tickLoop(b, 10, func() error { _, err := s.Step(); return err })
 }
 
-// runManyScenarios is the short-run batch of the warm-vs-cold setup
-// benchmarks: three workloads on one stack shape, 2 s measured after a
-// 0.5 s warm-up — runs short enough that per-run artifact construction
-// (LUT sweep, weight analysis, symbolic analysis) dominates the cold
-// path, which is exactly the regime a service sees under bursty traffic.
+// shortRun is one run of the RunMany benchmarks: 2 s measured after a
+// 0.5 s warm-up at 12×10 — short enough that per-run artifact
+// construction (LUT sweep, weight analysis, symbolic analysis) dominates
+// the cold path, which is exactly the regime a service sees under
+// bursty traffic.
+func shortRun(workload string) coolsim.Scenario {
+	sc := coolsim.DefaultScenario()
+	sc.Workload = workload
+	sc.Duration, sc.Warmup = 2, 0.5
+	sc.GridNX, sc.GridNY = 12, 10
+	return sc
+}
+
+// runManyScenarios is the batch of the warm-vs-cold setup benchmarks:
+// three workloads on one stack shape.
 func runManyScenarios() []coolsim.Scenario {
-	names := []string{"Web-high", "Web-med", "gzip"}
-	scs := make([]coolsim.Scenario, len(names))
-	for i, n := range names {
-		sc := coolsim.DefaultScenario()
-		sc.Workload = n
-		sc.Duration = 2
-		sc.Warmup = 0.5
-		sc.GridNX, sc.GridNY = 12, 10
-		scs[i] = sc
-	}
-	return scs
+	return []coolsim.Scenario{shortRun("Web-high"), shortRun("Web-med"), shortRun("gzip")}
 }
 
-// RunManyCold measures the batch with every run building its own
+// runManyLoop times one RunMany of scs per op. prime runs the batch
+// once before the timer, filling whatever platform cache opts carry.
+func runManyLoop(b *testing.B, scs []coolsim.Scenario, prime bool, opts ...coolsim.Option) {
+	b.Helper()
+	if prime {
+		if _, err := coolsim.RunMany(context.Background(), scs, opts...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := coolsim.RunMany(context.Background(), scs, opts...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// runManyCold measures the batch with every run building its own
 // platform artifacts — the pre-platform behavior.
-func RunManyCold(b *testing.B) {
-	scs := runManyScenarios()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := coolsim.RunMany(context.Background(), scs); err != nil {
-			b.Fatal(err)
-		}
-	}
+func runManyCold(b *testing.B) {
+	runManyLoop(b, runManyScenarios(), false)
 }
 
-// RunManyWarm measures the same batch through a primed PlatformCache:
+// runManyWarm measures the same batch through a primed PlatformCache:
 // the artifacts exist, so each run is pure simulation. The cold/warm
-// ratio is the end-to-end setup amortization the platform layer buys.
-func RunManyWarm(b *testing.B) {
-	scs := runManyScenarios()
-	pc := coolsim.NewPlatformCache(0)
-	if _, err := coolsim.RunMany(context.Background(), scs, coolsim.WithPlatformCache(pc)); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := coolsim.RunMany(context.Background(), scs, coolsim.WithPlatformCache(pc)); err != nil {
-			b.Fatal(err)
-		}
-	}
+// ratio is the end-to-end setup amortization the platform layer buys
+// (acceptance: ≥ 2×).
+func runManyWarm(b *testing.B) {
+	runManyLoop(b, runManyScenarios(), true, coolsim.WithPlatformCache(coolsim.NewPlatformCache(0)))
 }
 
-// QuietPhase benchmarks one emitted tick of a thermally quiet regime —
+// quietPhase benchmarks one emitted tick of a thermally quiet regime —
 // the workload generator scaled to zero, DPM sleeping every core, flow
 // pinned at the max setting — under the given stepping engine and grid.
 // The simulator is settled for 60 simulated seconds first, past the
@@ -208,36 +302,58 @@ func RunManyWarm(b *testing.B) {
 // adaptive pair at the same grid is the SimTick-equivalent throughput
 // comparison of the multirate engine (acceptance: ≥ 3× on this phase
 // with ≤ 0.1 °C error, which TestAdaptiveQuietPhaseMacroSteps pins).
-func QuietPhase(kind stepper.Kind, nx, ny int) func(b *testing.B) {
+func quietPhase(kind stepper.Kind, nx, ny int) func(b *testing.B) {
 	return func(b *testing.B) {
-		bench, err := workload.ByName("Web-med")
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := sim.DefaultConfig()
-		cfg.Bench = bench
+		cfg := webMedSim(b, nx, ny)
 		cfg.Cooling = sim.LiquidMax
 		cfg.Policy = sched.LB
 		cfg.DPMEnabled = true
-		cfg.Duration = 1e9 // stepped manually
-		cfg.Warmup = 0
-		cfg.GridNX, cfg.GridNY = nx, ny
 		cfg.UtilSchedule = func(units.Second) float64 { return 0 }
 		cfg.Stepper = stepper.Config{Kind: kind}
-		s, err := sim.New(context.Background(), cfg)
-		if err != nil {
+		simLoop(b, cfg, 600)
+	}
+}
+
+// webMedSim is the manually stepped Web-med simulator configuration at
+// nx×ny that the sim-tick benchmarks start from.
+func webMedSim(b *testing.B, nx, ny int) sim.Config {
+	b.Helper()
+	bench, err := workload.ByName("Web-med")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := sim.DefaultConfig()
+	cfg.Bench = bench
+	cfg.Duration = 1e9 // stepped manually
+	cfg.Warmup = 0
+	cfg.GridNX, cfg.GridNY = nx, ny
+	return cfg
+}
+
+// simLoop builds the simulator for cfg and times one Step per op after
+// warm untimed ticks.
+func simLoop(b *testing.B, cfg sim.Config, warm int) {
+	b.Helper()
+	s, err := sim.New(context.Background(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tickLoop(b, warm, s.Step)
+}
+
+// tickLoop calls step warm times before the timer, so the timed loop of
+// one step per op measures the steady tick path.
+func tickLoop(b *testing.B, warm int, step func() error) {
+	b.Helper()
+	for i := 0; i < warm; i++ {
+		if err := step(); err != nil {
 			b.Fatal(err)
 		}
-		for i := 0; i < 600; i++ {
-			if err := s.Step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := s.Step(); err != nil {
-				b.Fatal(err)
-			}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := step(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -248,30 +364,20 @@ func QuietPhase(kind stepper.Kind, nx, ny int) func(b *testing.B) {
 // buffer, which nothing else touches afterwards.
 func paperSystem(b *testing.B) *mat.CSR {
 	b.Helper()
-	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(115, 100))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := rcnet.New(g, rcnet.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := m.SetFlow(0.5); err != nil {
-		b.Fatal(err)
-	}
-	sys, err := m.SystemCSR(0.1)
+	sys, err := liquidModel(b, 115, 100).SystemCSR(0.1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return sys
 }
 
-// paperFactor analyzes and factorizes the paper-resolution system. At
-// this size the analysis picks the supernodal dense-panel kernels, so
-// every benchmark built on it measures them.
-func paperFactor(b *testing.B) (*mat.LDLSymbolic, *mat.LDLNumeric, *mat.CSR) {
+// paperFactor analyzes and factorizes the paper-resolution system, and
+// warms the solve scratch with one solve into x of a fixed non-trivial
+// right-hand side rhs. At this size the analysis picks the supernodal
+// dense-panel kernels, so every benchmark built on it measures them.
+func paperFactor(b *testing.B) (symb *mat.LDLSymbolic, num *mat.LDLNumeric, sys *mat.CSR, x, rhs []float64) {
 	b.Helper()
-	sys := paperSystem(b)
+	sys = paperSystem(b)
 	symb, err := mat.AnalyzeLDL(sys, mat.OrderAuto)
 	if err != nil {
 		b.Fatal(err)
@@ -279,20 +385,24 @@ func paperFactor(b *testing.B) (*mat.LDLSymbolic, *mat.LDLNumeric, *mat.CSR) {
 	if !symb.Supernodal() {
 		b.Fatal("paper-resolution analysis did not pick the supernodal kernels")
 	}
-	num, err := symb.Factorize(sys, nil)
-	if err != nil {
+	if num, err = symb.Factorize(sys, nil); err != nil {
 		b.Fatal(err)
 	}
-	return symb, num, sys
+	x, rhs = make([]float64, sys.N), make([]float64, sys.N)
+	for i := range rhs {
+		rhs[i] = 1 + float64(i%5)
+	}
+	num.Solve(x, rhs)
+	return symb, num, sys, x, rhs
 }
 
-// AnalyzePaper measures the direct solver's symbolic analysis (ordering +
+// analyzePaper measures the direct solver's symbolic analysis (ordering +
 // elimination tree + fill pattern + supernode amalgamation) and first
 // numeric factorization on the paper-resolution 115×100 grid, reporting
 // the L-factor fill, the supernode count and the mean panel width as
-// metrics. The nightly CI job tracks these — the ROADMAP's
-// paper-resolution trajectory item.
-func AnalyzePaper(b *testing.B) {
+// metrics, so every snapshot carries the paper-resolution solver
+// trajectory.
+func analyzePaper(b *testing.B) {
 	sys := paperSystem(b)
 	var symb *mat.LDLSymbolic
 	b.ResetTimer()
@@ -310,23 +420,12 @@ func AnalyzePaper(b *testing.B) {
 	b.ReportMetric(symb.MeanPanelWidth(), "mean-panel-width")
 }
 
-// unitRHS returns a fixed non-trivial right-hand side of size n.
-func unitRHS(n int) []float64 {
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = 1 + float64(i%5)
-	}
-	return rhs
-}
-
-// FactorizePaper benchmarks the paper-resolution refactorize+solve: each
+// factorizePaper benchmarks the paper-resolution refactorize+solve: each
 // op is one numeric factorization of the 115×100 backward-Euler system
 // into a reused factor plus one triangular solve — the flow-transition
 // cost a running simulation pays. Steady state is 0 B/op.
-func FactorizePaper(b *testing.B) {
-	symb, num, sys := paperFactor(b)
-	x, rhs := make([]float64, sys.N), unitRHS(sys.N)
-	num.Solve(x, rhs) // warm the solve scratch
+func factorizePaper(b *testing.B) {
+	symb, num, sys, x, rhs := paperFactor(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -337,54 +436,34 @@ func FactorizePaper(b *testing.B) {
 	}
 }
 
-// SolvePaper benchmarks one cached-factor triangular solve at paper
+// solvePaper benchmarks one cached-factor triangular solve at paper
 // resolution — the per-tick cost of a thermal step there: the supernodal
 // panel sweeps (one contiguous pass per panel each way), 0 B/op after
 // the first warmed call.
-func SolvePaper(b *testing.B) {
-	_, num, sys := paperFactor(b)
-	x, rhs := make([]float64, sys.N), unitRHS(sys.N)
-	num.Solve(x, rhs) // warm the solve scratch
+func solvePaper(b *testing.B) {
+	_, num, _, x, rhs := paperFactor(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		num.Solve(x, rhs)
 	}
 }
 
-// RunManySharedFactor measures the co-scheduled batch path: four
+// runManySharedFactor measures the co-scheduled batch path: four
 // scenarios sharing one platform and one fixed-flow factor key, squeezed
 // onto a single worker so RunMany gangs their per-tick solves through
 // SolveBatch. The body asserts the gang actually batched (a silent fall
 // back to solo stepping would leave the number meaningless) and reports
 // the batched-solve count per op.
-func RunManySharedFactor(b *testing.B) {
+func runManySharedFactor(b *testing.B) {
 	scs := make([]coolsim.Scenario, 4)
 	for i := range scs {
-		sc := coolsim.DefaultScenario()
-		sc.Workload = "Web-med"
-		sc.Seed = int64(i + 1)
-		sc.Cooling = coolsim.CoolingMax
-		sc.Duration = 2
-		sc.Warmup = 0.5
-		sc.GridNX, sc.GridNY = 12, 10
-		scs[i] = sc
+		scs[i] = shortRun("Web-med")
+		scs[i].Seed = int64(i + 1)
+		scs[i].Cooling = coolsim.CoolingMax
 	}
-	pc := coolsim.NewPlatformCache(0)
 	var ctr coolsim.BatchCounters
-	opts := []coolsim.Option{
-		coolsim.WithPlatformCache(pc),
-		coolsim.WithWorkers(1),
-		coolsim.WithBatchCounters(&ctr),
-	}
-	if _, err := coolsim.RunMany(context.Background(), scs, opts...); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := coolsim.RunMany(context.Background(), scs, opts...); err != nil {
-			b.Fatal(err)
-		}
-	}
+	runManyLoop(b, scs, true, coolsim.WithPlatformCache(coolsim.NewPlatformCache(0)),
+		coolsim.WithWorkers(1), coolsim.WithBatchCounters(&ctr))
 	b.StopTimer()
 	st := ctr.Stats()
 	if st.BatchedSolves == 0 {
@@ -393,44 +472,21 @@ func RunManySharedFactor(b *testing.B) {
 	b.ReportMetric(float64(st.BatchedSolves)/float64(b.N+1), "batched-solves/op")
 }
 
-// SimTick benchmarks one full simulator tick (workload, scheduling, DPM,
-// power, flow control, thermal step, metrics) on the coarse grid.
-func SimTick(b *testing.B) {
-	bench, err := workload.ByName("Web-med")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.DefaultConfig()
-	cfg.Bench = bench
-	cfg.Duration = 1e9 // stepped manually
-	cfg.Warmup = 0
-	cfg.GridNX, cfg.GridNY = 23, 20
-	s, err := sim.New(context.Background(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm ticks, as in SessionStep: measure the steady tick path.
-	for i := 0; i < 10; i++ {
-		if err := s.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
+// simTick benchmarks one full simulator tick (workload, scheduling, DPM,
+// power, flow control, thermal step, metrics) on the coarse grid, after
+// 10 warm ticks as in sessionStep.
+func simTick(b *testing.B) {
+	simLoop(b, webMedSim(b, 23, 20), 10)
 }
 
-// CampaignExpand measures the server-side cost of lowering a campaign
+// campaignExpand measures the server-side cost of lowering a campaign
 // submission to its member scenarios — the work POST /v1/campaigns does
 // before anything touches the queue or the results tree: a 1440-member
 // cartesian grid (2 layer counts × 3 cooling classes × 3 policies ×
 // DPM on/off × 40 seeds) with a skip filter pruning the air-cooled DPM
 // corner, every surviving member materialized against the scenario
 // defaults and validated. 1200 members survive per op.
-func CampaignExpand(b *testing.B) {
+func campaignExpand(b *testing.B) {
 	seeds := make([]int64, 40)
 	for i := range seeds {
 		seeds[i] = int64(i + 1)
@@ -484,11 +540,11 @@ func benchSample() *coolsim.Sample {
 	}
 }
 
-// SampleEncode measures the hub's single NDJSON frame encode — the work
+// sampleEncode measures the hub's single NDJSON frame encode — the work
 // a publish performs exactly once per tick no matter how many stream
 // subscribers are attached. Steady state must be 0 B/op: the frame is
 // appended into the recycled ring-slot buffer.
-func SampleEncode(b *testing.B) {
+func sampleEncode(b *testing.B) {
 	smp := benchSample()
 	buf := stream.AppendSample(nil, smp)
 	b.ResetTimer()
@@ -498,15 +554,15 @@ func SampleEncode(b *testing.B) {
 	_ = buf
 }
 
-// StreamFanout measures the broadcast hub's steady-state fan-out cost:
+// streamFanout measures the broadcast hub's steady-state fan-out cost:
 // each op publishes one Sample (a single encode into a recycled ring
 // slot) and delivers the frame to every one of subs attached
 // subscribers. The acceptance bar for the serve-millions story is that
 // the per-subscriber delivery cost stays a tiny fraction (≤ 5%) of
-// re-simulating a tick (BenchmarkSimTick) and allocates nothing —
+// re-simulating a tick (SimTick) and allocates nothing —
 // fanning a run out to N followers must cost O(bytes copied), not
 // O(simulation).
-func StreamFanout(subs int) func(b *testing.B) {
+func streamFanout(subs int) func(b *testing.B) {
 	return func(b *testing.B) {
 		h := stream.NewHub(stream.Config{RingFrames: 1024})
 		smp := benchSample()
@@ -541,8 +597,6 @@ func StreamFanout(subs int) func(b *testing.B) {
 			drain()
 		}
 		b.StopTimer()
-		if subs > 0 {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*subs), "ns/frame-delivery")
-		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*subs), "ns/frame-delivery")
 	}
 }

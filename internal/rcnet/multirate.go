@@ -49,10 +49,10 @@ func (m *Model) RestoreTransient(st *TransientState) error {
 
 // SystemCSR assembles the backward-Euler system matrix at dt and returns
 // it, for benchmarks that analyze and refactorize outside the model's
-// solver cache (the nightly paper-resolution factor/fill trackers). The
-// returned matrix aliases the model's assembly buffer: it stays valid
-// until the next Step, SteadyState or SystemCSR call and must not be
-// mutated.
+// solver cache (the paper-resolution factor/fill trackers of the
+// benchmark registry). The returned matrix aliases the model's assembly
+// buffer: it stays valid until the next Step, SteadyState or SystemCSR
+// call and must not be mutated.
 func (m *Model) SystemCSR(dt units.Second) (*mat.CSR, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("rcnet: non-positive dt %v", dt)
