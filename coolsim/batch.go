@@ -16,9 +16,9 @@ type BatchCounters struct {
 type BatchStats struct {
 	// Sweeps is the number of grouped solves performed: each solved
 	// one factorized system against the right-hand sides of every
-	// co-scheduled scenario sharing it — one blocked sweep on the
-	// scalar kernels, one supernodal solve per right-hand side on the
-	// panel kernels.
+	// co-scheduled scenario sharing it — one four-lane sweep per four
+	// right-hand sides on the scalar kernels, one supernodal solve per
+	// right-hand side on the panel kernels.
 	Sweeps int64 `json:"sweeps"`
 	// BatchedSolves is the number of per-scenario solves served through
 	// those sweeps (the sum of their widths).

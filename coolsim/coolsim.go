@@ -29,10 +29,10 @@
 // WithPlatformCache. An oversubscribed RunMany additionally
 // co-schedules platform-sharing fixed-flow runs so their per-tick
 // thermal solves go through one multi-RHS solve of the shared factor
-// (a blocked sweep on the scalar kernels, one supernodal solve per run
-// on the panel kernels) — reports stay byte-identical to solo runs at
-// any worker count, and Report.BatchedSolves / WithBatchCounters expose
-// what was ganged.
+// (a four-lane sweep per four runs on the scalar kernels, one
+// supernodal solve per run on the panel kernels) — reports stay
+// byte-identical to solo runs at any worker count, and
+// Report.BatchedSolves / WithBatchCounters expose what was ganged.
 package coolsim
 
 import (

@@ -9,8 +9,10 @@ import (
 // unset: a cartesian grid larger than this is rejected with
 // ErrSweepTooLarge instead of being materialized. The limit guards
 // against accidentally huge grids (one more ten-value axis multiplies
-// the member count by ten); deliberate large campaigns raise
-// MaxScenarios explicitly.
+// the member count by ten); deliberate large in-process sweeps raise
+// MaxScenarios explicitly. It is also the ceiling of a campaign
+// submitted to the daemon, which rejects a larger MaxScenarios before
+// expanding anything.
 const DefaultSweepLimit = 100000
 
 // Sweep is a declarative cartesian scenario grid — the paper's
@@ -54,9 +56,10 @@ type Sweep struct {
 	// air-cooled variable-flow corner of a cooling × policy grid).
 	Skip []SweepFilter `json:"skip,omitempty"`
 
-	// MaxScenarios overrides DefaultSweepLimit for this sweep. The
-	// limit applies to the unfiltered cartesian count — the cost of the
-	// expansion itself — not the post-filter member count.
+	// MaxScenarios overrides DefaultSweepLimit for this sweep (a
+	// daemon campaign may only lower it). The limit applies to the
+	// unfiltered cartesian count — the cost of the expansion itself —
+	// not the post-filter member count.
 	MaxScenarios int `json:"max_scenarios,omitempty"`
 }
 

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -200,6 +202,47 @@ func TestBadSpecs(t *testing.T) {
 		if _, err := m.Create(spec); !errors.Is(err, campaign.ErrBadSpec) {
 			t.Errorf("%s: err = %v, want ErrBadSpec", name, err)
 		}
+	}
+	if len(m.List()) != 0 {
+		t.Fatal("rejected specs were admitted")
+	}
+}
+
+// TestSweepLimitCeiling: a sweep cannot raise its expansion limit past
+// the server ceiling (coolsim.DefaultSweepLimit). The 8-axis × 10-value
+// body below asks for 10⁸ members under "max_scenarios": 1e9; it must
+// come back 400 without expanding anything. A 2·10⁵-member grid under
+// the same override is checked first, so a regression fails on a grid
+// that fits in memory before the 10⁸ one runs.
+func TestSweepLimitCeiling(t *testing.T) {
+	m := campaign.NewManager(newStub(), memRepo(t), newFakeClock())
+	over := coolsim.Sweep{Seeds: make([]int64, 2*coolsim.DefaultSweepLimit), MaxScenarios: 1e9}
+	if _, err := m.Create(coolsim.Campaign{Sweep: &over}); !errors.Is(err, campaign.ErrBadSpec) {
+		t.Fatalf("grid over the ceiling: err = %v, want ErrBadSpec", err)
+	}
+
+	ten := func(v string) string { return "[" + strings.TrimSuffix(strings.Repeat(v+",", 10), ",") + "]" }
+	body := `{"sweep":{"layers":` + ten("2") + `,"cooling":` + ten(`"max"`) + `,"policy":` + ten(`"lb"`) +
+		`,"workload":` + ten(`"gzip"`) + `,"dpm":` + ten("false") + `,"control_every":` + ten("1") +
+		`,"stepping":` + ten(`{"mode":"fixed"}`) + `,"seeds":` + ten("1") + `,"max_scenarios":1000000000}}`
+	mux := http.NewServeMux()
+	(&campaign.API{M: m}).Register(mux)
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/campaigns", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "server limit") {
+		t.Fatalf("8×10 sweep: %d %s, want 400 naming the server limit", rec.Code, rec.Body)
+	}
+
+	var spec coolsim.Campaign
+	if err := json.Unmarshal([]byte(body), &spec); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := m.Create(spec); !errors.Is(err, campaign.ErrBadSpec) {
+			t.Fatalf("err = %v, want ErrBadSpec", err)
+		}
+	}); allocs > 10 {
+		t.Errorf("rejecting the 8×10 sweep allocates %v objects, want ≤ 10", allocs)
 	}
 	if len(m.List()) != 0 {
 		t.Fatal("rejected specs were admitted")

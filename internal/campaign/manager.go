@@ -202,7 +202,16 @@ func (m *Manager) Resume() (campaigns, results int, err error) {
 // member, persist the manifest (admission is durable before it is
 // acknowledged, like a fleet submission), then run a first reconcile
 // pass so the fan-out starts before the response is written.
+//
+// A sweep may lower its expansion limit but not raise it past
+// coolsim.DefaultSweepLimit: the server ceiling is checked before
+// expanding, so a few bytes of client JSON cannot make the daemon
+// materialize an unbounded member list.
 func (m *Manager) Create(spec coolsim.Campaign) (View, error) {
+	if sw := spec.Sweep; sw != nil && sw.MaxScenarios > coolsim.DefaultSweepLimit {
+		return View{}, fmt.Errorf("%w: max_scenarios %d exceeds the server limit of %d members",
+			ErrBadSpec, sw.MaxScenarios, coolsim.DefaultSweepLimit)
+	}
 	scs, err := spec.Expand()
 	if err != nil {
 		return View{}, fmt.Errorf("%w: %v", ErrBadSpec, err)

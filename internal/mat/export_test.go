@@ -1,7 +1,7 @@
 package mat
 
-// Test-only access for the external tests that run the panel kernels on
-// the simulator's own systems (package mat_test, which may import rcnet).
+// Test-only access for the external tests that run the kernels on the
+// simulator's own systems (package mat_test, which may import rcnet).
 
 var (
 	// CheckSchedule is checkSchedule: the subtree schedule's invariants.
@@ -12,6 +12,12 @@ var (
 	// CheckPoisonPivots is checkPoisonPivots: the reported failing pivot
 	// against the serial oracle at every GOMAXPROCS level.
 	CheckPoisonPivots = checkPoisonPivots
+	// RandSPD is randSPD: a random strictly diagonally dominant SPD system.
+	RandSPD = randSPD
+	// GridLaplacian is gridLaplacian: a shifted 5-point grid Laplacian.
+	GridLaplacian = gridLaplacian
+	// SetSupernodal is setSupernodal: forces the kernel mode of s.
+	SetSupernodal = (*LDLSymbolic).setSupernodal
 )
 
 // SubtreeTasks returns the subtree task count of s's schedule.

@@ -1,25 +1,31 @@
 package mat
 
+// lanes is the scalar SolveBatch group width: the right-hand sides are
+// solved four at a time, each group's values held in locals so every
+// nonzero of L feeds four independent dependency chains.
+const lanes = 4
+
 // SolveBatch solves the k = len(xs) systems A·xs[r] = bs[r] through the
 // cached factors. On a scalar-column factor the right-hand sides are
-// packed into a node-major panel (all k values of one node contiguous),
-// so the two triangular sweeps stream the factor's values and indices
-// once for the whole batch instead of once per RHS — the index and L
-// traffic that dominates a single Solve is amortized k ways. Per-RHS
-// results are bit-identical to sequential Solve calls, except that the
-// blocked forward sweep does not reproduce the scalar Solve's skip of
-// exact-zero multipliers. Subtracting the skipped ±0 products changes a
-// result bit only when an accumulator holds -0 — never the case for the
-// strictly positive thermal systems this package serves.
+// solved in groups of four lanes (the last group zero-padded, its padded
+// lanes computed and discarded): each group is packed into an n×4 panel
+// in permuted order, so the two triangular sweeps stream the factor's
+// values and indices once per four right-hand sides, and keep the four
+// lane values of the current column (forward) or the four accumulators
+// (backward) in registers. Per lane the operation sequence is Solve's,
+// so results are bit-identical to sequential Solve calls, except that
+// the forward sweep does not reproduce Solve's skip of exact-zero
+// multipliers. Subtracting the skipped ±0 products changes a result bit
+// only when an accumulator holds -0 — never the case for the strictly
+// positive thermal systems this package serves.
 //
 // A supernodal factor has no separate batch kernel: SolveBatch runs
 // Solve once per right-hand side, so each lane is Solve's result by
 // construction and every solve forks its subtree tasks like a lone one.
 //
 // Each xs[r]/bs[r] must have length N; xs[r] may alias bs[r]. Like
-// Solve, SolveBatch allocates nothing in steady state: the scalar panel
-// scratch lives on the symbolic object and is grown once per high-water
-// k.
+// Solve, SolveBatch allocates nothing in steady state: the 4·n panel
+// scratch lives on the symbolic object and is grown once.
 func (f *LDLNumeric) SolveBatch(xs, bs [][]float64) {
 	s := f.s
 	n := s.n
@@ -45,57 +51,73 @@ func (f *LDLNumeric) SolveBatch(xs, bs [][]float64) {
 		}
 		return
 	}
-	if cap(s.wb) < n*k {
-		s.wb = make([]float64, n*k)
+	if len(s.wb) != n {
+		s.wb = make([][lanes]float64, n)
 	}
-	wb := s.wb[: n*k : n*k]
+	for g := 0; g < k; g += lanes {
+		e := min(g+lanes, k)
+		f.solveLanes(xs[g:e], bs[g:e])
+	}
+}
 
-	// Pack: permuted, node-major.
-	for i := 0; i < n; i++ {
-		src := s.perm[i]
-		row := wb[i*k : i*k+k]
-		for r := 0; r < k; r++ {
-			row[r] = bs[r][src]
+// solveLanes solves up to four right-hand sides through the scalar
+// factor in the s.wb panel, row i holding the lanes of permuted node i.
+func (f *LDLNumeric) solveLanes(xs, bs [][]float64) {
+	s := f.s
+	wb := s.wb
+	lp, li, lx := s.lp, s.li, f.lx
+
+	// Pack: permuted, padded lanes zeroed.
+	for r, b := range bs {
+		for i, src := range s.perm {
+			wb[i][r] = b[src]
+		}
+	}
+	for r := len(bs); r < lanes; r++ {
+		for i := range wb {
+			wb[i][r] = 0
 		}
 	}
 	// Forward sweep, scatter form over columns (Solve's order).
-	for j := 0; j < n; j++ {
-		wj := wb[j*k : j*k+k]
-		for p := s.lp[j]; p < s.lp[j+1]; p++ {
-			lx := f.lx[p]
-			dst := wb[int(s.li[p])*k:]
-			dst = dst[:k:k]
-			for r := range dst {
-				dst[r] -= lx * wj[r]
-			}
+	for j := range wb {
+		w0, w1, w2, w3 := wb[j][0], wb[j][1], wb[j][2], wb[j][3]
+		rows, ls := li[lp[j]:lp[j+1]], lx[lp[j]:lp[j+1]]
+		for p, i := range rows {
+			l := ls[p]
+			d := &wb[i]
+			d[0] -= l * w0
+			d[1] -= l * w1
+			d[2] -= l * w2
+			d[3] -= l * w3
 		}
 	}
 	// Diagonal scaling.
-	for j := 0; j < n; j++ {
-		iv := f.invd[j]
-		row := wb[j*k : j*k+k]
-		for r := range row {
-			row[r] *= iv
-		}
+	invd := f.invd[:len(wb)]
+	for j := range wb {
+		d, iv := &wb[j], invd[j]
+		d[0] *= iv
+		d[1] *= iv
+		d[2] *= iv
+		d[3] *= iv
 	}
 	// Backward sweep, gather form over columns descending.
-	for j := n - 1; j >= 0; j-- {
-		row := wb[j*k : j*k+k]
-		for p := s.lp[j]; p < s.lp[j+1]; p++ {
-			lx := f.lx[p]
-			src := wb[int(s.li[p])*k:]
-			src = src[:k:k]
-			for r := range row {
-				row[r] -= lx * src[r]
-			}
+	for j := len(wb) - 1; j >= 0; j-- {
+		a0, a1, a2, a3 := wb[j][0], wb[j][1], wb[j][2], wb[j][3]
+		rows, ls := li[lp[j]:lp[j+1]], lx[lp[j]:lp[j+1]]
+		for p, i := range rows {
+			l := ls[p]
+			v := &wb[i]
+			a0 -= l * v[0]
+			a1 -= l * v[1]
+			a2 -= l * v[2]
+			a3 -= l * v[3]
 		}
+		wb[j] = [lanes]float64{a0, a1, a2, a3}
 	}
 	// Unpack.
-	for i := 0; i < n; i++ {
-		dst := s.perm[i]
-		row := wb[i*k : i*k+k]
-		for r := 0; r < k; r++ {
-			xs[r][dst] = row[r]
+	for r, x := range xs {
+		for i, dst := range s.perm {
+			x[dst] = wb[i][r]
 		}
 	}
 }

@@ -1,28 +1,42 @@
-package mat
+package mat_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/floorplan"
+	"repro/internal/mat"
 )
 
 // TestSolveBatchMatchesSolve is the batch-path property test: for every
-// batch width, SolveBatch must reproduce k sequential Solve calls — on
-// these strictly positive systems, bit for bit (far inside the ≤ 1e-12
-// contract the gang scheduler depends on).
+// batch width 1–9 and 17 — each remainder of a four-lane group, the
+// zero-padded tail and several full groups — SolveBatch must reproduce k
+// sequential Solve calls, on these strictly positive systems bit for bit
+// (far inside the ≤ 1e-12 contract the gang scheduler depends on). The
+// systems are random SPD matrices and the simulator's 2-layer 23×20
+// liquid system at dt = 0.1 s, the factor perfbench sweep's gangs solve
+// through.
 func TestSolveBatchMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	var systems []*mat.CSR
 	for trial := 0; trial < 4; trial++ {
-		n := 40 + rng.Intn(160)
-		a := randSPD(n, 1+rng.Intn(3), rng)
-		s, err := AnalyzeLDL(a, OrderAuto)
+		systems = append(systems, mat.RandSPD(40+rng.Intn(160), 1+rng.Intn(3), rng))
+	}
+	systems = append(systems, stackSystem(t, floorplan.NewT1Stack2, 23, 20))
+	for _, a := range systems {
+		n := a.N
+		s, err := mat.AnalyzeLDL(a, mat.OrderAuto)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if s.Supernodal() {
+			t.Fatalf("n = %d: want the scalar kernels", n)
 		}
 		f, err := s.Factorize(a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []int{1, 2, 3, 5, 8, 17} {
+		for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17} {
 			bs := make([][]float64, k)
 			xs := make([][]float64, k)
 			want := make([][]float64, k)
@@ -50,20 +64,21 @@ func TestSolveBatchMatchesSolve(t *testing.T) {
 
 // TestSolveBatchAliasing: xs[r] may alias bs[r] (the thermal stepper
 // solves into the state vector the RHS was built from), on the scalar
-// blocked kernel and on a panel factor's per-RHS Solve.
+// four-lane kernel — across a group boundary, k = 5 — and on a panel
+// factor's per-RHS Solve.
 func TestSolveBatchAliasing(t *testing.T) {
-	a := gridLaplacian(9, 7, 1.5)
+	a := mat.GridLaplacian(9, 7, 1.5)
 	for _, super := range []bool{false, true} {
-		s, err := AnalyzeLDL(a, OrderAuto)
+		s, err := mat.AnalyzeLDL(a, mat.OrderAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.setSupernodal(super)
+		mat.SetSupernodal(s, super)
 		f, err := s.Factorize(a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		const k = 3
+		const k = 5
 		var xs, bs, want [][]float64
 		for r := 0; r < k; r++ {
 			v := make([]float64, a.N)
@@ -88,11 +103,11 @@ func TestSolveBatchAliasing(t *testing.T) {
 }
 
 // TestSolveBatchAllocFree extends the allocation contract to the scalar
-// batch path: after the first SolveBatch of a given width, SolveBatch
-// allocates nothing.
+// batch path: after the first SolveBatch, which grows the 4·n panel,
+// SolveBatch allocates nothing — here at k = 9, three lane groups.
 func TestSolveBatchAllocFree(t *testing.T) {
-	a := gridLaplacian(40, 32, 2)
-	s, err := AnalyzeLDL(a, OrderAuto)
+	a := mat.GridLaplacian(40, 32, 2)
+	s, err := mat.AnalyzeLDL(a, mat.OrderAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +119,11 @@ func TestSolveBatchAllocFree(t *testing.T) {
 	for i := range bvec {
 		bvec[i] = 1
 	}
-	xs := [][]float64{make([]float64, a.N), make([]float64, a.N), make([]float64, a.N)}
-	bs := [][]float64{bvec, bvec, bvec}
+	const k = 9
+	xs, bs := make([][]float64, k), make([][]float64, k)
+	for r := range xs {
+		xs[r], bs[r] = make([]float64, a.N), bvec
+	}
 	f.SolveBatch(xs, bs) // size the panel
 	if allocs := testing.AllocsPerRun(10, func() { f.SolveBatch(xs, bs) }); allocs != 0 {
 		t.Errorf("SolveBatch allocates %v objects, want 0", allocs)

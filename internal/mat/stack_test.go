@@ -34,21 +34,7 @@ func forEachStack(t *testing.T, fn func(t *testing.T, a *mat.CSR, s *mat.LDLSymb
 			if c.nx > 23 && (testing.Short() || testutil.RaceEnabled) {
 				t.Skip("paper-resolution system: skipped under -short and -race")
 			}
-			g, err := grid.Build(c.newStack(true), grid.DefaultParams(c.nx, c.ny))
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := rcnet.New(g, rcnet.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.SetFlow(0.5); err != nil {
-				t.Fatal(err)
-			}
-			a, err := m.SystemCSR(0.1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := stackSystem(t, c.newStack, c.nx, c.ny)
 			s, err := mat.AnalyzeLDL(a, mat.OrderAuto)
 			if err != nil {
 				t.Fatal(err)
@@ -62,6 +48,28 @@ func forEachStack(t *testing.T, fn func(t *testing.T, a *mat.CSR, s *mat.LDLSymb
 			fn(t, a, s)
 		})
 	}
+}
+
+// stackSystem assembles the backward-Euler system (mid flow, dt = 0.1 s)
+// of a liquid-cooled stack at nx×ny cells per slab.
+func stackSystem(t *testing.T, newStack func(liquid bool) *floorplan.Stack, nx, ny int) *mat.CSR {
+	t.Helper()
+	g, err := grid.Build(newStack(true), grid.DefaultParams(nx, ny))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := rcnet.New(g, rcnet.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetFlow(0.5); err != nil {
+		t.Fatal(err)
+	}
+	a, err := m.SystemCSR(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 // TestSupernodalStackSchedule checks the subtree schedule's invariants

@@ -11,8 +11,10 @@ import (
 )
 
 // maxGangWidth bounds how many runs one gang steps in lock-step: it caps
-// the multi-RHS panel width (batch memory is width × n temperatures) and
-// matches the top bucket of the batch-width histogram.
+// the gang's member slices (its models, right-hand sides and results)
+// and matches the top bucket of the batch-width histogram. It does not
+// size the solve scratch: the scalar SolveBatch panel is 4·n
+// temperatures at any width.
 const maxGangWidth = 32
 
 // gangKey identifies runs whose per-tick thermal solves can share one

@@ -20,10 +20,11 @@ import (
 // tick and the fixed stepping engine are co-scheduled into lock-step
 // gangs: each tick's thermal solves against a common (flow > 0, dt)
 // factorization — Max and Var runs alike while their pumps run — are
-// served by one multi-RHS SolveBatch call on one factor acquisition (a
-// blocked sweep on the scalar kernels, see rcnet.BatchStepper). Ganging
-// changes only how solves are computed, never their values — results
-// stay byte-identical to a serial loop at every worker count.
+// served by one multi-RHS SolveBatch call on one factor acquisition (on
+// the scalar kernels, sweeps that stream L once per four runs, see
+// rcnet.BatchStepper). Ganging changes only how solves are computed,
+// never their values — results stay byte-identical to a serial loop at
+// every worker count.
 // Config.BatchCounters observes the batching.
 //
 // Cancellation is prompt: every in-flight Run watches ctx tick by tick and
