@@ -16,7 +16,7 @@ type BatchCounters struct {
 type BatchStats struct {
 	// Sweeps is the number of grouped solves performed: each solved
 	// one factorized system against the right-hand sides of every
-	// co-scheduled scenario sharing it — one four-lane sweep per four
+	// co-scheduled scenario sharing it — one two-lane sweep per pair of
 	// right-hand sides on the scalar kernels, one supernodal solve per
 	// right-hand side on the panel kernels.
 	Sweeps int64 `json:"sweeps"`

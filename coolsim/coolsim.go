@@ -29,7 +29,7 @@
 // WithPlatformCache. An oversubscribed RunMany additionally
 // co-schedules platform-sharing fixed-flow runs so their per-tick
 // thermal solves go through one multi-RHS solve of the shared factor
-// (a four-lane sweep per four runs on the scalar kernels, one
+// (a two-lane sweep per pair of runs on the scalar kernels, one
 // supernodal solve per run on the panel kernels) — reports stay
 // byte-identical to solo runs at any worker count, and
 // Report.BatchedSolves / WithBatchCounters expose what was ganged.

@@ -95,8 +95,8 @@ func WithControlEvery(n int) Option {
 // WithBatchCounters makes the call report batched-solve statistics into
 // ctr: when RunMany co-schedules platform-sharing scenarios over fewer
 // worker slots, each lock-stepped tick serves compatible thermal solves
-// through one multi-RHS solve of the shared factor (a four-lane sweep per
-// four scenarios on the scalar kernels, one supernodal solve per
+// through one multi-RHS solve of the shared factor (a two-lane sweep per
+// pair of scenarios on the scalar kernels, one supernodal solve per
 // scenario on the panel kernels), and ctr counts those grouped solves
 // and their widths. ctr may be shared across calls and read
 // concurrently.

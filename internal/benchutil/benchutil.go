@@ -56,7 +56,6 @@ var Benches = []Bench{
 	{Name: "RunManyCold", Run: runManyCold},
 	{Name: "RunManyWarm", Run: runManyWarm},
 	{Name: "RunManySharedFactor", Run: runManySharedFactor},
-	{Name: "SolveBatchCoarse", Run: solveBatchCoarse},
 	{Name: "CampaignExpand", Run: campaignExpand},
 	{Name: "SampleEncode", Run: sampleEncode},
 	{Name: "StreamFanout1", Run: streamFanout(1)},
@@ -471,43 +470,6 @@ func runManySharedFactor(b *testing.B) {
 		b.Fatal("expected batched solves in the ganged batch")
 	}
 	b.ReportMetric(float64(st.BatchedSolves)/float64(b.N+1), "batched-solves/op")
-}
-
-// solveBatchCoarse benchmarks the solve of a width-2 gang on the
-// coarse grid: SolveBatch of two right-hand sides through the 2-layer
-// 23×20 liquid factor at dt = 0.1 s (the scalar kernels), the per-tick
-// solve of perfbench sweep's gangs. One warm call before the timer
-// grows the panel scratch; it reports µs per right-hand side.
-func solveBatchCoarse(b *testing.B) {
-	sys, err := liquidModel(b, 23, 20).SystemCSR(0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	symb, err := mat.AnalyzeLDL(sys, mat.OrderAuto)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if symb.Supernodal() {
-		b.Fatal("coarse analysis picked the supernodal kernels")
-	}
-	num, err := symb.Factorize(sys, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const k = 2
-	xs, bs := make([][]float64, k), make([][]float64, k)
-	for r := range bs {
-		xs[r], bs[r] = make([]float64, sys.N), make([]float64, sys.N)
-		for i := range bs[r] {
-			bs[r][i] = 1 + float64((i+r)%5)
-		}
-	}
-	num.SolveBatch(xs, bs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		num.SolveBatch(xs, bs)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(k*b.N), "us/rhs")
 }
 
 // simTick benchmarks one full simulator tick (workload, scheduling, DPM,

@@ -53,11 +53,11 @@ type LDLSymbolic struct {
 	pattern []int
 	flag    []int
 	lnz     []int
-	w       []float64        // Solve permuted work vector
-	wb      [][lanes]float64 // scalar SolveBatch panel: n rows of four lanes
-	sw      []superScratch   // supernodal kernels: one scratch per subtree worker
-	flog    []float64        // supernodal forward sweep: the task supernodes' above-root accumulators
-	fork    superFork        // supernodal kernels: fork-join state of the subtree tasks
+	w       []float64      // Solve permuted work vector
+	wb      [][2]float64   // scalar SolveBatch panel: n rows of two lanes
+	sw      []superScratch // supernodal kernels: one scratch per subtree worker
+	flog    []float64      // supernodal forward sweep: the task supernodes' above-root accumulators
+	fork    superFork      // supernodal kernels: fork-join state of the subtree tasks
 }
 
 // LDLNumeric holds the numeric factors of one matrix: PAPᵀ = L·D·Lᵀ with

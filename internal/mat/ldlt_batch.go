@@ -1,30 +1,25 @@
 package mat
 
-// lanes is the scalar SolveBatch group width: the right-hand sides are
-// solved four at a time, each group's values held in locals so every
-// nonzero of L feeds four independent dependency chains.
-const lanes = 4
-
 // SolveBatch solves the k = len(xs) systems A·xs[r] = bs[r] through the
 // cached factors. On a scalar-column factor the right-hand sides are
-// solved in groups of four lanes (the last group zero-padded, its padded
-// lanes computed and discarded): each group is packed into an n×4 panel
-// in permuted order, so the two triangular sweeps stream the factor's
-// values and indices once per four right-hand sides, and keep the four
-// lane values of the current column (forward) or the four accumulators
-// (backward) in registers. Per lane the operation sequence is Solve's,
-// so results are bit-identical to sequential Solve calls, except that
-// the forward sweep does not reproduce Solve's skip of exact-zero
-// multipliers. Subtracting the skipped ±0 products changes a result bit
-// only when an accumulator holds -0 — never the case for the strictly
-// positive thermal systems this package serves.
+// solved in pairs (the last one of an odd k by Solve): each pair is
+// packed into an n×2 panel in permuted order, so the two triangular
+// sweeps stream the factor's values and indices once per two right-hand
+// sides, and keep the pair's two values of the current column (forward)
+// or its two accumulators (backward) in registers. Per lane the
+// operation sequence is Solve's, so results are bit-identical to
+// sequential Solve calls, except that the forward sweep does not
+// reproduce Solve's skip of exact-zero multipliers. Subtracting the
+// skipped ±0 products changes a result bit only when an accumulator
+// holds -0 — never the case for the strictly positive thermal systems
+// this package serves.
 //
 // A supernodal factor has no separate batch kernel: SolveBatch runs
 // Solve once per right-hand side, so each lane is Solve's result by
 // construction and every solve forks its subtree tasks like a lone one.
 //
 // Each xs[r]/bs[r] must have length N; xs[r] may alias bs[r]. Like
-// Solve, SolveBatch allocates nothing in steady state: the 4·n panel
+// Solve, SolveBatch allocates nothing in steady state: the 2·n panel
 // scratch lives on the symbolic object and is grown once.
 func (f *LDLNumeric) SolveBatch(xs, bs [][]float64) {
 	s := f.s
@@ -33,62 +28,44 @@ func (f *LDLNumeric) SolveBatch(xs, bs [][]float64) {
 	if len(bs) != k {
 		panic("mat: LDL SolveBatch xs/bs count mismatch")
 	}
-	if k == 0 {
-		return
-	}
-	if k == 1 {
-		f.Solve(xs[0], bs[0])
-		return
-	}
 	for r := 0; r < k; r++ {
 		if len(xs[r]) != n || len(bs[r]) != n {
 			panic("mat: LDL SolveBatch dimension mismatch")
 		}
 	}
-	if f.super {
-		for r := range xs {
-			f.Solve(xs[r], bs[r])
+	r := 0
+	if !f.super {
+		if k >= 2 && len(s.wb) != n {
+			s.wb = make([][2]float64, n)
 		}
-		return
+		for ; r+1 < k; r += 2 {
+			f.solvePair(xs[r], xs[r+1], bs[r], bs[r+1])
+		}
 	}
-	if len(s.wb) != n {
-		s.wb = make([][lanes]float64, n)
-	}
-	for g := 0; g < k; g += lanes {
-		e := min(g+lanes, k)
-		f.solveLanes(xs[g:e], bs[g:e])
+	for ; r < k; r++ {
+		f.Solve(xs[r], bs[r])
 	}
 }
 
-// solveLanes solves up to four right-hand sides through the scalar
-// factor in the s.wb panel, row i holding the lanes of permuted node i.
-func (f *LDLNumeric) solveLanes(xs, bs [][]float64) {
+// solvePair solves two right-hand sides through the scalar factor in
+// the s.wb panel, row i holding the two lanes of permuted node i.
+func (f *LDLNumeric) solvePair(x0, x1, b0, b1 []float64) {
 	s := f.s
 	wb := s.wb
 	lp, li, lx := s.lp, s.li, f.lx
 
-	// Pack: permuted, padded lanes zeroed.
-	for r, b := range bs {
-		for i, src := range s.perm {
-			wb[i][r] = b[src]
-		}
-	}
-	for r := len(bs); r < lanes; r++ {
-		for i := range wb {
-			wb[i][r] = 0
-		}
+	for i, src := range s.perm {
+		wb[i] = [2]float64{b0[src], b1[src]}
 	}
 	// Forward sweep, scatter form over columns (Solve's order).
 	for j := range wb {
-		w0, w1, w2, w3 := wb[j][0], wb[j][1], wb[j][2], wb[j][3]
+		w0, w1 := wb[j][0], wb[j][1]
 		rows, ls := li[lp[j]:lp[j+1]], lx[lp[j]:lp[j+1]]
 		for p, i := range rows {
 			l := ls[p]
 			d := &wb[i]
 			d[0] -= l * w0
 			d[1] -= l * w1
-			d[2] -= l * w2
-			d[3] -= l * w3
 		}
 	}
 	// Diagonal scaling.
@@ -97,27 +74,20 @@ func (f *LDLNumeric) solveLanes(xs, bs [][]float64) {
 		d, iv := &wb[j], invd[j]
 		d[0] *= iv
 		d[1] *= iv
-		d[2] *= iv
-		d[3] *= iv
 	}
 	// Backward sweep, gather form over columns descending.
 	for j := len(wb) - 1; j >= 0; j-- {
-		a0, a1, a2, a3 := wb[j][0], wb[j][1], wb[j][2], wb[j][3]
+		a0, a1 := wb[j][0], wb[j][1]
 		rows, ls := li[lp[j]:lp[j+1]], lx[lp[j]:lp[j+1]]
 		for p, i := range rows {
 			l := ls[p]
 			v := &wb[i]
 			a0 -= l * v[0]
 			a1 -= l * v[1]
-			a2 -= l * v[2]
-			a3 -= l * v[3]
 		}
-		wb[j] = [lanes]float64{a0, a1, a2, a3}
+		wb[j] = [2]float64{a0, a1}
 	}
-	// Unpack.
-	for r, x := range xs {
-		for i, dst := range s.perm {
-			x[dst] = wb[i][r]
-		}
+	for i, dst := range s.perm {
+		x0[dst], x1[dst] = wb[i][0], wb[i][1]
 	}
 }

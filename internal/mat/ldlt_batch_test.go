@@ -9,8 +9,8 @@ import (
 )
 
 // TestSolveBatchMatchesSolve is the batch-path property test: for every
-// batch width 1–9 and 17 — each remainder of a four-lane group, the
-// zero-padded tail and several full groups — SolveBatch must reproduce k
+// batch width 1–9 and 17 — one pair, several pairs, and an odd last
+// right-hand side left to Solve — SolveBatch must reproduce k
 // sequential Solve calls, on these strictly positive systems bit for bit
 // (far inside the ≤ 1e-12 contract the gang scheduler depends on). The
 // systems are random SPD matrices and the simulator's 2-layer 23×20
@@ -64,8 +64,8 @@ func TestSolveBatchMatchesSolve(t *testing.T) {
 
 // TestSolveBatchAliasing: xs[r] may alias bs[r] (the thermal stepper
 // solves into the state vector the RHS was built from), on the scalar
-// four-lane kernel — across a group boundary, k = 5 — and on a panel
-// factor's per-RHS Solve.
+// pair kernel — k = 5, two pairs and an odd last right-hand side — and
+// on a panel factor's per-RHS Solve.
 func TestSolveBatchAliasing(t *testing.T) {
 	a := mat.GridLaplacian(9, 7, 1.5)
 	for _, super := range []bool{false, true} {
@@ -103,8 +103,8 @@ func TestSolveBatchAliasing(t *testing.T) {
 }
 
 // TestSolveBatchAllocFree extends the allocation contract to the scalar
-// batch path: after the first SolveBatch, which grows the 4·n panel,
-// SolveBatch allocates nothing — here at k = 9, three lane groups.
+// batch path: after the first SolveBatch, which grows the 2·n panel,
+// SolveBatch allocates nothing — here at k = 9, four pairs and a Solve.
 func TestSolveBatchAllocFree(t *testing.T) {
 	a := mat.GridLaplacian(40, 32, 2)
 	s, err := mat.AnalyzeLDL(a, mat.OrderAuto)

@@ -93,7 +93,7 @@ func (c *BatchCounters) Snapshot() BatchSnapshot {
 // lock-step, grouping the per-tick linear solves of models that share a
 // factorKey (pump on or off, same dt) into single SolveBatch calls on
 // one factor acquisition (on the scalar kernels the factor's indices and
-// values are then streamed once per four models of the group).
+// values are then streamed once per pair of models of the group).
 // Per-model state — temperatures, coolant march, factor caches — stays
 // fully isolated; only the leader's numeric factor is shared, and models
 // whose key diverges fall back to their own serial Step path,

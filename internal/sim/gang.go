@@ -13,7 +13,7 @@ import (
 // maxGangWidth bounds how many runs one gang steps in lock-step: it caps
 // the gang's member slices (its models, right-hand sides and results)
 // and matches the top bucket of the batch-width histogram. It does not
-// size the solve scratch: the scalar SolveBatch panel is 4·n
+// size the solve scratch: the scalar SolveBatch panel is 2·n
 // temperatures at any width.
 const maxGangWidth = 32
 

@@ -21,7 +21,7 @@ import (
 // gangs: each tick's thermal solves against a common (flow > 0, dt)
 // factorization — Max and Var runs alike while their pumps run — are
 // served by one multi-RHS SolveBatch call on one factor acquisition (on
-// the scalar kernels, sweeps that stream L once per four runs, see
+// the scalar kernels, sweeps that stream L once per pair of runs, see
 // rcnet.BatchStepper). Ganging changes only how solves are computed,
 // never their values — results stay byte-identical to a serial loop at
 // every worker count.
