@@ -49,9 +49,11 @@ func BenchmarkTableIII(b *testing.B) {
 
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := experiments.WriteFig3(io.Discard); err != nil {
+		rows, err := experiments.Fig3()
+		if err != nil {
 			b.Fatal(err)
 		}
+		experiments.WriteFig3(io.Discard, rows)
 	}
 }
 
@@ -109,7 +111,11 @@ func BenchmarkFig8(b *testing.B) {
 	o := benchOptions()
 	var perf float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(context.Background(), o)
+		fig6, err := experiments.Fig6(context.Background(), o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := experiments.Fig8(fig6)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,11 +126,13 @@ func BenchmarkFig8(b *testing.B) {
 
 // --- Experiment engine ------------------------------------------------------
 
-// BenchmarkExperimentsParallel measures the worker-pool experiment engine
-// on the Fig. 8 matrix (5 combos × 2 workloads = 10 scenario runs per
-// iteration). workers=1 is the serial baseline; the wall-clock speedup at
-// workers=N is bounded by min(N, NumCPU) because scenario runs are
-// CPU-bound. Output is byte-identical across worker counts (see
+// BenchmarkExperimentsParallel measures the experiment engine on the
+// Fig. 6 matrix (7 combos × 2 workloads = 14 scenario runs per
+// iteration; Fig. 8 is a view of it). Every worker count here is
+// oversubscribed, so cells sharing a platform run in gangs of
+// up to ceil(14/workers); the wall-clock speedup at workers=N is bounded by
+// min(N, NumCPU) because scenario runs are CPU-bound. Output is
+// byte-identical across worker counts (see
 // experiments.TestParallelMatrixDeterminism), so the sub-benchmarks are
 // directly comparable.
 func BenchmarkExperimentsParallel(b *testing.B) {
@@ -136,7 +144,7 @@ func BenchmarkExperimentsParallel(b *testing.B) {
 			o := benchOptions()
 			o.Workers = workers
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Fig8(context.Background(), o); err != nil {
+				if _, err := experiments.Fig6(context.Background(), o); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,7 +7,8 @@
 //	repro -quick               # reduced fidelity (seconds instead of minutes)
 //	repro -exp tab1,tab2,fig3  # a comma-separated subset
 //
-// Experiments: tab1 tab2 tab3 fig3 fig5 fig6 fig7 fig8.
+// Experiments: tab1 tab2 tab3 fig3 fig5 fig6 fig7 fig8 (all); extensions
+// fig6x4 inlet. Each figure's text and CSV render one computed result.
 //
 // Ctrl-C (SIGINT) or SIGTERM cancels the experiment context: in-flight
 // scenario runs abort within one simulated tick and repro exits cleanly
@@ -19,9 +20,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -30,18 +33,82 @@ import (
 	"repro/internal/stepper"
 )
 
+// known lists every -exp name in output order: the paper's eight, which
+// "all" selects, then the extensions, which run only when named.
+var known = []string{"tab1", "tab2", "tab3", "fig3", "fig5", "fig6", "fig7", "fig8", "fig6x4", "inlet"}
+
+// parseExps turns the -exp list into the set of experiments to run.
+// Names are trimmed; an unknown name is an error.
+func parseExps(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, e := range strings.Split(list, ",") {
+		switch e = strings.TrimSpace(e); {
+		case e == "all":
+			for _, k := range known[:8] {
+				want[k] = true
+			}
+		case slices.Contains(known, e):
+			want[e] = true
+		default:
+			return nil, fmt.Errorf("unknown experiment %q (known: all %s)", e, strings.Join(known, " "))
+		}
+	}
+	return want, nil
+}
+
+var csvDir = flag.String("csv", "", "also write machine-readable CSV files into this directory")
+
+func fail(name string, err error) {
+	if errors.Is(err, context.Canceled) {
+		fmt.Fprintln(os.Stderr, "repro: interrupted")
+		os.Exit(130)
+	}
+	fmt.Fprintf(os.Stderr, "repro: %s: %v\n", name, err)
+	os.Exit(1)
+}
+
+// show prints a computed figure and, with -csv, writes its CSV file (csv
+// may be nil): text and CSV render the same result.
+func show[T any](name string, res T, err error, text func(io.Writer, T), csv func(io.Writer, T) error) {
+	if err != nil {
+		fail(name, err)
+	}
+	text(os.Stdout, res)
+	if *csvDir == "" || csv == nil {
+		return
+	}
+	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+		fail(name, err)
+	}
+	file, err := os.Create(filepath.Join(*csvDir, name+".csv"))
+	if err == nil {
+		err = csv(file, res)
+		if cerr := file.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fail(name, err)
+	}
+}
+
 func main() {
 	var (
 		exp = flag.String("exp", "all",
 			"experiments to run (comma-separated): tab1,tab2,tab3,fig3,fig5,fig6,fig7,fig8 or all; extensions: fig6x4, inlet")
 		quick   = flag.Bool("quick", false, "reduced fidelity (coarser grid, shorter runs, 3 workloads)")
-		csvDir  = flag.String("csv", "", "also write machine-readable CSV files into this directory")
 		workers = flag.Int("workers", 0,
 			"scenario-level worker goroutines (0 = NumCPU); output is byte-identical for any value")
 		stepperMode = flag.String("stepper", "fixed",
 			"time-advance engine for every simulation run: fixed (paper-exact)|adaptive (thermal macro-steps, <=0.05C tolerance)")
 	)
 	flag.Parse()
+
+	want, err := parseExps(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "repro:", err)
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -62,71 +129,56 @@ func main() {
 	}
 	opt.Stepping.Kind = kind
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
+	if want["tab1"] {
+		experiments.WriteTableI(os.Stdout)
 	}
-	all := want["all"]
-	fail := func(name string, err error) {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "repro: interrupted")
-			os.Exit(130)
-		}
-		fmt.Fprintf(os.Stderr, "repro: %s: %v\n", name, err)
-		os.Exit(1)
+	if want["tab2"] {
+		experiments.WriteTableII(os.Stdout)
 	}
-	run := func(name string, f func() error) {
-		if !all && !want[name] {
-			return
-		}
-		if err := f(); err != nil {
-			fail(name, err)
-		}
+	if want["tab3"] {
+		experiments.WriteTableIII(os.Stdout)
 	}
-	csvOut := func(name string, f func(w *os.File) error) {
-		if *csvDir == "" || (!all && !want[name]) {
-			return
-		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fail(name, err)
-		}
-		file, err := os.Create(filepath.Join(*csvDir, name+".csv"))
-		if err != nil {
-			fail(name, err)
-		}
-		defer file.Close()
-		if err := f(file); err != nil {
-			fail(name, err)
+	if want["fig3"] {
+		res, err := experiments.Fig3()
+		show("fig3", res, err, experiments.WriteFig3, experiments.Fig3CSV)
+	}
+	if want["fig5"] {
+		res, err := experiments.Fig5(ctx, opt)
+		show("fig5", res, err, experiments.WriteFig5, experiments.Fig5CSV)
+	}
+	// Fig. 8 is five rows of Fig. 6's matrix: one run serves both.
+	var fig6 []experiments.ComboResult
+	if want["fig6"] || want["fig8"] {
+		if fig6, err = experiments.Fig6(ctx, opt); err != nil {
+			fail("fig6", err)
 		}
 	}
-
-	out := os.Stdout
-	run("tab1", func() error { experiments.WriteTableI(out); return nil })
-	run("tab2", func() error { experiments.WriteTableII(out); return nil })
-	run("tab3", func() error { experiments.WriteTableIII(out); return nil })
-	run("fig3", func() error { return experiments.WriteFig3(out) })
-	csvOut("fig3", func(w *os.File) error { return experiments.Fig3CSV(w) })
-	run("fig5", func() error { return experiments.WriteFig5(ctx, out, opt) })
-	csvOut("fig5", func(w *os.File) error { return experiments.Fig5CSV(ctx, w, opt) })
-	run("fig6", func() error { return experiments.WriteFig6(ctx, out, opt) })
-	csvOut("fig6", func(w *os.File) error { return experiments.Fig6CSV(ctx, w, opt) })
-	run("fig7", func() error { return experiments.WriteFig7(ctx, out, opt) })
-	csvOut("fig7", func(w *os.File) error { return experiments.Fig7CSV(ctx, w, opt) })
-	run("fig8", func() error { return experiments.WriteFig8(ctx, out, opt) })
-	csvOut("fig8", func(w *os.File) error { return experiments.Fig8CSV(ctx, w, opt) })
+	if want["fig6"] {
+		show("fig6", fig6, nil, experiments.WriteFig6, experiments.ComboCSV)
+	}
+	if want["fig7"] {
+		res, err := experiments.Fig7(ctx, opt)
+		show("fig7", res, err, experiments.WriteFig7, experiments.ComboCSV)
+	}
+	if want["fig8"] {
+		res, err := experiments.Fig8(fig6)
+		show("fig8", res, err, experiments.WriteFig8, experiments.ComboCSV)
+	}
 	// Extension: the 4-layer variant of Fig. 6 (not in the paper's
 	// figures, but its systems section evaluates both stacks).
 	if want["fig6x4"] {
-		if err := experiments.WriteFig6Layers(ctx, out, opt, 4); err != nil {
-			fail("fig6x4", err)
-		}
+		res, err := experiments.Fig6Layers(ctx, opt, 4)
+		show("fig6x4", res, err, func(w io.Writer, r []experiments.ComboResult) {
+			experiments.WriteFig6Layers(w, 4, r)
+		}, nil)
 	}
 	// Extension: sensitivity of the headline savings to the coolant
 	// inlet temperature (the calibration decision in EXPERIMENTS.md).
 	if want["inlet"] {
-		if err := experiments.WriteInletSweep(ctx, out, opt, "Web-med",
-			[]float64{50, 60, 65, 70, 72}); err != nil {
-			fail("inlet", err)
-		}
+		const bench = "Web-med"
+		rows, err := experiments.InletSweep(ctx, opt, bench, []float64{50, 60, 65, 70, 72})
+		show("inlet", rows, err, func(w io.Writer, r []experiments.InletSweepRow) {
+			experiments.WriteInletSweep(w, bench, r)
+		}, nil)
 	}
 }

@@ -36,7 +36,8 @@
 //
 // See README.md for the build/test/bench quickstart, the layout, the
 // parallel experiment engine (the -workers flag on cmd/repro and
-// cmd/coolsim, experiments.Options.Workers, sim.RunAll) and the thermal
+// cmd/coolsim, experiments.Options.Workers; every figure matrix is one
+// gang-scheduled sim.RunAll call) and the thermal
 // solver: a cached sparse LDLᵀ direct factorization (symbolic analysis
 // once per stack shape, numeric factors once per flow setting and time
 // step per stack shape — shared, immutable, by every run on it — and

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"encoding/csv"
-	"fmt"
 	"io"
 	"math"
 	"strconv"
@@ -15,12 +13,8 @@ import (
 
 func fstr(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
 
-// Fig3CSV writes the pump operating points.
-func Fig3CSV(w io.Writer) error {
-	rows, err := Fig3()
-	if err != nil {
-		return err
-	}
+// Fig3CSV writes Fig3's pump operating points.
+func Fig3CSV(w io.Writer, rows []Fig3Row) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"setting", "pump_flow_lph", "per_cavity_2layer_mlmin", "per_cavity_4layer_mlmin", "power_w"}); err != nil {
 		return err
@@ -37,12 +31,8 @@ func Fig3CSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// Fig5CSV writes the required-flow curves for both stacks.
-func Fig5CSV(ctx context.Context, w io.Writer, o Options) error {
-	results, err := Fig5(ctx, o)
-	if err != nil {
-		return err
-	}
+// Fig5CSV writes Fig5's required-flow curves for both stacks.
+func Fig5CSV(w io.Writer, results []Fig5Result) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"layers", "power_scale", "tmax_observed_c", "required_flow_mlmin", "required_setting", "setting_flow_mlmin"}); err != nil {
 		return err
@@ -66,8 +56,9 @@ func Fig5CSV(ctx context.Context, w io.Writer, o Options) error {
 	return cw.Error()
 }
 
-// comboCSV writes a ComboResult slice (Figs. 6–8 share the schema).
-func comboCSV(w io.Writer, res []ComboResult) error {
+// ComboCSV writes a policy-comparison result: Figs. 6–8 and the Fig. 6
+// layer extension share the schema.
+func ComboCSV(w io.Writer, res []ComboResult) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
 		"policy", "hot_avg_pct", "hot_max_pct", "grad_avg_pct", "grad_max_pct",
@@ -91,54 +82,4 @@ func comboCSV(w io.Writer, res []ComboResult) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// Fig6CSV, Fig7CSV and Fig8CSV write the policy-comparison figures.
-func Fig6CSV(ctx context.Context, w io.Writer, o Options) error {
-	res, err := Fig6(ctx, o)
-	if err != nil {
-		return err
-	}
-	return comboCSV(w, res)
-}
-
-// Fig7CSV writes the thermal-variation comparison.
-func Fig7CSV(ctx context.Context, w io.Writer, o Options) error {
-	res, err := Fig7(ctx, o)
-	if err != nil {
-		return err
-	}
-	return comboCSV(w, res)
-}
-
-// Fig8CSV writes the performance/energy comparison.
-func Fig8CSV(ctx context.Context, w io.Writer, o Options) error {
-	res, err := Fig8(ctx, o)
-	if err != nil {
-		return err
-	}
-	return comboCSV(w, res)
-}
-
-// WriteFig6Layers renders the layer-parameterized Fig. 6 extension.
-func WriteFig6Layers(ctx context.Context, w io.Writer, o Options, layers int) error {
-	res, err := Fig6Layers(ctx, o, layers)
-	if err != nil {
-		return err
-	}
-	rows := make([][]string, 0, len(res))
-	for _, r := range res {
-		rows = append(rows, []string{
-			r.Combo.Label,
-			fmt.Sprintf("%.1f", r.AvgHotPct),
-			fmt.Sprintf("%.1f", r.MaxHotPct),
-			fmt.Sprintf("%.3f", r.NormChip),
-			fmt.Sprintf("%.3f", r.NormPump),
-			fmt.Sprintf("%.3f", r.NormChip+r.NormPump),
-		})
-	}
-	writeTable(w, fmt.Sprintf("FIG 6 extension: hot spots and energy, %d-layer system", layers),
-		[]string{"Policy", "HotSpots avg (%>85C)", "HotSpots max (%)", "Energy chip", "Energy pump", "Energy total"},
-		rows)
-	return nil
 }

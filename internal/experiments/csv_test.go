@@ -21,8 +21,12 @@ func parseCSV(t *testing.T, buf *bytes.Buffer) [][]string {
 }
 
 func TestFig3CSV(t *testing.T) {
+	fig3, err := Fig3()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := Fig3CSV(&buf); err != nil {
+	if err := Fig3CSV(&buf, fig3); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, &buf)
@@ -47,9 +51,12 @@ func TestFig3CSV(t *testing.T) {
 }
 
 func TestFig5CSV(t *testing.T) {
-	o := QuickOptions()
+	res, err := Fig5(context.Background(), QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := Fig5CSV(context.Background(), &buf, o); err != nil {
+	if err := Fig5CSV(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, &buf)
@@ -67,8 +74,16 @@ func TestCombosCSV(t *testing.T) {
 	o := QuickOptions()
 	o.Workloads = []string{"gzip"}
 	o.Duration = 8
+	fig6, err := Fig6(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig8, err := Fig8(fig6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := Fig8CSV(context.Background(), &buf, o); err != nil {
+	if err := ComboCSV(&buf, fig8); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, &buf)
@@ -100,9 +115,7 @@ func TestFig6LayersExtension(t *testing.T) {
 		t.Fatalf("combos = %d", len(res))
 	}
 	var buf bytes.Buffer
-	if err := WriteFig6Layers(context.Background(), &buf, o, 4); err != nil {
-		t.Fatal(err)
-	}
+	WriteFig6Layers(&buf, 4, res)
 	if !bytes.Contains(buf.Bytes(), []byte("4-layer system")) {
 		t.Error("rendered extension missing title")
 	}

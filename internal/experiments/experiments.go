@@ -1,14 +1,14 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Tables I–III, Figures 3 and 5–8). Each experiment has a
-// structured result type (consumed by tests and benchmarks) and a text
-// renderer (consumed by cmd/repro).
+// evaluation (Tables I–III, Figures 3 and 5–8). Each experiment computes
+// a structured result that its text renderer and CSV emitter both render.
+// Every simulation cell of a figure matrix or sweep goes through one
+// sim.RunAll call, which gangs cells when they outnumber the workers.
 //
 // Absolute numbers come from this repository's simulator, not the authors'
 // testbed; EXPERIMENTS.md records the shape comparison against the paper.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -32,11 +32,12 @@ type Options struct {
 	Seed int64
 	// Workloads restricts the benchmark set (nil = all of Table II).
 	Workloads []string
-	// Workers bounds the scenario-level worker pool of the experiment
-	// engine; ≤ 0 selects runtime.NumCPU(). Every scenario owns its model
-	// and RNG (seeded from Seed, not from the worker), and results are
-	// collected in input order, so tables, figures and CSV output are
-	// byte-identical for every worker count.
+	// Workers is the slot count of each matrix's sim.RunAll call; ≤ 0
+	// selects runtime.NumCPU(). Cells beyond the slots run in lock-step
+	// gangs. Every scenario owns its model and RNG (seeded from Seed, not
+	// from the worker), a ganged run is bit-identical to its solo run,
+	// and results are collected in input order, so tables, figures and
+	// CSV output are byte-identical for every worker count.
 	Workers int
 	// Stepping selects the time-advance engine for every simulation run
 	// of the experiment. The zero value is the fixed base-tick loop;
@@ -84,8 +85,7 @@ func (o Options) benchmarks() ([]workload.Benchmark, error) {
 // caller set Options.Cache, otherwise a private per-call cache. Either
 // way each (layers, cooling class, grid, solver) platform — and each of
 // its artifacts — is built at most once and read concurrently by the
-// scenario workers. This replaces the package's former private
-// lut/weights table cache (and its second copy in the inlet sweep).
+// scenario workers.
 func (o Options) cacheOrNew() *platform.Cache {
 	if o.Cache != nil {
 		return o.Cache
@@ -100,29 +100,6 @@ func (o Options) spec(layers int, liquid bool) platform.Spec {
 		GridNX: o.GridNX, GridNY: o.GridNY,
 		RC: rcnet.DefaultConfig(),
 	}
-}
-
-// prebuild constructs every platform artifact the given combos will need,
-// serially and in combo order, so the parallel fan-out only ever reads
-// shared state and every artifact is built exactly once.
-func (o Options) prebuild(ctx context.Context, cache *platform.Cache, layers int, combos []Combo) error {
-	for _, combo := range combos {
-		p, err := cache.Get(o.spec(layers, combo.Cooling != sim.Air))
-		if err != nil {
-			return err
-		}
-		if combo.Cooling == sim.LiquidVar {
-			if _, err := p.LUT(ctx); err != nil {
-				return err
-			}
-		}
-		if combo.Policy == sched.TALB {
-			if _, err := p.Weights(ctx); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Combo names one policy/cooling configuration as the paper labels them.
@@ -146,7 +123,8 @@ func Fig6Combos() []Combo {
 	}
 }
 
-// Fig8Combos lists the five configurations of Fig. 8.
+// Fig8Combos lists the five configurations of Fig. 8, each a row of
+// Fig6Combos; Fig8 selects them from Fig. 6's result.
 func Fig8Combos() []Combo {
 	return []Combo{
 		{"LB (Air)", sim.Air, sched.LB},
@@ -157,11 +135,13 @@ func Fig8Combos() []Combo {
 	}
 }
 
-// run executes one cell of an experiment matrix on the shared platform.
-func (o Options) run(ctx context.Context, cache *platform.Cache, layers int, combo Combo,
-	bench workload.Benchmark, dpmOn bool) (*sim.Result, error) {
+// config builds one cell of an experiment matrix: combo on bench, run on
+// the shared platform p (whose spec fixes the stack and its thermal
+// boundary config).
+func (o Options) config(p *platform.Platform, combo Combo, bench workload.Benchmark, dpmOn bool) sim.Config {
+	spec := p.Spec()
 	cfg := sim.DefaultConfig()
-	cfg.Layers = layers
+	cfg.Layers = spec.Layers
 	cfg.Cooling = combo.Cooling
 	cfg.Policy = combo.Policy
 	cfg.Bench = bench
@@ -171,12 +151,9 @@ func (o Options) run(ctx context.Context, cache *platform.Cache, layers int, com
 	cfg.GridNX, cfg.GridNY = o.GridNX, o.GridNY
 	cfg.DPMEnabled = dpmOn
 	cfg.Stepper = o.Stepping
-	p, err := cache.Get(o.spec(layers, combo.Cooling != sim.Air))
-	if err != nil {
-		return nil, err
-	}
+	cfg.RC = &spec.RC
 	cfg.Platform = p
-	return sim.Run(ctx, cfg)
+	return cfg
 }
 
 // writeTable renders rows of equal length under a header.

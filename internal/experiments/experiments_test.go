@@ -40,9 +40,11 @@ func TestTableRendering(t *testing.T) {
 	WriteTableI(&buf)
 	WriteTableII(&buf)
 	WriteTableIII(&buf)
-	if err := WriteFig3(&buf); err != nil {
+	fig3, err := Fig3()
+	if err != nil {
 		t.Fatal(err)
 	}
+	WriteFig3(&buf, fig3)
 	out := buf.String()
 	for _, want := range []string{"TABLE I.", "TABLE II.", "TABLE III.", "FIG 3.",
 		"Web-high", "92.87", "0.15 mm", "37132"} {
@@ -191,7 +193,11 @@ func TestFig7QuickShape(t *testing.T) {
 }
 
 func TestFig8QuickShape(t *testing.T) {
-	res, err := Fig8(context.Background(), QuickOptions())
+	fig6, err := Fig6(context.Background(), QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Fig8(fig6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,13 +224,17 @@ func TestWriteFigures(t *testing.T) {
 	o := QuickOptions()
 	o.Workloads = []string{"gzip"}
 	o.Duration = 8
+	fig6, err := Fig6(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig8, err := Fig8(fig6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := WriteFig6(context.Background(), &buf, o); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFig8(context.Background(), &buf, o); err != nil {
-		t.Fatal(err)
-	}
+	WriteFig6(&buf, fig6)
+	WriteFig8(&buf, fig8)
 	out := buf.String()
 	for _, want := range []string{"FIG 6.", "FIG 8.", "TALB (Var)*", "cooling energy"} {
 		if !strings.Contains(out, want) {

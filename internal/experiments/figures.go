@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/controller"
 	"repro/internal/par"
@@ -42,8 +43,10 @@ type Fig5Result struct {
 }
 
 // Fig5 regenerates the flow-requirement analysis for the 2- and 4-layer
-// systems. The two stacks are independent bisection studies (each owns its
-// model and LUT), so they run as parallel jobs with per-index result slots.
+// systems. The two stacks are independent bisection studies on scratch
+// models — steady-state solves, not simulation runs, so they have nothing
+// to gang and fan out through par.ForEach rather than sim.RunAll, one
+// job per stack with per-index result slots.
 func Fig5(ctx context.Context, o Options) ([]Fig5Result, error) {
 	stacks := []int{2, 4}
 	out := make([]Fig5Result, len(stacks))
@@ -161,12 +164,8 @@ func bisectFlow(tmaxAt func(float64) (units.Celsius, error), target units.Celsiu
 	return hi, nil
 }
 
-// WriteFig5 renders the required-flow analysis.
-func WriteFig5(ctx context.Context, w io.Writer, o Options) error {
-	results, err := Fig5(ctx, o)
-	if err != nil {
-		return err
-	}
+// WriteFig5 renders the required-flow analysis Fig5 computed.
+func WriteFig5(w io.Writer, results []Fig5Result) {
 	for _, res := range results {
 		rows := make([][]string, 0, len(res.Rows))
 		for _, r := range res.Rows {
@@ -187,7 +186,6 @@ func WriteFig5(ctx context.Context, w io.Writer, o Options) error {
 			[]string{"Load", "Tmax@min-flow (°C)", "Min flow (ml/min)", "Setting", "Setting flow (ml/min)"},
 			rows)
 	}
-	return nil
 }
 
 // ComboResult aggregates one policy/cooling configuration across the
@@ -214,10 +212,10 @@ type ComboResult struct {
 	NormChip, NormPump, NormPerf float64
 }
 
-// runMatrix executes a combo × workload matrix on the engine's worker
-// pool and aggregates. The shared LUT/weight tables are pre-built
-// serially, every (combo, workload) cell then runs as an independent job,
-// and results land in per-index slots, so aggregation order — and hence
+// runMatrix executes a combo × workload matrix and aggregates. Every
+// (combo, workload) cell is one config of a single sim.RunAll call, which
+// gangs cells sharing a platform when they outnumber the worker slots;
+// results land in per-index slots, so aggregation order — and hence
 // every rendered table and CSV byte — is identical for any worker count.
 func (o Options) runMatrix(ctx context.Context, layers int, combos []Combo, dpmOn bool) ([]ComboResult, error) {
 	benches, err := o.benchmarks()
@@ -225,22 +223,22 @@ func (o Options) runMatrix(ctx context.Context, layers int, combos []Combo, dpmO
 		return nil, err
 	}
 	cache := o.cacheOrNew()
-	if err := o.prebuild(ctx, cache, layers, combos); err != nil {
-		return nil, err
+	cfgs := make([]sim.Config, 0, len(combos)*len(benches))
+	for _, combo := range combos {
+		p, err := cache.Get(o.spec(layers, combo.Cooling != sim.Air))
+		if err != nil {
+			return nil, err
+		}
+		for _, b := range benches {
+			cfgs = append(cfgs, o.config(p, combo, b, dpmOn))
+		}
 	}
 	nb := len(benches)
-	runs := make([]*sim.Result, len(combos)*nb)
-	err = par.ForEach(ctx, o.Workers, len(runs), func(i int) error {
-		combo, b := combos[i/nb], benches[i%nb]
-		r, err := o.run(ctx, cache, layers, combo, b, dpmOn)
-		if err != nil {
-			return fmt.Errorf("experiments: %s on %s: %w", combo.Label, b.Name, err)
-		}
-		runs[i] = r
-		return nil
-	})
+	runs, err := sim.RunAll(ctx, cfgs, o.Workers)
 	if err != nil {
-		return nil, err
+		return nil, cellError(ctx, err, runs, func(i int) string {
+			return fmt.Sprintf("%s on %s", combos[i/nb].Label, benches[i%nb].Name)
+		})
 	}
 	out := make([]ComboResult, 0, len(combos))
 	for ci, combo := range combos {
@@ -275,6 +273,24 @@ func (o Options) runMatrix(ctx context.Context, layers int, combos []Combo, dpmO
 	return out, nil
 }
 
+// cellError names the failed cell of a sim.RunAll batch. RunAll fills
+// the result of every cell that succeeded, so the lowest empty slot is
+// the first failed cell. RunAll returns that cell's error as long as each
+// gang holds consecutive cells, as it does when the cells are laid out
+// platform by platform, like every batch here. A canceled run is
+// returned as is.
+func cellError(ctx context.Context, err error, runs []*sim.Result, name func(i int) string) error {
+	if ctx.Err() != nil {
+		return err
+	}
+	for i, r := range runs {
+		if r == nil {
+			return fmt.Errorf("experiments: %s: %w", name(i), err)
+		}
+	}
+	return err
+}
+
 // Fig6 regenerates the hot-spot and energy comparison (2-layer system, no
 // DPM, all policies).
 func Fig6(ctx context.Context, o Options) ([]ComboResult, error) {
@@ -287,12 +303,9 @@ func Fig6Layers(ctx context.Context, o Options, layers int) ([]ComboResult, erro
 	return o.runMatrix(ctx, layers, Fig6Combos(), false)
 }
 
-// WriteFig6 renders Fig. 6.
-func WriteFig6(ctx context.Context, w io.Writer, o Options) error {
-	res, err := Fig6(ctx, o)
-	if err != nil {
-		return err
-	}
+// writeHotEnergy renders the hot-spot and energy table of Fig. 6 and its
+// layer extension.
+func writeHotEnergy(w io.Writer, title string, res []ComboResult) {
 	rows := make([][]string, 0, len(res))
 	for _, r := range res {
 		rows = append(rows, []string{
@@ -304,9 +317,14 @@ func WriteFig6(ctx context.Context, w io.Writer, o Options) error {
 			fmt.Sprintf("%.3f", r.NormChip+r.NormPump),
 		})
 	}
-	writeTable(w, "FIG 6. Hot spots and energy, 2-layer system (energy normalized to LB (Air) chip energy)",
+	writeTable(w, title,
 		[]string{"Policy", "HotSpots avg (%>85C)", "HotSpots max (%)", "Energy chip", "Energy pump", "Energy total"},
 		rows)
+}
+
+// WriteFig6 renders Fig. 6 from Fig6's result.
+func WriteFig6(w io.Writer, res []ComboResult) {
+	writeHotEnergy(w, "FIG 6. Hot spots and energy, 2-layer system (energy normalized to LB (Air) chip energy)", res)
 	// Headline deltas vs the worst-case flow baseline.
 	var lbMax, talbVar *ComboResult
 	for i := range res {
@@ -322,7 +340,12 @@ func WriteFig6(ctx context.Context, w io.Writer, o Options) error {
 		totSave := 100 * (1 - (talbVar.ChipEnergy+talbVar.PumpEnergy)/(lbMax.ChipEnergy+lbMax.PumpEnergy))
 		fmt.Fprintf(w, "TALB (Var) vs LB (Max): cooling energy -%.1f%%, total energy -%.1f%%\n\n", coolSave, totSave)
 	}
-	return nil
+}
+
+// WriteFig6Layers renders the layer-parameterized Fig. 6 extension from
+// Fig6Layers' result.
+func WriteFig6Layers(w io.Writer, layers int, res []ComboResult) {
+	writeHotEnergy(w, fmt.Sprintf("FIG 6 extension: hot spots and energy, %d-layer system", layers), res)
 }
 
 // Fig7 regenerates the thermal-variation comparison (with DPM).
@@ -330,12 +353,8 @@ func Fig7(ctx context.Context, o Options) ([]ComboResult, error) {
 	return o.runMatrix(ctx, 2, Fig6Combos(), true)
 }
 
-// WriteFig7 renders Fig. 7.
-func WriteFig7(ctx context.Context, w io.Writer, o Options) error {
-	res, err := Fig7(ctx, o)
-	if err != nil {
-		return err
-	}
+// WriteFig7 renders Fig. 7 from Fig7's result.
+func WriteFig7(w io.Writer, res []ComboResult) {
 	rows := make([][]string, 0, len(res))
 	for _, r := range res {
 		rows = append(rows, []string{
@@ -349,20 +368,26 @@ func WriteFig7(ctx context.Context, w io.Writer, o Options) error {
 	writeTable(w, "FIG 7. Thermal variations with DPM, 2-layer system",
 		[]string{"Policy", "Grad>15C avg (%)", "Grad>15C max (%)", "Cycles>20C avg (%)", "Cycles>20C max (%)"},
 		rows)
-	return nil
 }
 
-// Fig8 regenerates the performance and energy comparison.
-func Fig8(ctx context.Context, o Options) ([]ComboResult, error) {
-	return o.runMatrix(ctx, 2, Fig8Combos(), false)
-}
-
-// WriteFig8 renders Fig. 8.
-func WriteFig8(ctx context.Context, w io.Writer, o Options) error {
-	res, err := Fig8(ctx, o)
-	if err != nil {
-		return err
+// Fig8 regenerates the performance and energy comparison. Its matrix is
+// five rows of Fig. 6's (the same 2-layer, no-DPM runs, normalized to the
+// same LB (Air) base), so Fig8 selects the Fig8Combos rows from fig6, a
+// Fig6 result, instead of simulating them again.
+func Fig8(fig6 []ComboResult) ([]ComboResult, error) {
+	out := make([]ComboResult, 0, len(Fig8Combos()))
+	for _, c := range Fig8Combos() {
+		i := slices.IndexFunc(fig6, func(r ComboResult) bool { return r.Combo == c })
+		if i < 0 {
+			return nil, fmt.Errorf("experiments: fig8: %s missing from the fig6 result", c.Label)
+		}
+		out = append(out, fig6[i])
 	}
+	return out, nil
+}
+
+// WriteFig8 renders Fig. 8 from Fig8's result.
+func WriteFig8(w io.Writer, res []ComboResult) {
 	rows := make([][]string, 0, len(res))
 	for _, r := range res {
 		rows = append(rows, []string{
@@ -376,5 +401,4 @@ func WriteFig8(ctx context.Context, w io.Writer, o Options) error {
 	writeTable(w, "FIG 8. Performance and energy (normalized to LB (Air))",
 		[]string{"Policy", "Chip energy", "Pump energy", "Performance", "Mean response (ms)"},
 		rows)
-	return nil
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/par"
+	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -39,25 +39,17 @@ func InletSweep(ctx context.Context, o Options, bench string, inletsC []float64)
 	if err != nil {
 		return nil, err
 	}
-	// Each inlet temperature is a self-contained study: a distinct
-	// platform spec (its own RC config), whose LUT/weights/model are
-	// built once and shared by the inlet's pair of runs. The sweep fans
-	// out one job per inlet; rows land in per-index slots to keep the
-	// output order fixed.
+	plats, runs, err := o.inletRuns(ctx, b, inletsC)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]InletSweepRow, len(inletsC))
-	cache := o.cacheOrNew()
-	err = par.ForEach(ctx, o.Workers, len(inletsC), func(ii int) error {
-		inlet := inletsC[ii]
-		spec := o.spec(2, true)
-		spec.RC.CoolantInlet = units.Celsius(inlet).ToKelvin()
-		p, err := cache.Get(spec)
-		if err != nil {
-			return err
-		}
-		// Feasibility + LUT from the steady-state sweep.
+	for ii, p := range plats {
+		// The var run built the platform's LUT; feasibility reads its
+		// steady-state sweep at full load and maximum flow.
 		lut, err := p.LUT(ctx)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fullIdx := 0
 		for k, l := range lut.Ladder {
@@ -65,34 +57,13 @@ func InletSweep(ctx context.Context, o Options, bench string, inletsC []float64)
 				fullIdx = k
 			}
 		}
+		vr, mx := runs[2*ii], runs[2*ii+1]
 		row := InletSweepRow{
-			InletC:           inlet,
+			InletC:           inletsC[ii],
 			FullLoadFeasible: lut.TmaxAt[len(lut.TmaxAt)-1][fullIdx] <= lut.Target,
+			MeanSetting:      vr.MeanSetting,
+			MaxTemp:          vr.MaxTemp,
 		}
-
-		run := func(cooling sim.CoolingMode) (*sim.Result, error) {
-			cfg := sim.DefaultConfig()
-			cfg.Bench = b
-			cfg.Cooling = cooling
-			cfg.Policy = sched.TALB
-			cfg.Seed = o.Seed
-			cfg.Duration = o.Duration
-			cfg.Warmup = o.Warmup
-			cfg.GridNX, cfg.GridNY = o.GridNX, o.GridNY
-			cfg.RC = &spec.RC
-			cfg.Platform = p
-			return sim.Run(ctx, cfg)
-		}
-		vr, err := run(sim.LiquidVar)
-		if err != nil {
-			return fmt.Errorf("experiments: inlet %v var: %w", inlet, err)
-		}
-		mx, err := run(sim.LiquidMax)
-		if err != nil {
-			return fmt.Errorf("experiments: inlet %v max: %w", inlet, err)
-		}
-		row.MeanSetting = vr.MeanSetting
-		row.MaxTemp = vr.MaxTemp
 		if mx.PumpEnergy > 0 {
 			row.CoolingSavedPct = 100 * (1 - float64(vr.PumpEnergy)/float64(mx.PumpEnergy))
 		}
@@ -100,20 +71,43 @@ func InletSweep(ctx context.Context, o Options, bench string, inletsC []float64)
 			row.TotalSavedPct = 100 * (1 - float64(vr.TotalEnergy)/tot)
 		}
 		out[ii] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
 
-// WriteInletSweep renders the sweep.
-func WriteInletSweep(ctx context.Context, w io.Writer, o Options, bench string, inletsC []float64) error {
-	rows, err := InletSweep(ctx, o, bench, inletsC)
-	if err != nil {
-		return err
+// inletRuns simulates the sweep's cells: per inlet, TALB under variable
+// and maximum flow on that inlet's platform, returned (var, max) per
+// inlet alongside the platforms.
+func (o Options) inletRuns(ctx context.Context, b workload.Benchmark, inletsC []float64) ([]*platform.Platform, []*sim.Result, error) {
+	// Each inlet temperature is a distinct platform spec (its own RC
+	// config), whose LUT, weights and factors serve that inlet's pair of
+	// runs; all pairs go to one RunAll call.
+	cache := o.cacheOrNew()
+	plats := make([]*platform.Platform, len(inletsC))
+	cfgs := make([]sim.Config, 0, 2*len(inletsC))
+	for ii, inlet := range inletsC {
+		spec := o.spec(2, true)
+		spec.RC.CoolantInlet = units.Celsius(inlet).ToKelvin()
+		p, err := cache.Get(spec)
+		if err != nil {
+			return nil, nil, err
+		}
+		plats[ii] = p
+		for _, cooling := range []sim.CoolingMode{sim.LiquidVar, sim.LiquidMax} {
+			cfgs = append(cfgs, o.config(p, Combo{Cooling: cooling, Policy: sched.TALB}, b, false))
+		}
 	}
+	runs, err := sim.RunAll(ctx, cfgs, o.Workers)
+	if err != nil {
+		return nil, nil, cellError(ctx, err, runs, func(i int) string {
+			return fmt.Sprintf("inlet %v %s", inletsC[i/2], [2]string{"var", "max"}[i%2])
+		})
+	}
+	return plats, runs, nil
+}
+
+// WriteInletSweep renders the rows InletSweep computed for bench.
+func WriteInletSweep(w io.Writer, bench string, rows []InletSweepRow) {
 	out := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		feas := "yes"
@@ -132,5 +126,4 @@ func WriteInletSweep(ctx context.Context, w io.Writer, o Options, bench string, 
 	writeTable(w, fmt.Sprintf("INLET SWEEP (%s): controller behaviour vs coolant inlet temperature", bench),
 		[]string{"Inlet (°C)", "Full load feasible", "Mean setting", "Cooling saved (%)", "Total saved (%)", "Tmax (°C)"},
 		out)
-	return nil
 }

@@ -46,10 +46,12 @@ func TestInletSweepUnknownWorkload(t *testing.T) {
 func TestWriteInletSweep(t *testing.T) {
 	o := QuickOptions()
 	o.Duration = 8
-	var buf bytes.Buffer
-	if err := WriteInletSweep(context.Background(), &buf, o, "gzip", []float64{70}); err != nil {
+	rows, err := InletSweep(context.Background(), o, "gzip", []float64{70})
+	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	WriteInletSweep(&buf, "gzip", rows)
 	if !strings.Contains(buf.String(), "INLET SWEEP") {
 		t.Error("missing title")
 	}

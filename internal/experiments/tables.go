@@ -136,12 +136,8 @@ func Fig3() ([]Fig3Row, error) {
 	return rows, nil
 }
 
-// WriteFig3 renders Fig. 3's data series.
-func WriteFig3(w io.Writer) error {
-	rows, err := Fig3()
-	if err != nil {
-		return err
-	}
+// WriteFig3 renders Fig. 3's data series Fig3 computed.
+func WriteFig3(w io.Writer, rows []Fig3Row) {
 	out := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		out = append(out, []string{
@@ -155,7 +151,6 @@ func WriteFig3(w io.Writer) error {
 	writeTable(w, "FIG 3. Pump power and per-cavity flow rates (50% delivery efficiency)",
 		[]string{"Setting", "Pump flow (l/h)", "FR/cavity 2-layer (ml/min)", "FR/cavity 4-layer (ml/min)", "Power (W)"},
 		out)
-	return nil
 }
 
 // celsius formats a temperature.
