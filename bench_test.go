@@ -10,6 +10,8 @@ import (
 	"repro/internal/benchutil"
 	"repro/internal/controller"
 	"repro/internal/experiments"
+	"repro/internal/platform"
+	"repro/internal/rcnet"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -154,6 +156,20 @@ func BenchmarkExperimentsParallel(b *testing.B) {
 
 // --- Ablations (DESIGN.md §6) ----------------------------------------------
 
+// onStack puts cfg on a fresh 2-layer nx×ny platform of its cooling class.
+func onStack(b *testing.B, cfg sim.Config, nx, ny int) sim.Config {
+	b.Helper()
+	p, err := platform.New(platform.Spec{
+		Layers: 2, Liquid: cfg.Cooling != sim.Air,
+		GridNX: nx, GridNY: ny, RC: rcnet.DefaultConfig(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Platform = p
+	return cfg
+}
+
 // ablationRun executes one Web&DB LiquidVar run with a custom controller
 // configuration and returns the pump energy and time above target. The
 // default-resolution grid and mid-utilization workload keep the
@@ -172,7 +188,7 @@ func ablationRun(b *testing.B, ctrlCfg *controller.Config) (pumpJ, above80 float
 	cfg.Duration = 30
 	cfg.Warmup = 3
 	cfg.ControllerCfg = ctrlCfg
-	r, err := sim.Run(context.Background(), cfg)
+	r, err := sim.Run(context.Background(), onStack(b, cfg, 23, 20))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -226,7 +242,7 @@ func BenchmarkAblationBaselineIncDec(b *testing.B) {
 			}
 			cfg.FlowPolicy = fp
 		}
-		r, err := sim.Run(context.Background(), cfg)
+		r, err := sim.Run(context.Background(), onStack(b, cfg, 23, 20))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,9 +270,8 @@ func BenchmarkAblationWeighting(b *testing.B) {
 		cfg.Policy = p
 		cfg.Duration = 12
 		cfg.Warmup = 3
-		cfg.GridNX, cfg.GridNY = 12, 10
 		cfg.DPMEnabled = true
-		r, err := sim.Run(context.Background(), cfg)
+		r, err := sim.Run(context.Background(), onStack(b, cfg, 12, 10))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -83,11 +83,7 @@ func main() {
 			scs[i] = sc
 			scs[i].Workload = name
 		}
-		// One platform cache for the batch: scenarios of one stack share
-		// its LUT, weights and factors, and gang when they outnumber the
-		// workers.
-		reports, err := coolsim.RunMany(ctx, scs, coolsim.WithWorkers(*workers),
-			coolsim.WithPlatformCache(coolsim.NewPlatformCache(0)))
+		reports, err := coolsim.RunMany(ctx, scs, coolsim.WithWorkers(*workers))
 		if err != nil {
 			fail(err)
 		}

@@ -9,8 +9,10 @@ import (
 )
 
 // TestRunManyBatchedSolves pins the co-scheduling surface: scenarios
-// sharing a cached platform, squeezed onto fewer worker slots, report
-// batched solves while staying byte-identical to their solo runs.
+// sharing a platform, squeezed onto fewer worker slots, report batched
+// solves while staying byte-identical to their solo runs. They share
+// one with or without WithPlatformCache: a call without it gets a cache
+// of its own.
 func TestRunManyBatchedSolves(t *testing.T) {
 	ctx := context.Background()
 	scs := make([]Scenario, 4)
@@ -28,33 +30,36 @@ func TestRunManyBatchedSolves(t *testing.T) {
 		want[i] = r
 	}
 
-	pc := NewPlatformCache(0)
-	var ctr BatchCounters
-	got, err := RunMany(ctx, scs, WithPlatformCache(pc), WithWorkers(1),
-		WithBatchCounters(&ctr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i].BatchedSolves == 0 {
-			t.Errorf("scenario %d: no batched solves in an oversubscribed batch", i)
+	for name, opts := range map[string][]Option{
+		"cached":        {WithPlatformCache(NewPlatformCache(0))},
+		"without cache": nil,
+	} {
+		var ctr BatchCounters
+		got, err := RunMany(ctx, scs, append(opts, WithWorkers(1), WithBatchCounters(&ctr))...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Everything but the batching diagnostics must match the solo run.
-		g, w := *got[i], *want[i]
-		g.BatchedSolves, w.BatchedSolves = 0, 0
-		if !reflect.DeepEqual(g, w) {
-			t.Errorf("scenario %d: ganged report differs from solo Run\n got: %+v\nwant: %+v", i, g, w)
+		for i := range got {
+			if got[i].BatchedSolves == 0 {
+				t.Errorf("%s: scenario %d: no batched solves in an oversubscribed batch", name, i)
+			}
+			// Everything but the batching diagnostics must match the solo run.
+			g, w := *got[i], *want[i]
+			g.BatchedSolves, w.BatchedSolves = 0, 0
+			if !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: scenario %d: ganged report differs from solo Run\n got: %+v\nwant: %+v", name, i, g, w)
+			}
 		}
-	}
-	stats := ctr.Stats()
-	if stats.Sweeps == 0 || stats.BatchedSolves == 0 {
-		t.Fatalf("batch counters empty: %+v", stats)
-	}
-	if len(stats.BatchWidth) == 0 {
-		t.Fatalf("batch width histogram empty: %+v", stats)
-	}
-	if _, err := json.Marshal(stats); err != nil {
-		t.Fatalf("BatchStats must be JSON-ready: %v", err)
+		stats := ctr.Stats()
+		if stats.Sweeps == 0 || stats.BatchedSolves == 0 {
+			t.Fatalf("%s: batch counters empty: %+v", name, stats)
+		}
+		if len(stats.BatchWidth) == 0 {
+			t.Fatalf("%s: batch width histogram empty: %+v", name, stats)
+		}
+		if _, err := json.Marshal(stats); err != nil {
+			t.Fatalf("BatchStats must be JSON-ready: %v", err)
+		}
 	}
 }
 

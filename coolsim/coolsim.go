@@ -24,9 +24,10 @@
 // macro-stepping (≤ 0.1 °C from fixed, several-fold faster through
 // thermally quiet phases), with samples at the base tick either way.
 //
-// Runs of the same stack shape can share their expensive setup — grid,
-// solver analysis, controller tables — through a PlatformCache; see
-// WithPlatformCache. An oversubscribed RunMany additionally
+// Runs of the same stack shape share their expensive setup — grid,
+// solver analysis and factors, controller tables — within one call, and
+// across calls through a PlatformCache; see WithPlatformCache. An
+// oversubscribed RunMany additionally
 // co-schedules platform-sharing fixed-flow runs so their per-tick
 // thermal solves go through one multi-RHS solve of the shared factor
 // (a two-lane sweep per pair of runs on the scalar kernels, one
@@ -41,7 +42,9 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/platform"
 	"repro/internal/pump"
+	"repro/internal/rcnet"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stepper"
@@ -168,7 +171,7 @@ func DefaultScenario() Scenario {
 // Validate reports whether the scenario is runnable, returning the typed
 // error of the first bad field (ErrUnknownWorkload, ErrBadLayers, ...).
 func (sc Scenario) Validate() error {
-	_, err := sc.simConfig(config{})
+	_, _, err := sc.simConfig(config{})
 	return err
 }
 
@@ -178,11 +181,7 @@ func (sc Scenario) Validate() error {
 // (see WithPlatformCache); services use the key to route
 // platform-affine work onto the same node.
 func (sc Scenario) PlatformKey() (string, error) {
-	cfg, err := sc.simConfig(config{})
-	if err != nil {
-		return "", err
-	}
-	spec, err := cfg.PlatformSpec()
+	_, spec, err := sc.simConfig(config{})
 	if err != nil {
 		return "", err
 	}
@@ -193,7 +192,7 @@ func (sc Scenario) PlatformKey() (string, error) {
 // scenario emits (warm-up plus measured duration at the base tick) — the
 // expected-frame budget behind stream ETAs. 0 if the scenario is invalid.
 func (sc Scenario) ExpectedTicks() int {
-	cfg, err := sc.simConfig(config{})
+	cfg, _, err := sc.simConfig(config{})
 	if err != nil || cfg.Tick <= 0 {
 		return 0
 	}
@@ -289,17 +288,15 @@ func Run(ctx context.Context, sc Scenario, opts ...Option) (*Report, error) {
 func RunMany(ctx context.Context, scs []Scenario, opts ...Option) ([]*Report, error) {
 	cfg := buildConfig(opts)
 	cfgs := make([]sim.Config, len(scs))
+	specs := make([]platform.Spec, len(scs))
 	for i, sc := range scs {
-		simCfg, err := sc.simConfig(cfg)
-		if err != nil {
+		var err error
+		if cfgs[i], specs[i], err = sc.simConfig(cfg); err != nil {
 			return nil, fmt.Errorf("scenario %d: %w", i, err)
 		}
-		cfgs[i] = simCfg
 	}
-	if cfg.pcache != nil {
-		if err := cfg.pcache.attachAll(cfgs); err != nil {
-			return nil, err
-		}
+	if err := cfg.pcache.attachAll(ctx, cfgs, specs); err != nil {
+		return nil, err
 	}
 	if fn := cfg.memberObserver; fn != nil {
 		for i := range cfgs {
@@ -454,25 +451,36 @@ func parsePolicy(s string) (sched.Policy, error) {
 }
 
 // simConfig lowers the user-level scenario plus run options into the
-// internal simulator configuration.
-func (sc Scenario) simConfig(rc config) (sim.Config, error) {
+// internal simulator configuration (its Platform left unset) and the
+// spec of the platform it runs on.
+func (sc Scenario) simConfig(rc config) (sim.Config, platform.Spec, error) {
 	if sc.Layers != 2 && sc.Layers != 4 {
-		return sim.Config{}, fmt.Errorf("%w: %d (want 2 or 4)", ErrBadLayers, sc.Layers)
+		return sim.Config{}, platform.Spec{}, fmt.Errorf("%w: %d (want 2 or 4)", ErrBadLayers, sc.Layers)
 	}
 	cooling, err := parseCooling(sc.Cooling)
 	if err != nil {
-		return sim.Config{}, err
+		return sim.Config{}, platform.Spec{}, err
 	}
 	policy, err := parsePolicy(sc.Policy)
 	if err != nil {
-		return sim.Config{}, err
+		return sim.Config{}, platform.Spec{}, err
 	}
 	bench, err := workload.ByName(sc.Workload)
 	if err != nil {
-		return sim.Config{}, fmt.Errorf("%w: %q", ErrUnknownWorkload, sc.Workload)
+		return sim.Config{}, platform.Spec{}, fmt.Errorf("%w: %q", ErrUnknownWorkload, sc.Workload)
+	}
+	spec := platform.Spec{
+		Layers: sc.Layers, Liquid: cooling != sim.Air,
+		GridNX: 23, GridNY: 20,
+		RC: rcnet.DefaultConfig(),
+	}
+	if sc.GridNX > 0 && sc.GridNY > 0 {
+		spec.GridNX, spec.GridNY = sc.GridNX, sc.GridNY
+	}
+	if rc.gridNX > 0 && rc.gridNY > 0 {
+		spec.GridNX, spec.GridNY = rc.gridNX, rc.gridNY
 	}
 	cfg := sim.DefaultConfig()
-	cfg.Layers = sc.Layers
 	cfg.Cooling = cooling
 	cfg.Policy = policy
 	cfg.Bench = bench
@@ -485,9 +493,6 @@ func (sc Scenario) simConfig(rc config) (sim.Config, error) {
 	if sc.Warmup > 0 {
 		cfg.Warmup = units.Second(sc.Warmup)
 	}
-	if sc.GridNX > 0 && sc.GridNY > 0 {
-		cfg.GridNX, cfg.GridNY = sc.GridNX, sc.GridNY
-	}
 	cfg.DPMEnabled = sc.DPM
 	stepping := sc.Stepping
 	if rc.stepping != nil {
@@ -495,14 +500,14 @@ func (sc Scenario) simConfig(rc config) (sim.Config, error) {
 	}
 	kind, err := stepper.ParseKind(stepping.Mode)
 	if err != nil {
-		return sim.Config{}, fmt.Errorf("%w: %q (want fixed|adaptive)", ErrUnknownStepping, stepping.Mode)
+		return sim.Config{}, platform.Spec{}, fmt.Errorf("%w: %q (want fixed|adaptive)", ErrUnknownStepping, stepping.Mode)
 	}
 	controlEvery := sc.ControlEvery
 	if rc.controlEvery != 0 {
 		controlEvery = rc.controlEvery
 	}
 	if controlEvery < 0 {
-		return sim.Config{}, fmt.Errorf("%w: %d (want > 0)", ErrBadControlEvery, controlEvery)
+		return sim.Config{}, platform.Spec{}, fmt.Errorf("%w: %d (want > 0)", ErrBadControlEvery, controlEvery)
 	}
 	cfg.Stepper = stepper.Config{
 		Kind:         kind,
@@ -514,7 +519,7 @@ func (sc Scenario) simConfig(rc config) (sim.Config, error) {
 		cfg.BatchCounters = &rc.batch.inner
 	}
 	if err := sc.Faults.validate(); err != nil {
-		return sim.Config{}, err
+		return sim.Config{}, platform.Spec{}, err
 	}
 	if sc.Faults.PumpStuck != nil {
 		ps := pump.Setting(*sc.Faults.PumpStuck)
@@ -526,11 +531,8 @@ func (sc Scenario) simConfig(rc config) (sim.Config, error) {
 		us := sc.UtilSchedule
 		cfg.UtilSchedule = func(t units.Second) float64 { return us(float64(t)) }
 	}
-	if rc.gridNX > 0 && rc.gridNY > 0 {
-		cfg.GridNX, cfg.GridNY = rc.gridNX, rc.gridNY
-	}
 	if rc.tick > 0 {
 		cfg.Tick = units.Second(rc.tick)
 	}
-	return cfg, nil
+	return cfg, spec, nil
 }

@@ -22,6 +22,9 @@ func buildConfig(opts []Option) config {
 	for _, o := range opts {
 		o(&c)
 	}
+	if c.pcache == nil {
+		c.pcache = NewPlatformCache(0)
+	}
 	return c
 }
 
@@ -54,11 +57,14 @@ func WithStepper(st Stepping) Option {
 
 // WithPlatformCache makes the call reuse (and populate) pc's shared
 // per-stack artifacts: stack, grid, the direct solver's symbolic
-// analysis, flow LUT and TALB weights. The first run of each stack shape
-// builds them; every later run or session of the same shape — including
-// concurrent ones — starts in milliseconds instead of re-deriving
-// seconds of steady-state analysis. Results are bit-identical to cold-built runs. Nil (the
-// default) keeps the cold path: every run builds privately.
+// analysis and factors, flow LUT and TALB weights. The first run of each
+// stack shape builds them; every later run or session of the same shape
+// — including concurrent ones, and those of later calls — starts in
+// milliseconds instead of re-deriving seconds of steady-state analysis.
+// Results are bit-identical to runs on freshly built platforms. Nil (the
+// default) gives the call a cache of its own: the call's runs of one
+// stack shape still share one platform, and it is dropped when the call
+// returns.
 func WithPlatformCache(pc *PlatformCache) Option {
 	return func(c *config) { c.pcache = pc }
 }

@@ -3,8 +3,8 @@ package coolsim
 import (
 	"context"
 	"fmt"
-	"sync"
 
+	"repro/internal/par"
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -114,11 +114,7 @@ func (pc *PlatformCache) Stats() PlatformCacheStats {
 // uses it to build each distinct platform shape once before fanning
 // members out.
 func (pc *PlatformCache) Prebuild(ctx context.Context, sc Scenario) error {
-	simCfg, err := sc.simConfig(config{})
-	if err != nil {
-		return err
-	}
-	spec, err := simCfg.PlatformSpec()
+	simCfg, spec, err := sc.simConfig(config{})
 	if err != nil {
 		return err
 	}
@@ -131,64 +127,33 @@ func (pc *PlatformCache) Prebuild(ctx context.Context, sc Scenario) error {
 		simCfg.Policy == sched.TALB)
 }
 
-// attach resolves the scenario's platform from the cache and installs it
-// on the lowered simulator config.
-func (pc *PlatformCache) attach(simCfg *sim.Config) error {
-	spec, err := simCfg.PlatformSpec()
-	if err != nil {
-		return err
-	}
-	p, err := pc.cache.Get(spec)
-	if err != nil {
-		return err
-	}
-	simCfg.Platform = p
-	return nil
-}
-
-// attachAll resolves the platforms of a RunMany batch: the distinct specs
-// are built concurrently (a heterogeneous batch must not pay its grid
-// builds serially — without a cache those happened inside the parallel
-// workers), then every config gets its platform.
-func (pc *PlatformCache) attachAll(cfgs []sim.Config) error {
-	specs := make([]platform.Spec, len(cfgs))
-	first := map[platform.Spec]int{}
-	for i := range cfgs {
-		spec, err := cfgs[i].PlatformSpec()
-		if err != nil {
-			return fmt.Errorf("scenario %d: %w", i, err)
-		}
-		specs[i] = spec
+// attachAll gives every lowered config the platform of its spec: the
+// distinct specs are resolved concurrently (a heterogeneous batch must
+// not pay its grid builds serially), then each config gets its platform.
+func (pc *PlatformCache) attachAll(ctx context.Context, cfgs []sim.Config, specs []platform.Spec) error {
+	first := map[platform.Spec]int{} // spec → index of its first config
+	var distinct []int
+	for i, spec := range specs {
 		if _, ok := first[spec]; !ok {
 			first[spec] = i
+			distinct = append(distinct, i)
 		}
 	}
-	resolved := make(map[platform.Spec]*platform.Platform, len(first))
-	errs := make([]error, len(cfgs))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for spec, i := range first {
-		wg.Add(1)
-		go func(spec platform.Spec, i int) {
-			defer wg.Done()
-			p, err := pc.cache.Get(spec)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			resolved[spec] = p
-		}(spec, i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	resolved := make([]*platform.Platform, len(specs))
+	err := par.ForEach(ctx, len(distinct), len(distinct), func(k int) error {
+		i := distinct[k]
+		p, err := pc.cache.Get(specs[i])
 		if err != nil {
 			return fmt.Errorf("scenario %d: %w", i, err)
 		}
+		resolved[i] = p
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for i := range cfgs {
-		cfgs[i].Platform = resolved[specs[i]]
+		cfgs[i].Platform = resolved[first[specs[i]]]
 	}
 	return nil
 }

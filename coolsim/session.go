@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -119,16 +120,15 @@ func NewSession(ctx context.Context, sc Scenario, opts ...Option) (*Session, err
 		ctx = context.Background()
 	}
 	cfg := buildConfig(opts)
-	simCfg, err := sc.simConfig(cfg)
+	simCfg, spec, err := sc.simConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.pcache != nil {
-		if err := cfg.pcache.attach(&simCfg); err != nil {
-			return nil, err
-		}
+	cfgs := []sim.Config{simCfg}
+	if err := cfg.pcache.attachAll(ctx, cfgs, []platform.Spec{spec}); err != nil {
+		return nil, err
 	}
-	s, err := sim.New(ctx, simCfg)
+	s, err := sim.New(ctx, cfgs[0])
 	if err != nil {
 		return nil, err
 	}

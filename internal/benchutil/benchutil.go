@@ -16,6 +16,7 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/grid"
 	"repro/internal/mat"
+	"repro/internal/platform"
 	"repro/internal/pump"
 	"repro/internal/rcnet"
 	"repro/internal/sched"
@@ -166,7 +167,11 @@ func lutStack(b *testing.B) (*grid.Grid, *pump.Pump, [][]float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return g, pm, sim.FullLoadPowers(g.Stack)
+	full, err := platform.FullLoadPowers(g.Stack)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, pm, full
 }
 
 // buildLUT sweeps the controller's flow LUT on a fresh thermal model of g.
@@ -244,10 +249,10 @@ func sessionStep(b *testing.B) {
 }
 
 // shortRun is one run of the RunMany benchmarks: 2 s measured after a
-// 0.5 s warm-up at 12×10 — short enough that per-run artifact
+// 0.5 s warm-up at 12×10 — short enough that platform artifact
 // construction (LUT sweep, weight analysis, symbolic analysis) dominates
-// the cold path, which is exactly the regime a service sees under
-// bursty traffic.
+// a call without a warm cache, which is exactly the regime a service
+// sees under bursty traffic.
 func shortRun(workload string) coolsim.Scenario {
 	sc := coolsim.DefaultScenario()
 	sc.Workload = workload
@@ -279,8 +284,8 @@ func runManyLoop(b *testing.B, scs []coolsim.Scenario, prime bool, opts ...cools
 	}
 }
 
-// runManyCold measures the batch with every run building its own
-// platform artifacts — the pre-platform behavior.
+// runManyCold measures the batch without a PlatformCache: each call
+// builds its stack's platform artifacts once, for its own runs.
 func runManyCold(b *testing.B) {
 	runManyLoop(b, runManyScenarios(), false)
 }
@@ -314,11 +319,18 @@ func quietPhase(kind stepper.Kind, nx, ny int) func(b *testing.B) {
 	}
 }
 
-// webMedSim is the manually stepped Web-med simulator configuration at
-// nx×ny that the sim-tick benchmarks start from.
+// webMedSim is the manually stepped Web-med simulator configuration on
+// a fresh 2-layer liquid-cooled nx×ny platform that the sim-tick
+// benchmarks start from.
 func webMedSim(b *testing.B, nx, ny int) sim.Config {
 	b.Helper()
 	bench, err := workload.ByName("Web-med")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := platform.New(platform.Spec{
+		Layers: 2, Liquid: true, GridNX: nx, GridNY: ny, RC: rcnet.DefaultConfig(),
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -326,7 +338,7 @@ func webMedSim(b *testing.B, nx, ny int) sim.Config {
 	cfg.Bench = bench
 	cfg.Duration = 1e9 // stepped manually
 	cfg.Warmup = 0
-	cfg.GridNX, cfg.GridNY = nx, ny
+	cfg.Platform = p
 	return cfg
 }
 

@@ -482,7 +482,9 @@ func TestFleetResumeSkipsPersistedMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := coolsim.RunMany(context.Background(), scs, coolsim.WithWorkers(4))
+	// One slot per member: every reference run is solo, like a fleet
+	// job, so its report's batched_solves is 0 as the members' are.
+	reports, err := coolsim.RunMany(context.Background(), scs, coolsim.WithWorkers(len(scs)))
 	if err != nil {
 		t.Fatal(err)
 	}

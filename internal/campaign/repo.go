@@ -47,9 +47,6 @@ func NewRepo(dir string) (*Repo, error) {
 	return &Repo{dir: dir, mem: map[string]map[int]json.RawMessage{}}, nil
 }
 
-// Durable reports whether results survive a restart.
-func (r *Repo) Durable() bool { return r.dir != "" }
-
 // campaignDir is <dir>/<yyyy-mm-dd>/<id>, dated by the campaign's
 // creation time (UTC) so a long-running tree stays browsable by day.
 func (r *Repo) campaignDir(man *Manifest) string {

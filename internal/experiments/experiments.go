@@ -139,19 +139,15 @@ func Fig8Combos() []Combo {
 // the shared platform p (whose spec fixes the stack and its thermal
 // boundary config).
 func (o Options) config(p *platform.Platform, combo Combo, bench workload.Benchmark, dpmOn bool) sim.Config {
-	spec := p.Spec()
 	cfg := sim.DefaultConfig()
-	cfg.Layers = spec.Layers
 	cfg.Cooling = combo.Cooling
 	cfg.Policy = combo.Policy
 	cfg.Bench = bench
 	cfg.Seed = o.Seed
 	cfg.Duration = o.Duration
 	cfg.Warmup = o.Warmup
-	cfg.GridNX, cfg.GridNY = o.GridNX, o.GridNY
 	cfg.DPMEnabled = dpmOn
 	cfg.Stepper = o.Stepping
-	cfg.RC = &spec.RC
 	cfg.Platform = p
 	return cfg
 }

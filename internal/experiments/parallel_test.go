@@ -82,7 +82,7 @@ func TestParallelSweepDeterminism(t *testing.T) {
 // with one worker slot every matrix and sweep oversubscribes, so its
 // cells run in gangs at any worker count that test would compare. Each
 // ganged cell must equal an independent sim.Run of the same config on a
-// private platform, batching counter aside.
+// freshly built platform, batching counter aside.
 func TestMatrixMatchesSoloRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
@@ -96,15 +96,17 @@ func TestMatrixMatchesSoloRuns(t *testing.T) {
 	batched := false
 	check := func(name string, got *sim.Result, spec platform.Spec, combo Combo, dpmOn bool) {
 		t.Helper()
+		p, err := platform.New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cfg := sim.DefaultConfig()
-		cfg.Layers = spec.Layers
 		cfg.Cooling, cfg.Policy = combo.Cooling, combo.Policy
 		cfg.Bench = bench
 		cfg.Seed = o.Seed
 		cfg.Duration, cfg.Warmup = o.Duration, o.Warmup
-		cfg.GridNX, cfg.GridNY = o.GridNX, o.GridNY
 		cfg.DPMEnabled = dpmOn
-		cfg.RC = &spec.RC
+		cfg.Platform = p
 		want, err := sim.Run(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -233,10 +233,6 @@ func JointResistivity(tsvFrac float64) (units.MeterKelvinPerWatt, error) {
 	return units.MeterKelvinPerWatt(1 / f.VerticalConductivity()), nil
 }
 
-// ChannelsPerMeter returns how many channels fit per metre of die width at
-// the Table I pitch.
-func ChannelsPerMeter() float64 { return 1 / ChannelPitch }
-
 // PerChannelFlow divides a per-cavity volumetric flow equally among n
 // channels (Section III.B: "the total flow rate of the pump is equally
 // distributed among the cavities, and among the microchannels").

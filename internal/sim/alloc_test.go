@@ -37,8 +37,7 @@ func TestStepAllocationFree(t *testing.T) {
 			cfg.DPMEnabled = tc.dpm
 			cfg.Duration = 1e9 // stepped manually
 			cfg.Warmup = 0
-			cfg.GridNX, cfg.GridNY = 12, 10
-			s, err := New(context.Background(), cfg)
+			s, err := New(context.Background(), onStack(t, cfg, 2, 12, 10))
 			if err != nil {
 				t.Fatal(err)
 			}

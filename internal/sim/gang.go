@@ -26,12 +26,11 @@ type gangKey struct {
 	tick units.Second
 }
 
-// gangable reports whether a config can be co-scheduled: it must ride a
-// shared platform (a private platform has nothing to share) and use the
+// gangable reports whether a config can be co-scheduled: it must use the
 // fixed engine (the adaptive engine's solve cadence is data-dependent, so
 // gang members would fall out of lock-step).
 func gangable(cfg Config) bool {
-	return cfg.Platform != nil && cfg.Stepper.Kind == stepper.Fixed
+	return cfg.Stepper.Kind == stepper.Fixed
 }
 
 // planJobs partitions config indices into worker jobs. With at least one

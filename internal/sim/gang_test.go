@@ -6,8 +6,8 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/platform"
 	"repro/internal/rcnet"
+	"repro/internal/stepper"
 	"repro/internal/units"
 )
 
@@ -17,19 +17,10 @@ func gangFleet(t *testing.T, n int) ([]Config, [][]byte) {
 	t.Helper()
 	base := parallelTestConfig(t, "Web-med", LiquidMax)
 	base.Duration = 2
-	spec, err := base.PlatformSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := platform.New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfgs := make([]Config, n)
 	for i := range cfgs {
 		cfgs[i] = base
 		cfgs[i].Seed = int64(i + 1)
-		cfgs[i].Platform = p
 	}
 	// One member retires early: the gang must keep lock-step after a
 	// mid-flight departure.
@@ -107,19 +98,10 @@ func TestRunAllGangByteIdentical(t *testing.T) {
 // TestPlanJobs pins the partition rules: solo below oversubscription,
 // key-grouped gangs of balanced width above it, non-gangable configs solo.
 func TestPlanJobs(t *testing.T) {
-	base := parallelTestConfig(t, "Web-med", LiquidMax)
-	spec, err := base.PlatformSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := platform.New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := base
-	shared.Platform = p
-	private := base // Platform nil: nothing to share
-	cfgs := []Config{shared, private, shared, shared, shared}
+	shared := parallelTestConfig(t, "Web-med", LiquidMax)
+	adaptive := shared // data-dependent solve cadence: never ganged
+	adaptive.Stepper.Kind = stepper.Adaptive
+	cfgs := []Config{shared, adaptive, shared, shared, shared}
 
 	jobs := planJobs(cfgs, 8)
 	if len(jobs) != len(cfgs) {

@@ -55,15 +55,13 @@ func goldenConfig(t *testing.T, c struct {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Layers = c.Layers
 	cfg.Cooling = c.Cooling
 	cfg.Policy = c.Policy
 	cfg.Bench = b
 	cfg.DPMEnabled = c.DPM
 	cfg.Duration = 6
 	cfg.Warmup = 1
-	cfg.GridNX, cfg.GridNY = 12, 10
-	return cfg
+	return onStack(t, cfg, c.Layers, 12, 10)
 }
 
 // runGolden executes one golden scenario with the given config and returns

@@ -12,9 +12,9 @@ import (
 // Scenario runs are embarrassingly parallel: every Run builds its own
 // thermal model, scheduler, pump and workload generator, and each
 // generator (and fault injector) is seeded from its own Config.Seed, so
-// results are bit-identical to a serial loop for every worker count. When
-// several configs share a LUT or WeightTable pointer those tables are read
-// concurrently, which is safe — they are immutable after construction.
+// results are bit-identical to a serial loop for every worker count.
+// Configs that share a platform read its LUT, weight table and factors
+// concurrently, which is safe — they are immutable once built.
 //
 // When configs outnumber worker slots, runs that share a platform, base
 // tick and the fixed stepping engine are co-scheduled into lock-step

@@ -23,8 +23,7 @@ func parallelTestConfig(t *testing.T, bench string, cooling CoolingMode) Config 
 	cfg.Policy = sched.LB
 	cfg.Duration = 3
 	cfg.Warmup = 1
-	cfg.GridNX, cfg.GridNY = 10, 8
-	return cfg
+	return onStack(t, cfg, 2, 10, 8)
 }
 
 func TestRunAllMatchesSerialRuns(t *testing.T) {
@@ -62,7 +61,7 @@ func TestRunAllMatchesSerialRuns(t *testing.T) {
 
 func TestRunAllPropagatesLowestIndexError(t *testing.T) {
 	bad := parallelTestConfig(t, "gzip", Air)
-	bad.Layers = 3 // unsupported
+	bad.Platform = nil
 	cfgs := []Config{
 		parallelTestConfig(t, "gzip", Air),
 		bad,
@@ -70,7 +69,7 @@ func TestRunAllPropagatesLowestIndexError(t *testing.T) {
 	}
 	results, err := RunAll(context.Background(), cfgs, 2)
 	if err == nil {
-		t.Fatal("expected error for unsupported layer count")
+		t.Fatal("expected error for a config without a platform")
 	}
 	if results[0] == nil || results[2] == nil {
 		t.Error("successful configs should still have results")

@@ -56,8 +56,6 @@ func (m CoolingMode) String() string {
 
 // Config describes one simulation run.
 type Config struct {
-	// Layers selects the 2- or 4-layer T1 stack.
-	Layers int
 	// Cooling mode and scheduling policy.
 	Cooling CoolingMode
 	Policy  sched.Policy
@@ -71,14 +69,9 @@ type Config struct {
 	Warmup   units.Second
 	// Tick is the sampling interval (paper: 100 ms).
 	Tick units.Second
-	// GridNX, GridNY set the thermal grid resolution.
-	GridNX, GridNY int
 	// DPMEnabled turns the fixed-timeout sleep policy on (Fig. 7 runs
 	// with DPM).
 	DPMEnabled bool
-	// RC overrides the thermal boundary configuration; zero value means
-	// rcnet.DefaultConfig().
-	RC *rcnet.Config
 	// ControllerCfg overrides the flow controller configuration (used by
 	// the ablation benches); nil means controller.DefaultConfig().
 	ControllerCfg *controller.Config
@@ -86,16 +79,11 @@ type Config struct {
 	// (e.g. day/night shifts). It receives the time since measurement
 	// start (warm-up has t < 0) and returns a utilization scale.
 	UtilSchedule func(t units.Second) float64
-	// LUT and Weights allow reuse of precomputed tables across runs of
-	// the same system (they depend only on stack + cooling, not on
-	// policy or workload). Nil means take them from the Platform (which
-	// builds each at most once and shares it).
-	LUT     *controller.LUT
-	Weights *controller.WeightTable
-	// Platform, when non-nil, supplies the shared per-stack artifacts
-	// (floorplan, grid, pump, solver symbolic analysis, LUT, weight
-	// table). Its spec must match this config (PlatformSpec); New
-	// validates that. Nil builds a private platform — the cold path.
+	// Platform is the stack the run executes on (required): its spec
+	// fixes the layer count, grid resolution and thermal boundary config,
+	// and it supplies the shared per-stack artifacts — floorplan, grid,
+	// pump, solver analysis and factors, flow LUT, TALB weight table.
+	// Its cooling class must match Cooling.
 	Platform *platform.Platform
 	// Faults injects failure modes (robustness experiments).
 	Faults Faults
@@ -128,21 +116,18 @@ type FlowPolicy interface {
 	Decide() pump.Setting
 }
 
-// DefaultConfig returns a 2-layer liquid-variable TALB run of Web-med.
+// DefaultConfig returns a liquid-variable TALB run of Web-med. Set
+// Platform before running it.
 func DefaultConfig() Config {
 	b, _ := workload.ByName("Web-med")
 	return Config{
-		Layers:     2,
-		Cooling:    LiquidVar,
-		Policy:     sched.TALB,
-		Bench:      b,
-		Seed:       1,
-		Duration:   60,
-		Warmup:     5,
-		Tick:       0.1,
-		GridNX:     23,
-		GridNY:     20,
-		DPMEnabled: false,
+		Cooling:  LiquidVar,
+		Policy:   sched.TALB,
+		Bench:    b,
+		Seed:     1,
+		Duration: 60,
+		Warmup:   5,
+		Tick:     0.1,
 	}
 }
 
@@ -266,30 +251,12 @@ type Sim struct {
 	prevPower [][]float64 // previous tick's block powers (stability signal)
 }
 
-// PlatformSpec lowers the run configuration to the canonical key of the
-// platform it executes on: the (layers, cooling class, grid resolution,
-// thermal config) tuple every shared artifact depends on.
-func (cfg Config) PlatformSpec() (platform.Spec, error) {
-	rcCfg := rcnet.DefaultConfig()
-	if cfg.RC != nil {
-		rcCfg = *cfg.RC
-	}
-	spec := platform.Spec{
-		Layers: cfg.Layers,
-		Liquid: cfg.Cooling != Air,
-		GridNX: cfg.GridNX,
-		GridNY: cfg.GridNY,
-		RC:     rcCfg,
-	}
-	return spec, spec.Validate()
-}
-
-// New assembles a simulation. Construction can be expensive for
-// LiquidVar/TALB runs on a cold platform (the controller LUT and weight
-// tables come from steady-state sweeps), so ctx is honored there too:
-// cancellation aborts the build within one steady-state solve. With
-// Cfg.Platform set, everything per-stack is reused and construction cost
-// drops to the per-run mutable state.
+// New assembles a simulation on cfg.Platform. Everything per-stack
+// comes from the platform, built at most once per platform and shared,
+// so construction costs the per-run mutable state plus whatever artifact
+// this run is the first to need (the controller LUT and weight tables
+// come from steady-state sweeps). ctx is honored there too: cancellation
+// aborts such a build within one steady-state solve.
 func New(ctx context.Context, cfg Config) (*Sim, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -300,20 +267,13 @@ func New(ctx context.Context, cfg Config) (*Sim, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("sim: non-positive duration")
 	}
-	spec, err := cfg.PlatformSpec()
-	if err != nil {
-		return nil, err
-	}
-	liquid := cfg.Cooling != Air
 	p := cfg.Platform
 	if p == nil {
-		p, err = platform.New(spec)
-		if err != nil {
-			return nil, err
-		}
-	} else if p.Spec() != spec {
-		return nil, fmt.Errorf("sim: shared platform is %v but the run config needs %v",
-			p.Spec(), spec)
+		return nil, fmt.Errorf("sim: no platform")
+	}
+	liquid := cfg.Cooling != Air
+	if liquid != p.Spec().Liquid {
+		return nil, fmt.Errorf("sim: %v cooling on platform %v", cfg.Cooling, p.Spec())
 	}
 	stack := p.Stack()
 	model, err := p.NewModel(ctx)
@@ -349,12 +309,9 @@ func New(ctx context.Context, cfg Config) (*Sim, error) {
 		if cfg.FlowPolicy != nil {
 			s.Flow = cfg.FlowPolicy
 		} else {
-			lut := cfg.LUT
-			if lut == nil {
-				lut, err = p.LUT(ctx)
-				if err != nil {
-					return nil, err
-				}
+			lut, err := p.LUT(ctx)
+			if err != nil {
+				return nil, err
 			}
 			ctrlCfg := controller.DefaultConfig()
 			if cfg.ControllerCfg != nil {
@@ -370,14 +327,10 @@ func New(ctx context.Context, cfg Config) (*Sim, error) {
 		}
 	}
 	if cfg.Policy == sched.TALB {
-		wt := cfg.Weights
-		if wt == nil {
-			wt, err = p.Weights(ctx)
-			if err != nil {
-				return nil, err
-			}
+		s.WTab, err = p.Weights(ctx)
+		if err != nil {
+			return nil, err
 		}
-		s.WTab = wt
 	}
 
 	s.faults = newFaultState(cfg.Faults, cfg.Seed, len(s.cores))
@@ -479,19 +432,6 @@ func New(ctx context.Context, cfg Config) (*Sim, error) {
 	copy(s.unitTemps, s.held.unitTemps)
 	s.lastTmax = s.held.tmax
 	return s, nil
-}
-
-// FullLoadPowers returns the per-layer per-block reference power map used
-// by the LUT sweep: full utilization with leakage evaluated at the target
-// temperature. Thin forwarder — the implementation lives with the other
-// shared artifacts in internal/platform.
-func FullLoadPowers(stack *floorplan.Stack) [][]float64 {
-	blocks, err := platform.FullLoadPowers(stack)
-	if err != nil {
-		// FullLoadPowers constructs a valid activity for its own stack.
-		panic(err)
-	}
-	return blocks
 }
 
 // Step advances the emitted state by one base tick. The engine may have

@@ -7,13 +7,34 @@ import (
 	"testing"
 
 	"repro/internal/controller"
+	"repro/internal/platform"
 	"repro/internal/pump"
+	"repro/internal/rcnet"
 	"repro/internal/sched"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
 
-// quickCfg returns a short, coarse run for tests.
+// testPlatforms shares the tests' platforms: a run on a shared platform
+// is bit-identical to one on a fresh platform of the same spec.
+var testPlatforms = platform.NewCache(0)
+
+// onStack puts cfg on the platform of a layers-high stack at an nx×ny
+// grid with the default thermal config, in cfg's cooling class.
+func onStack(t testing.TB, cfg Config, layers, nx, ny int) Config {
+	t.Helper()
+	p, err := testPlatforms.Get(platform.Spec{
+		Layers: layers, Liquid: cfg.Cooling != Air,
+		GridNX: nx, GridNY: ny, RC: rcnet.DefaultConfig(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Platform = p
+	return cfg
+}
+
+// quickCfg returns a short run on the coarse 2-layer stack for tests.
 func quickCfg(t *testing.T, cooling CoolingMode, policy sched.Policy, bench string) Config {
 	t.Helper()
 	b, err := workload.ByName(bench)
@@ -26,8 +47,7 @@ func quickCfg(t *testing.T, cooling CoolingMode, policy sched.Policy, bench stri
 	cfg.Bench = b
 	cfg.Duration = 12
 	cfg.Warmup = 3
-	cfg.GridNX, cfg.GridNY = 12, 10
-	return cfg
+	return onStack(t, cfg, 2, 12, 10)
 }
 
 func TestRunLiquidVarCompletes(t *testing.T) {
@@ -159,8 +179,7 @@ func TestLBNeverMigrates(t *testing.T) {
 }
 
 func TestFourLayerRuns(t *testing.T) {
-	cfg := quickCfg(t, LiquidVar, sched.TALB, "Web-med")
-	cfg.Layers = 4
+	cfg := onStack(t, quickCfg(t, LiquidVar, sched.TALB, "Web-med"), 4, 12, 10)
 	cfg.Duration = 6
 	r, err := Run(context.Background(), cfg)
 	if err != nil {
@@ -191,44 +210,44 @@ func TestUtilScheduleApplied(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Layers = 3
-	if _, err := New(context.Background(), cfg); err == nil {
-		t.Error("expected error for 3 layers")
-	}
-	cfg = DefaultConfig()
-	cfg.Tick = 0
-	if _, err := New(context.Background(), cfg); err == nil {
-		t.Error("expected error for zero tick")
-	}
-	cfg = DefaultConfig()
-	cfg.Duration = -1
-	if _, err := New(context.Background(), cfg); err == nil {
-		t.Error("expected error for negative duration")
+	good := quickCfg(t, LiquidVar, sched.TALB, "Web-med")
+	air := quickCfg(t, Air, sched.TALB, "Web-med")
+	for name, edit := range map[string]func(*Config){
+		"no platform":         func(c *Config) { c.Platform = nil },
+		"liquid on air stack": func(c *Config) { c.Platform = air.Platform },
+		"air on liquid stack": func(c *Config) { c.Cooling = Air },
+		"zero tick":           func(c *Config) { c.Tick = 0 },
+		"negative duration":   func(c *Config) { c.Duration = -1 },
+	} {
+		cfg := good
+		edit(&cfg)
+		if _, err := New(context.Background(), cfg); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
 	}
 }
 
 func TestSharedLUTMatchesInternal(t *testing.T) {
-	// Passing a precomputed LUT must not change behaviour.
+	// A platform whose LUT and weight table another run already built
+	// must give the same run as a fresh platform that builds them.
 	cfg := quickCfg(t, LiquidVar, sched.TALB, "Web-med")
-	s, err := New(context.Background(), cfg)
+	if _, err := New(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := cfg
-	shared.LUT = s.Ctrl.LUT
-	shared.Weights = s.WTab
-	r1, err := Run(context.Background(), cfg)
+	if cfg.Platform, err = platform.New(cfg.Platform.Spec()); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(context.Background(), shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.ChipEnergy != r2.ChipEnergy || r1.PumpEnergy != r2.PumpEnergy {
+	if warm.ChipEnergy != cold.ChipEnergy || warm.PumpEnergy != cold.PumpEnergy {
 		t.Errorf("shared LUT changed results: %v/%v vs %v/%v",
-			r1.ChipEnergy, r1.PumpEnergy, r2.ChipEnergy, r2.PumpEnergy)
+			warm.ChipEnergy, warm.PumpEnergy, cold.ChipEnergy, cold.PumpEnergy)
 	}
 }
 
@@ -246,7 +265,10 @@ func TestFullLoadPowersShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := FullLoadPowers(s.Stack)
+	fl, err := platform.FullLoadPowers(s.Stack)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(fl) != len(s.Stack.Layers) {
 		t.Fatalf("layer count mismatch")
 	}

@@ -75,14 +75,13 @@ func TestAdaptiveStepperTolerance(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := DefaultConfig()
-			cfg.Layers = c.layers
 			cfg.Cooling = c.cooling
 			cfg.Policy = c.policy
 			cfg.Bench = b
 			cfg.DPMEnabled = c.dpm
 			cfg.Duration = 8
 			cfg.Warmup = 1
-			cfg.GridNX, cfg.GridNY = 12, 10
+			cfg = onStack(t, cfg, c.layers, 12, 10)
 
 			ref := traceRun(t, cfg)
 			cfg.Stepper = stepper.Config{Kind: stepper.Adaptive}
@@ -146,7 +145,7 @@ func TestAdaptiveQuietPhaseMacroSteps(t *testing.T) {
 	cfg.DPMEnabled = true
 	cfg.Duration = 30
 	cfg.Warmup = 1
-	cfg.GridNX, cfg.GridNY = 12, 10
+	cfg = onStack(t, cfg, 2, 12, 10)
 	cfg.UtilSchedule = func(t units.Second) float64 { return 0 }
 
 	ref := traceRun(t, cfg)
@@ -188,7 +187,7 @@ func TestFixedStepperControlPeriod(t *testing.T) {
 	cfg.Bench = b
 	cfg.Duration = 6
 	cfg.Warmup = 1
-	cfg.GridNX, cfg.GridNY = 12, 10
+	cfg = onStack(t, cfg, 2, 12, 10)
 	cfg.Stepper = stepper.Config{ControlEvery: 5}
 	r, err := Run(context.Background(), cfg)
 	if err != nil {

@@ -7,14 +7,33 @@ import (
 	"repro/internal/units"
 )
 
+// Refinement triggers of the adaptive engine.
+const (
+	// powerBand is the relative chip-power change (vs the macro-step's
+	// opening tick) that ends the current macro-step: a workload
+	// transition must be integrated at the base tick.
+	powerBand = 0.02
+	// powerBandW is the absolute per-block power change (W, vs the
+	// previous tick) that ends the macro-step. Total chip power can sit
+	// still while threads redistribute between cores — each move shifts
+	// ~3 W of block power and ripples local temperatures — so the
+	// distribution must be quiet too, not just the sum.
+	powerBandW = 0.2
+	// minMarginC refines to the base tick whenever the held maximum die
+	// temperature is within this margin (°C) of a policy or metric
+	// threshold (the 80 °C target, the 85 °C hot-spot/migration
+	// threshold, the TALB weight bands).
+	minMarginC = 0.5
+)
+
 // adaptiveEngine advances the thermal solve in macro-steps of up to
 // Config.MaxStep while the workload is thermally quiet, with three layers
 // of control:
 //
 //   - Event refinement: a delivered-flow change or a chip-power move
-//     beyond Config.PowerBand ends the macro-step immediately (the tick
+//     beyond powerBand ends the macro-step immediately (the tick
 //     that saw the event carries over and is integrated at the base
-//     tick), and a held temperature within Config.MinMarginC of a policy
+//     tick), and a held temperature within minMarginC of a policy
 //     threshold pins the engine to the base tick.
 //   - Drift limiting: the macro-step length is capped so that, at the
 //     drift rate observed over recent macro-steps, the held temperature
@@ -63,7 +82,7 @@ func (a *adaptiveEngine) intervalLen(p Phases) int {
 		return 1
 	}
 	margin := p.ThresholdMarginC()
-	if margin <= a.cfg.MinMarginC {
+	if margin <= minMarginC {
 		return 1
 	}
 	// Cap the interval so the held temperature cannot drift across the
@@ -128,14 +147,14 @@ func (a *adaptiveEngine) Advance(p Phases) error {
 					return err
 				}
 				want, quietFull = 1, false
-			} else if ev.PowerDeltaW > a.cfg.PowerBandW {
+			} else if ev.PowerDeltaW > powerBandW {
 				// The tick opens on a power transient (vs the last tick of
 				// the previous interval): integrate it alone.
 				want, quietFull = 1, false
 			}
 			continue
 		}
-		if ev.FlowChanged || ev.PowerDeltaW > a.cfg.PowerBandW ||
+		if ev.FlowChanged || ev.PowerDeltaW > powerBandW ||
 			a.powerShifted(startPower, ev.ChipPowerW) {
 			// This tick belongs to the next interval (its thermal step
 			// runs under the new conditions); close the current one
@@ -225,7 +244,7 @@ func (a *adaptiveEngine) powerShifted(start, now float64) bool {
 	if ref < 1 {
 		ref = 1 // watt floor: near-zero idle power must not hair-trigger
 	}
-	return math.Abs(now-start) > a.cfg.PowerBand*ref
+	return math.Abs(now-start) > powerBand*ref
 }
 
 // observeDrift updates the per-tick temperature drift estimate from the

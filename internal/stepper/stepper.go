@@ -73,21 +73,6 @@ type Config struct {
 	// rounded down to a whole number of base ticks. Default 1.6 s (16
 	// base ticks at the paper's 100 ms tick).
 	MaxStep units.Second
-	// PowerBand is the relative chip-power change (vs the macro-step's
-	// opening tick) that ends the current macro-step: a workload
-	// transition must be integrated at the base tick. Default 0.02.
-	PowerBand float64
-	// PowerBandW is the absolute per-block power change (W, vs the
-	// previous tick) that ends the macro-step. Total chip power can sit
-	// still while threads redistribute between cores — each move shifts
-	// ~3 W of block power and ripples local temperatures — so the
-	// distribution must be quiet too, not just the sum. Default 0.2 W.
-	PowerBandW float64
-	// MinMarginC refines to the base tick whenever the held maximum die
-	// temperature is within this margin of a policy or metric threshold
-	// (the 80 °C target, the 85 °C hot-spot/migration threshold, the TALB
-	// weight bands). Default 0.5 °C.
-	MinMarginC float64
 	// ControlEvery is the flow-controller decision cadence in base ticks
 	// (the control period). The controller still observes every tick (the
 	// ARMA predictor needs the 100 ms series); only Decide runs at the
@@ -102,15 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxStep <= 0 {
 		c.MaxStep = 1.6
-	}
-	if c.PowerBand <= 0 {
-		c.PowerBand = 0.02
-	}
-	if c.PowerBandW <= 0 {
-		c.PowerBandW = 0.2
-	}
-	if c.MinMarginC <= 0 {
-		c.MinMarginC = 0.5
 	}
 	if c.ControlEvery <= 0 {
 		c.ControlEvery = 1

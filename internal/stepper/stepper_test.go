@@ -291,7 +291,7 @@ func TestAdaptivePowerTransient(t *testing.T) {
 	}
 }
 
-// TestAdaptiveThresholdPin: a held temperature within MinMarginC of a
+// TestAdaptiveThresholdPin: a held temperature within minMarginC of a
 // policy threshold keeps the engine at the base tick.
 func TestAdaptiveThresholdPin(t *testing.T) {
 	f := newFake(t)
