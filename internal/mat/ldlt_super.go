@@ -32,6 +32,16 @@ import (
 // traffic of the scalar sweeps is amortized across a panel's width, and
 // every inner loop runs over contiguous float64 slices.
 //
+// Both sweeps are register-blocked over four panel columns at a time:
+// the forward sweep keeps each target in a register across four columns
+// and stores it once, the backward sweep runs four independent dot
+// products sharing one load per below row. Neither regroups any sum:
+// every w entry and every accumulator takes the same terms in the same
+// order as in a one-column-at-a-time loop (ascending column forward,
+// ascending row within each column's dot product backward), so the
+// blocked sweeps are bit-identical to it. Columns past the last full
+// block of four run that loop.
+//
 // Relaxed amalgamation pads panels with entries outside the scalar fill
 // pattern. Padded slots are structural zeros: every term that could flow
 // into one has at least one exactly-zero factor, so by induction they
@@ -849,38 +859,67 @@ func (f *LDLNumeric) factorSupernode(sn int, a *CSR, ws *superScratch) (failK in
 // forwardSuper applies supernode sn's slice of the forward sweep to the
 // permuted work vector w, right-looking: every descendant has already
 // pushed its update, so the diagonal block's values are final after the
-// dense unit-lower solve on it. The below-diagonal block is then read
-// column by column, in storage order, into one accumulator per below
-// row (acc). Each row inside sn's task is subtracted from w at once; the
-// accumulators of the rows above the task root are written to sn's
-// forward log for the merged pass (a top supernode has no log). Every
-// w[r] so receives one subtraction per descendant, in ascending
-// descendant order, whatever the worker count.
+// dense unit-lower solve on it. The below-diagonal block is read in
+// storage order into one accumulator per below row (acc). Each row
+// inside sn's task is subtracted from w at once; the accumulators of the
+// rows above the task root are written to sn's forward log for the
+// merged pass (a top supernode has no log). Every w[r] so receives one
+// subtraction per descendant, in ascending descendant order, whatever
+// the worker count.
+//
+// The columns go four at a time: solve the block's 4×4 unit-lower
+// triangle, then one pass down the rest of the four columns, holding
+// each target (a diagonal-block w entry or a below accumulator) in a
+// register while it takes the four columns' terms in ascending column
+// order, and storing it once. A target's terms from earlier blocks were
+// stored before, so every entry sees the per-column loop's operations in
+// the per-column loop's order: the blocking is bit-identical to it. The
+// last wid mod 4 columns run that loop.
 func (f *LDLNumeric) forwardSuper(sn int, acc []float64) {
 	s := f.s
 	sp := s.super
-	w := s.w
 	c0 := int(sp.snPtr[sn])
 	wid := int(sp.snPtr[sn+1]) - c0
 	r0 := int(sp.rowPtr[sn])
 	nr := int(sp.rowPtr[sn+1]) - r0
-	pan := f.lx[sp.panelPtr[sn]:]
-	for k := 0; k < wid; k++ {
-		t := w[c0+k]
-		col := pan[k*nr:]
-		for i := k + 1; i < wid; i++ {
-			w[c0+i] -= col[i] * t
-		}
-	}
+	pan := f.lx[sp.panelPtr[sn]:sp.panelPtr[sn+1]]
+	wd := s.w[c0 : c0+wid]
 	acc = acc[:nr-wid]
 	clear(acc)
-	for k := 0; k < wid; k++ {
-		t := w[c0+k]
-		col := pan[k*nr+wid : k*nr+nr]
-		for i, v := range col {
+	k := 0
+	for ; k+4 <= wid; k += 4 {
+		q0 := pan[k*nr : k*nr+nr]
+		q1 := pan[(k+1)*nr : (k+1)*nr+nr]
+		q2 := pan[(k+2)*nr : (k+2)*nr+nr]
+		q3 := pan[(k+3)*nr : (k+3)*nr+nr]
+		t0 := wd[k]
+		t1 := wd[k+1] - q0[k+1]*t0
+		t2 := wd[k+2] - q0[k+2]*t0 - q1[k+2]*t1
+		t3 := wd[k+3] - q0[k+3]*t0 - q1[k+3]*t1 - q2[k+3]*t2
+		wd[k+1], wd[k+2], wd[k+3] = t1, t2, t3
+		for i := k + 4; i < wid; i++ {
+			wd[i] = wd[i] - q0[i]*t0 - q1[i]*t1 - q2[i]*t2 - q3[i]*t3
+		}
+		p0 := q0[wid:]
+		p1 := q1[wid:][:len(p0)]
+		p2 := q2[wid:][:len(p0)]
+		p3 := q3[wid:][:len(p0)]
+		for i, v := range p0 {
+			// Left to right, not +=: that would sum the four terms first.
+			acc[i] = acc[i] + v*t0 + p1[i]*t1 + p2[i]*t2 + p3[i]*t3
+		}
+	}
+	for ; k < wid; k++ {
+		t := wd[k]
+		col := pan[k*nr : k*nr+nr]
+		for i := k + 1; i < wid; i++ {
+			wd[i] -= col[i] * t
+		}
+		for i, v := range col[wid:] {
 			acc[i] += v * t
 		}
 	}
+	w := s.w
 	lg := s.flog[sp.logPtr[sn]:sp.logPtr[sn+1]]
 	in := len(acc) - len(lg)
 	for i, r := range sp.rows[r0+wid : r0+wid+in] {
@@ -893,6 +932,13 @@ func (f *LDLNumeric) forwardSuper(sn int, acc []float64) {
 // gather the already-final ancestor values of the below rows into tmp,
 // subtract each column's dot product, then the transposed dense solve on
 // the diagonal block.
+//
+// The dot products go four columns at a time: four independent sums
+// share each t[a] load, so the adds overlap instead of waiting on one
+// chain. Each sum still starts at 0 and adds its own column's terms for
+// a ascending, so it is bit-identical to the one-column loop that the
+// last wid mod 4 columns run. The transposed solve stays per column: its
+// chain is a true dependency.
 func (f *LDLNumeric) backwardSuper(sn int, tmp []float64) {
 	s := f.s
 	sp := s.super
@@ -901,14 +947,34 @@ func (f *LDLNumeric) backwardSuper(sn int, tmp []float64) {
 	wid := int(sp.snPtr[sn+1]) - c0
 	r0 := int(sp.rowPtr[sn])
 	nr := int(sp.rowPtr[sn+1]) - r0
-	pan := f.lx[sp.panelPtr[sn]:]
+	pan := f.lx[sp.panelPtr[sn]:sp.panelPtr[sn+1]]
 	below := nr - wid
 	rws := sp.rows[r0+wid : r0+nr]
 	t := tmp[:below]
 	for a, r := range rws {
 		t[a] = w[r]
 	}
-	for k := 0; k < wid; k++ {
+	k := 0
+	for ; k+4 <= wid; k += 4 {
+		p0 := pan[k*nr+wid : k*nr+nr]
+		p1 := pan[(k+1)*nr+wid:][:len(p0)]
+		p2 := pan[(k+2)*nr+wid:][:len(p0)]
+		p3 := pan[(k+3)*nr+wid:][:len(p0)]
+		t := t[:len(p0)]
+		var s0, s1, s2, s3 float64
+		for a, v := range p0 {
+			ta := t[a]
+			s0 += v * ta
+			s1 += p1[a] * ta
+			s2 += p2[a] * ta
+			s3 += p3[a] * ta
+		}
+		w[c0+k] -= s0
+		w[c0+k+1] -= s1
+		w[c0+k+2] -= s2
+		w[c0+k+3] -= s3
+	}
+	for ; k < wid; k++ {
 		col := pan[k*nr+wid : k*nr+nr]
 		sum := 0.0
 		for a, v := range col {

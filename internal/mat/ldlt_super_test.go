@@ -598,17 +598,17 @@ func firstBitDiff(got, want []float64) int {
 }
 
 // solveGatherOracle is the left-looking (gather-form) supernodal solve,
-// kept as a test-only reference for the right-looking forwardSuper: for
-// each target supernode it walks the update list and gathers every
-// descendant's few-row segment, accumulated over the descendant's columns
-// in ascending order and subtracted once, then runs the diagonal-block
-// solve. The diagonal scaling and the backward sweep are the production
-// ones. Each w[r] receives the same subtractions in the same order as in
-// the streaming form, so the two must agree bit for bit.
+// kept as a test-only reference for the right-looking, four-column
+// forwardSuper: for each target supernode it walks the update list and
+// gathers every descendant's few-row segment, accumulated over the
+// descendant's columns in ascending order and subtracted once, then runs
+// the diagonal-block solve one column at a time. The backward sweep is
+// serial and one column at a time too, with one dot-product chain per
+// column. Each w[r] receives the same operations in the same order as in
+// the production kernels, so the two must agree bit for bit.
 func solveGatherOracle(f *LDLNumeric, x, b []float64) {
 	s := f.s
 	sp := s.super
-	s.ensureSuperScratch(false)
 	if len(s.w) != s.n {
 		s.w = make([]float64, s.n)
 	}
@@ -654,46 +654,79 @@ func solveGatherOracle(f *LDLNumeric, x, b []float64) {
 		w[j] *= f.invd[j]
 	}
 	for sn := sp.nsn - 1; sn >= 0; sn-- {
-		f.backwardSuper(sn, s.sw[0].acc)
+		c0 := int(sp.snPtr[sn])
+		wid := int(sp.snPtr[sn+1]) - c0
+		r0 := int(sp.rowPtr[sn])
+		nr := int(sp.rowPtr[sn+1]) - r0
+		pan := f.lx[sp.panelPtr[sn]:]
+		for k := 0; k < wid; k++ {
+			sum := 0.0
+			for a, r := range sp.rows[r0+wid : r0+nr] {
+				sum += pan[k*nr+wid+a] * w[r]
+			}
+			w[c0+k] -= sum
+		}
+		for k := wid - 1; k >= 0; k-- {
+			sum := 0.0
+			for i := k + 1; i < wid; i++ {
+				sum += pan[k*nr+i] * w[c0+i]
+			}
+			w[c0+k] -= sum
+		}
 	}
 	for k := 0; k < s.n; k++ {
 		x[s.perm[k]] = w[k]
 	}
 }
 
-// TestSupernodalForwardMatchesGatherOracle pins the streaming forward
-// sweep to the gather-form oracle bit for bit: Solve and every lane of
-// SolveBatch, on grid Laplacians either side of the n ≥ 4096 gate (the
-// panel kernels forced below it), under ND and RCM orderings, plus the
-// width-1 degenerate partition.
+// TestSupernodalForwardMatchesGatherOracle pins the streaming, blocked
+// solve sweeps to the gather-form oracle bit for bit: Solve and every
+// lane of SolveBatch, on grid Laplacians either side of the n ≥ 4096
+// gate (the panel kernels forced below it), under ND and RCM orderings,
+// plus forced partitions whose width cap (1, 2, 3, 5, 7) leaves every
+// remainder of the four-column blocking. Together the cases must hold
+// supernodes of width ≥ 4 and of every width mod 4.
 func TestSupernodalForwardMatchesGatherOracle(t *testing.T) {
 	type tc struct {
 		nx, ny int
 		ord    Ordering
-		width1 bool
+		maxW   int // forced partition width cap; 0 keeps AnalyzeLDL's
 	}
 	var cases []tc
 	for _, g := range [][2]int{{23, 20}, {60, 50}, {70, 60}, {115, 100}} {
 		for _, ord := range []Ordering{OrderND, OrderRCM} {
-			cases = append(cases, tc{g[0], g[1], ord, false})
+			cases = append(cases, tc{g[0], g[1], ord, 0})
 		}
 	}
-	cases = append(cases, tc{30, 20, OrderND, true}, tc{30, 20, OrderRCM, true})
+	for _, maxW := range []int{1, 2, 3, 5, 7} {
+		cases = append(cases, tc{30, 20, OrderND, maxW}, tc{30, 20, OrderRCM, maxW})
+	}
 	ordName := map[Ordering]string{OrderND: "ND", OrderRCM: "RCM"}
 	rng := rand.New(rand.NewSource(19))
+	var blocked bool      // some supernode has a four-column block
+	var remainder [4]bool // some supernode has width ≡ r (mod 4)
 	for _, c := range cases {
 		a := gridLaplacian(c.nx, c.ny, 0.5)
 		s, err := AnalyzeLDL(a, c.ord)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.width1 {
-			s.buildSupernodes(1, false, true)
-			if s.super.nsn != s.n {
+		if c.maxW > 0 {
+			s.buildSupernodes(c.maxW, c.maxW > 1, true)
+			if c.maxW == 1 && s.super.nsn != s.n {
 				t.Fatalf("width-1 partition has %d supernodes, want %d", s.super.nsn, s.n)
 			}
 		}
 		s.setSupernodal(true)
+		sp := s.super
+		for sn := 0; sn < sp.nsn; sn++ {
+			wid := int(sp.snPtr[sn+1] - sp.snPtr[sn])
+			if c.maxW > 0 && wid > c.maxW {
+				t.Fatalf("maxW=%d partition has a supernode of width %d", c.maxW, wid)
+			}
+			blocked = blocked || wid >= 4
+			remainder[wid%4] = true
+		}
 		f, err := s.Factorize(a, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -717,14 +750,22 @@ func TestSupernodalForwardMatchesGatherOracle(t *testing.T) {
 			for i := range want {
 				wb := math.Float64bits(want[i])
 				if math.Float64bits(got[i]) != wb {
-					t.Fatalf("%dx%d %s width1=%v rhs %d: Solve x[%d]=%g oracle %g",
-						c.nx, c.ny, ordName[c.ord], c.width1, r, i, got[i], want[i])
+					t.Fatalf("%dx%d %s maxW=%d rhs %d: Solve x[%d]=%g oracle %g",
+						c.nx, c.ny, ordName[c.ord], c.maxW, r, i, got[i], want[i])
 				}
 				if math.Float64bits(xs[r][i]) != wb {
-					t.Fatalf("%dx%d %s width1=%v rhs %d: SolveBatch x[%d]=%g oracle %g",
-						c.nx, c.ny, ordName[c.ord], c.width1, r, i, xs[r][i], want[i])
+					t.Fatalf("%dx%d %s maxW=%d rhs %d: SolveBatch x[%d]=%g oracle %g",
+						c.nx, c.ny, ordName[c.ord], c.maxW, r, i, xs[r][i], want[i])
 				}
 			}
+		}
+	}
+	if !blocked {
+		t.Error("no case has a supernode of width ≥ 4: the four-column blocks went untested")
+	}
+	for r, seen := range remainder {
+		if !seen {
+			t.Errorf("no case has a supernode of width ≡ %d (mod 4): that remainder path went untested", r)
 		}
 	}
 }
