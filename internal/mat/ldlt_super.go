@@ -42,6 +42,22 @@ import (
 // blocked sweeps are bit-identical to it. Columns past the last full
 // block of four run that loop.
 //
+// Factorize's descendant Schur update is blocked the same way, over the
+// descendant's columns (the column blocking of block sparse Cholesky,
+// Ng & Peyton 1993): one pass per update column adds four descendant
+// columns' terms to each C entry, left to right in ascending column
+// order. The one-column loop skips a column whose multiplier t is
+// exactly 0; the blocked pass adds its ±0 products instead, which
+// changes nothing: C starts at +0, an IEEE sum is −0 only when both
+// addends are −0, so no partial sum of C is ever −0, and adding ±0 to a
+// value that is not −0 returns it unchanged. (This needs finite panel
+// entries — Inf times 0 is NaN. The RC-network systems are finite; a
+// non-finite A gives a non-finite factor either way, not necessarily
+// with the same bits.) Every other term arrives in the same order, so
+// the blocked update is bit-identical too. The in-panel dense LDLᵀ update
+// stays one column at a time: its targets start from A values, which
+// may be −0, so a skipped t = 0 column is not the same as adding ±0.
+//
 // Relaxed amalgamation pads panels with entries outside the scalar fill
 // pattern. Padded slots are structural zeros: every term that could flow
 // into one has at least one exactly-zero factor, so by induction they
@@ -756,6 +772,11 @@ func (f *LDLNumeric) factorTask(t int, ws *superScratch) {
 // small dense LDLᵀ. On a non-positive pivot it records the first failing
 // column, poisons invd with 0 and finishes the panel deterministically;
 // the caller turns failK ≥ 0 into ErrNotPositiveDefinite.
+//
+// The Schur update takes the descendant's columns four at a time (see
+// the file comment for why adding a block's ±0 terms equals the
+// one-column loop's t == 0 skip); the last wd mod 4 columns run that
+// loop. The in-panel update stays one column at a time.
 func (f *LDLNumeric) factorSupernode(sn int, a *CSR, ws *superScratch) (failK int, failDk float64) {
 	sp := f.s.super
 	smap, idx, upd := ws.smap, ws.idx, ws.upd
@@ -799,7 +820,28 @@ func (f *LDLNumeric) factorSupernode(sn int, a *CSR, ws *superScratch) (failK in
 				colC[i] = 0
 			}
 		}
-		for k := 0; k < wd; k++ {
+		k := 0
+		for ; k+4 <= wd; k += 4 {
+			q0 := pand[k*nrd+lo : k*nrd+nrd]
+			q1 := pand[(k+1)*nrd+lo:][:m]
+			q2 := pand[(k+2)*nrd+lo:][:m]
+			q3 := pand[(k+3)*nrd+lo:][:m]
+			d0, d1, d2, d3 := f.d[c0d+k], f.d[c0d+k+1], f.d[c0d+k+2], f.d[c0d+k+3]
+			for b := 0; b < nb; b++ {
+				t0, t1, t2, t3 := q0[b]*d0, q1[b]*d1, q2[b]*d2, q3[b]*d3
+				colC := C[b*m+b : b*m+m]
+				p0 := q0[b:][:len(colC)]
+				p1 := q1[b:][:len(colC)]
+				p2 := q2[b:][:len(colC)]
+				p3 := q3[b:][:len(colC)]
+				for i, v := range p0 {
+					// Left to right, not +=: that would sum the four
+					// terms first.
+					colC[i] = colC[i] + v*t0 + p1[i]*t1 + p2[i]*t2 + p3[i]*t3
+				}
+			}
+		}
+		for ; k < wd; k++ {
 			dk := f.d[c0d+k]
 			colD := pand[k*nrd+lo : k*nrd+nrd]
 			for b := 0; b < nb; b++ {

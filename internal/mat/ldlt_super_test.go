@@ -352,17 +352,97 @@ func poisonSets(s *LDLSymbolic) [][]int {
 
 // factorSerialOracle is the supernodal factorization as one serial
 // ascending sweep over every supernode, stopping at the first failing
-// one — the order the subtree schedule must reproduce bit for bit.
+// one — the order the subtree schedule must reproduce bit for bit. Each
+// supernode goes through factorSupernodeOracle, not factorSupernode, so
+// a slip in the production kernel's blocking shows as a bit difference.
 func factorSerialOracle(s *LDLSymbolic, a *CSR) (*LDLNumeric, error) {
 	f := &LDLNumeric{s: s, lx: make([]float64, s.super.panelNNZ),
 		d: make([]float64, s.n), invd: make([]float64, s.n), super: true}
-	s.ensureSuperScratch(true)
+	smap := make([]int32, s.n)
+	var C []float64
 	for sn := 0; sn < s.super.nsn; sn++ {
-		if k, dk := f.factorSupernode(sn, a, &s.sw[0]); k >= 0 {
+		if k, dk := factorSupernodeOracle(f, sn, a, smap, &C); k >= 0 {
 			return nil, fmt.Errorf("%w: pivot %g at permuted index %d", ErrNotPositiveDefinite, dk, k)
 		}
 	}
 	return f, nil
+}
+
+// factorSupernodeOracle is factorSupernode with the descendant Schur
+// update one column at a time: for each descendant column k ascending
+// and each update column b, t = L[b,k]·d_k, skipped when exactly 0, and
+// C[i,b] += L[i,k]·t from +0; then C is subtracted from the panel and
+// the panel gets the same dense LDLᵀ. It returns the first failing
+// column and its pivot, or -1. (*C is scratch, grown as needed.)
+func factorSupernodeOracle(f *LDLNumeric, sn int, a *CSR, smap []int32, C *[]float64) (int, float64) {
+	sp := f.s.super
+	c0 := int(sp.snPtr[sn])
+	w := int(sp.snPtr[sn+1]) - c0
+	r0 := int(sp.rowPtr[sn])
+	nr := int(sp.rowPtr[sn+1]) - r0
+	pan := f.lx[sp.panelPtr[sn]:sp.panelPtr[sn+1]]
+	clear(pan)
+	for e := sp.aPtr[sn]; e < sp.aPtr[sn+1]; e++ {
+		pan[sp.aOff[e]] = a.Val[sp.aSrc[e]]
+	}
+	for i, r := range sp.rows[r0 : r0+nr] {
+		smap[r] = int32(i)
+	}
+	for u := sp.updPtr[sn]; u < sp.updPtr[sn+1]; u++ {
+		d := int(sp.updSn[u])
+		lo := int(sp.updLo[u])
+		hi := int(sp.updHi[u])
+		c0d := int(sp.snPtr[d])
+		wd := int(sp.snPtr[d+1]) - c0d
+		nrd := int(sp.rowPtr[d+1] - sp.rowPtr[d])
+		pand := f.lx[sp.panelPtr[d]:]
+		rd := sp.rows[int(sp.rowPtr[d])+lo : sp.rowPtr[d+1]]
+		m, nb := nrd-lo, hi-lo
+		*C = slices.Grow((*C)[:0], m*nb)[:m*nb]
+		c := *C
+		clear(c)
+		for k := 0; k < wd; k++ {
+			dk := f.d[c0d+k]
+			colD := pand[k*nrd+lo:]
+			for b := 0; b < nb; b++ {
+				t := colD[b] * dk
+				if t == 0 {
+					continue
+				}
+				for i := b; i < m; i++ {
+					c[b*m+i] += colD[i] * t
+				}
+			}
+		}
+		for b := 0; b < nb; b++ {
+			j := int(smap[rd[b]])
+			for i := b; i < m; i++ {
+				pan[j*nr+int(smap[rd[i]])] -= c[b*m+i]
+			}
+		}
+	}
+	for k := 0; k < w; k++ {
+		col := pan[k*nr : k*nr+nr]
+		dk := col[k]
+		if dk <= 0 {
+			return c0 + k, dk
+		}
+		f.d[c0+k] = dk
+		f.invd[c0+k] = 1 / dk
+		for i := k + 1; i < nr; i++ {
+			col[i] *= f.invd[c0+k]
+		}
+		for j := k + 1; j < w; j++ {
+			t := col[j] * dk
+			if t == 0 {
+				continue
+			}
+			for i := j; i < nr; i++ {
+				pan[j*nr+i] -= col[i] * t
+			}
+		}
+	}
+	return -1, 0
 }
 
 // checkSchedule verifies the subtree schedule's invariants: every
@@ -698,32 +778,18 @@ func TestSupernodalForwardMatchesGatherOracle(t *testing.T) {
 			cases = append(cases, tc{g[0], g[1], ord, 0})
 		}
 	}
-	for _, maxW := range []int{1, 2, 3, 5, 7} {
+	for _, maxW := range forcedWidthCaps {
 		cases = append(cases, tc{30, 20, OrderND, maxW}, tc{30, 20, OrderRCM, maxW})
 	}
-	ordName := map[Ordering]string{OrderND: "ND", OrderRCM: "RCM"}
 	rng := rand.New(rand.NewSource(19))
 	var blocked bool      // some supernode has a four-column block
 	var remainder [4]bool // some supernode has width ≡ r (mod 4)
 	for _, c := range cases {
 		a := gridLaplacian(c.nx, c.ny, 0.5)
-		s, err := AnalyzeLDL(a, c.ord)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.maxW > 0 {
-			s.buildSupernodes(c.maxW, c.maxW > 1, true)
-			if c.maxW == 1 && s.super.nsn != s.n {
-				t.Fatalf("width-1 partition has %d supernodes, want %d", s.super.nsn, s.n)
-			}
-		}
-		s.setSupernodal(true)
+		s := analyzeForced(t, a, c.ord, c.maxW)
 		sp := s.super
 		for sn := 0; sn < sp.nsn; sn++ {
 			wid := int(sp.snPtr[sn+1] - sp.snPtr[sn])
-			if c.maxW > 0 && wid > c.maxW {
-				t.Fatalf("maxW=%d partition has a supernode of width %d", c.maxW, wid)
-			}
 			blocked = blocked || wid >= 4
 			remainder[wid%4] = true
 		}
@@ -751,11 +817,11 @@ func TestSupernodalForwardMatchesGatherOracle(t *testing.T) {
 				wb := math.Float64bits(want[i])
 				if math.Float64bits(got[i]) != wb {
 					t.Fatalf("%dx%d %s maxW=%d rhs %d: Solve x[%d]=%g oracle %g",
-						c.nx, c.ny, ordName[c.ord], c.maxW, r, i, got[i], want[i])
+						c.nx, c.ny, oracleOrdName[c.ord], c.maxW, r, i, got[i], want[i])
 				}
 				if math.Float64bits(xs[r][i]) != wb {
 					t.Fatalf("%dx%d %s maxW=%d rhs %d: SolveBatch x[%d]=%g oracle %g",
-						c.nx, c.ny, ordName[c.ord], c.maxW, r, i, xs[r][i], want[i])
+						c.nx, c.ny, oracleOrdName[c.ord], c.maxW, r, i, xs[r][i], want[i])
 				}
 			}
 		}
@@ -766,6 +832,71 @@ func TestSupernodalForwardMatchesGatherOracle(t *testing.T) {
 	for r, seen := range remainder {
 		if !seen {
 			t.Errorf("no case has a supernode of width ≡ %d (mod 4): that remainder path went untested", r)
+		}
+	}
+}
+
+// forcedWidthCaps are the width caps of the forced partitions the
+// oracle tests run: between them they leave every remainder of the
+// four-column blocking.
+var forcedWidthCaps = []int{1, 2, 3, 5, 7}
+
+var oracleOrdName = map[Ordering]string{OrderND: "ND", OrderRCM: "RCM"}
+
+// analyzeForced analyzes a under ord on the panel kernels, its partition
+// rebuilt with panel width capped at maxW (relaxed amalgamation above 1);
+// maxW 0 keeps AnalyzeLDL's partition.
+func analyzeForced(t *testing.T, a *CSR, ord Ordering, maxW int) *LDLSymbolic {
+	t.Helper()
+	s, err := AnalyzeLDL(a, ord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxW > 0 {
+		s.buildSupernodes(maxW, maxW > 1, true)
+		if maxW == 1 && s.super.nsn != s.n {
+			t.Fatalf("width-1 partition has %d supernodes, want %d", s.super.nsn, s.n)
+		}
+		for sn := 0; sn < s.super.nsn; sn++ {
+			if wid := int(s.super.snPtr[sn+1] - s.super.snPtr[sn]); wid > maxW {
+				t.Fatalf("maxW=%d partition has a supernode of width %d", maxW, wid)
+			}
+		}
+	}
+	s.setSupernodal(true)
+	return s
+}
+
+// TestSupernodalFactorMatchesSerialOracle pins the four-column Schur
+// update to the one-column oracle bit for bit (checkBitIdentical) on the
+// forced partitions of TestSupernodalForwardMatchesGatherOracle. The
+// blocking runs over each updating descendant's columns, so together the
+// cases must hold updating descendants of width ≥ 4 and of every width
+// mod 4.
+func TestSupernodalFactorMatchesSerialOracle(t *testing.T) {
+	var blocked bool      // some updating descendant has a four-column block
+	var remainder [4]bool // some updating descendant has width ≡ r (mod 4)
+	a := gridLaplacian(30, 20, 0.5)
+	for _, maxW := range forcedWidthCaps {
+		for _, ord := range []Ordering{OrderND, OrderRCM} {
+			s := analyzeForced(t, a, ord, maxW)
+			sp := s.super
+			for _, d := range sp.updSn {
+				wd := int(sp.snPtr[d+1] - sp.snPtr[d])
+				blocked = blocked || wd >= 4
+				remainder[wd%4] = true
+			}
+			t.Run(fmt.Sprintf("%s-maxW%d", oracleOrdName[ord], maxW), func(t *testing.T) {
+				checkBitIdentical(t, a, s)
+			})
+		}
+	}
+	if !blocked {
+		t.Error("no case has an updating descendant of width ≥ 4: the four-column Schur blocks went untested")
+	}
+	for r, seen := range remainder {
+		if !seen {
+			t.Errorf("no case has an updating descendant of width ≡ %d (mod 4): that remainder path went untested", r)
 		}
 	}
 }

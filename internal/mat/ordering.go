@@ -1,6 +1,9 @@
 package mat
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Ordering selects the fill-reducing node ordering used by AnalyzeLDL.
 // Orderings only read the sparsity pattern, which must be structurally
@@ -125,12 +128,13 @@ func (o *orderer) bfs(start int) (order []int, lptr []int) {
 				o.vis[w] = ve
 				order = append(order, w)
 			}
-			next := order[frontier:]
-			sort.Slice(next, func(i, j int) bool {
-				if o.deg[next[i]] != o.deg[next[j]] {
-					return o.deg[next[i]] < o.deg[next[j]]
+			// (degree, index) is a total order on distinct nodes, so the
+			// unstable sort has no ties to break.
+			slices.SortFunc(order[frontier:], func(x, y int) int {
+				if c := cmp.Compare(o.deg[x], o.deg[y]); c != 0 {
+					return c
 				}
-				return next[i] < next[j]
+				return cmp.Compare(x, y)
 			})
 		}
 	}

@@ -1,6 +1,9 @@
 package mat_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -98,4 +101,40 @@ func TestSupernodalStackBitIdentical(t *testing.T) {
 // first (mat.CheckPoisonPivots).
 func TestSupernodalStackNotPositiveDefinite(t *testing.T) {
 	forEachStack(t, mat.CheckPoisonPivots)
+}
+
+// TestSupernodalOrderingPinned pins the elimination orders: the SHA-256
+// of OrderND's and OrderRCM's permutation (each entry a little-endian
+// uint32) on the paper-resolution 115×100 grid Laplacian and on the
+// 2-layer 23×20 stack system. A change to the orderer that moves either
+// order — a different tie-break in the BFS frontier sort, say — moves
+// every factor, solve and golden downstream of it, so it must show here.
+func TestSupernodalOrderingPinned(t *testing.T) {
+	systems := []struct {
+		name string
+		a    *mat.CSR
+		want map[mat.Ordering]string
+	}{
+		{"grid-115x100", mat.GridLaplacian(115, 100, 1), map[mat.Ordering]string{
+			mat.OrderND:  "e2e0167f097e3450efe327e06cabecbf4d2a493646fdf46b5314bfd1822df973",
+			mat.OrderRCM: "33897821b1039a607cddecb0780270d31a83e086cd6a5dcef3c034c3fc0fe61a",
+		}},
+		{"2-layer-23x20", stackSystem(t, floorplan.NewT1Stack2, 23, 20), map[mat.Ordering]string{
+			mat.OrderND:  "61012454846652183135c636fb695af99b8af03d5894e933cb1b7fa16aa163a1",
+			mat.OrderRCM: "7f60c3f9314ce55e4a1ebc6f3684f3ef432ca1d80a76978d76a4705cf5d3227f",
+		}},
+	}
+	ordName := map[mat.Ordering]string{mat.OrderND: "ND", mat.OrderRCM: "RCM"}
+	for _, sys := range systems {
+		for _, ord := range []mat.Ordering{mat.OrderND, mat.OrderRCM} {
+			var buf []byte
+			for _, v := range ord.Permutation(sys.a) {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+			}
+			sum := sha256.Sum256(buf)
+			if got := hex.EncodeToString(sum[:]); got != sys.want[ord] {
+				t.Errorf("%s %s: permutation SHA-256 %s, pinned %s", sys.name, ordName[ord], got, sys.want[ord])
+			}
+		}
+	}
 }
