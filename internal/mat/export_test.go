@@ -18,6 +18,16 @@ var (
 	GridLaplacian = gridLaplacian
 	// SetSupernodal is setSupernodal: forces the kernel mode of s.
 	SetSupernodal = (*LDLSymbolic).setSupernodal
+	// CheckStreamsBitIdentical is checkStreamsBitIdentical: the stream
+	// plan's invariants and the scalar Solve against the one-column
+	// oracle bit for bit.
+	CheckStreamsBitIdentical = checkStreamsBitIdentical
+	// StreamSizes is streamSizes: the column counts of the two streams
+	// and the top.
+	StreamSizes = streamSizes
+	// StreamRangesInterleave is streamRangesInterleave: whether a stream
+	// subtree's column range holds columns outside it.
+	StreamRangesInterleave = streamRangesInterleave
 )
 
 // SubtreeTasks returns the subtree task count of s's schedule.

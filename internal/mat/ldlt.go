@@ -47,6 +47,9 @@ type LDLSymbolic struct {
 	// by Clone); superOn selects the dense-panel kernels.
 	super   *superState
 	superOn bool
+	// Stream plan of the scalar Solve (ldlt_stream.go): immutable, shared
+	// by Clone; nil while the panel kernels are selected.
+	plan *streamPlan
 
 	// Scratch, each buffer grown on first use (a Clone starts with none).
 	y       []float64
@@ -97,11 +100,12 @@ func (s *LDLSymbolic) N() int { return s.n }
 // Clone returns a symbolic analysis that shares the immutable products of
 // AnalyzeLDL — the fill-reducing permutation, the permuted upper triangle,
 // the elimination tree, the complete pattern of L (column pointers and
-// row indices), the supernode partition and its subtree schedule — and
-// copies the kernel-mode flag, but owns its scratch buffers. The clone
-// can therefore factorize and solve concurrently with the original (and
-// with other clones), which is what lets one expensive analysis serve
-// every model of a shared platform. Cloning allocates only the header:
+// row indices), the supernode partition and its subtree schedule, and
+// the scalar Solve's stream plan — and copies the kernel-mode flag, but
+// owns its scratch buffers. The clone can therefore factorize and solve
+// concurrently with the original (and with other clones), which is what
+// lets one expensive analysis serve every model of a shared platform.
+// Cloning allocates only the header:
 // the ordering and symbolic passes are not repeated, and each scratch
 // buffer is grown on the clone's first use of the call that needs it.
 func (s *LDLSymbolic) Clone() *LDLSymbolic {
@@ -117,6 +121,7 @@ func (s *LDLSymbolic) Clone() *LDLSymbolic {
 		li:      s.li,
 		super:   s.super,
 		superOn: s.superOn,
+		plan:    s.plan,
 	}
 }
 
@@ -249,6 +254,9 @@ func AnalyzeLDL(a *CSR, ord Ordering) (*LDLSymbolic, error) {
 	// then is its index structure kept.
 	s.buildSupernodes(maxSuperWidth, true, false)
 	s.superOn = s.SupernodalProfitable()
+	if !s.superOn {
+		s.plan = s.buildStreams()
+	}
 	return s, nil
 }
 
@@ -353,6 +361,15 @@ func (f *LDLNumeric) MinPivot() float64 {
 // through Lᵀ, permute back. x and b must have length N and may alias. It
 // never allocates — this is the per-tick hot path of the transient
 // thermal solver.
+//
+// On a scalar-column factor the sweeps follow the analysis's stream plan
+// (ldlt_stream.go): two independent sets of elimination subtrees are
+// swept side by side, one column of each per step, and their ancestors
+// (the top) in one ascending forward pass and a descending backward pass
+// of their own. Every entry receives the serial loop's operations in the
+// serial loop's order, and a column whose forward value is exactly zero
+// scatters nothing, as in the serial loop, so the result is bit-identical
+// to the one-column sweeps.
 func (f *LDLNumeric) Solve(x, b []float64) {
 	s := f.s
 	n := s.n
@@ -368,29 +385,8 @@ func (f *LDLNumeric) Solve(x, b []float64) {
 	}
 	if f.super {
 		f.solveSuper()
-		for k := 0; k < n; k++ {
-			x[s.perm[k]] = w[k]
-		}
-		return
-	}
-	for j := 0; j < n; j++ {
-		wj := w[j]
-		if wj == 0 {
-			continue
-		}
-		for p := s.lp[j]; p < s.lp[j+1]; p++ {
-			w[s.li[p]] -= f.lx[p] * wj
-		}
-	}
-	for j := 0; j < n; j++ {
-		w[j] *= f.invd[j]
-	}
-	for j := n - 1; j >= 0; j-- {
-		wj := w[j]
-		for p := s.lp[j]; p < s.lp[j+1]; p++ {
-			wj -= f.lx[p] * w[s.li[p]]
-		}
-		w[j] = wj
+	} else {
+		f.solveStreams()
 	}
 	for k := 0; k < n; k++ {
 		x[s.perm[k]] = w[k]

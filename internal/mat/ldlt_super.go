@@ -545,14 +545,18 @@ func (sp *superState) buildSchedule() {
 // Solve per right-hand side). Only the cross-family reference
 // tests call it; clones inherit the setting. Selecting the panel kernels
 // on an analysis that kept only the partition counts builds the index
-// structure first (for this object only; clones made before keep
-// theirs). Switching modes re-lays-out the numeric factor on the next
-// Factorize (a reused LDLNumeric is reallocated once).
+// structure first, and selecting the scalar kernels on one without a
+// stream plan builds the plan (each for this object only; clones made
+// before keep theirs). Switching modes re-lays-out the numeric factor on
+// the next Factorize (a reused LDLNumeric is reallocated once).
 func (s *LDLSymbolic) setSupernodal(on bool) {
 	if on && s.super != nil && s.super.aPtr == nil {
 		s.buildSupernodes(maxSuperWidth, true, true)
 	}
 	s.superOn = on && s.super != nil
+	if !s.superOn && s.plan == nil {
+		s.plan = s.buildStreams()
+	}
 }
 
 // Supernodal reports whether the dense-panel kernels are selected.

@@ -289,32 +289,39 @@ func TestLDLStructureMismatch(t *testing.T) {
 }
 
 // TestLDLHotPathAllocFree pins the per-tick contract: refactorization into
-// a reused numeric object and every solve allocate nothing.
+// a reused numeric object and every solve allocate nothing — on a grid
+// below ndThreshold (RCM, an all-top stream plan) and on one above it
+// (ND, the two-stream Solve).
 func TestLDLHotPathAllocFree(t *testing.T) {
-	a := gridLaplacian(20, 16, 2)
-	s, err := AnalyzeLDL(a, OrderAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := s.Factorize(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bvec := make([]float64, a.N)
-	for i := range bvec {
-		bvec[i] = 1
-	}
-	x := make([]float64, a.N)
-	if allocs := testing.AllocsPerRun(10, func() { f.Solve(x, bvec) }); allocs != 0 {
-		t.Errorf("Solve allocates %v objects, want 0", allocs)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := s.Factorize(a, f); err != nil {
+	for _, a := range []*CSR{gridLaplacian(20, 16, 2), gridLaplacian(32, 24, 2)} {
+		s, err := AnalyzeLDL(a, OrderAuto)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("reusing Factorize allocates %v objects, want 0", allocs)
+		s0, s1, _ := streamSizes(s)
+		if streamed := s0 > 0 && s1 > 0; streamed != (a.N >= ndThreshold) {
+			t.Fatalf("n = %d: streams of %d and %d columns", a.N, s0, s1)
+		}
+		f, err := s.Factorize(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bvec := make([]float64, a.N)
+		for i := range bvec {
+			bvec[i] = 1
+		}
+		x := make([]float64, a.N)
+		if allocs := testing.AllocsPerRun(10, func() { f.Solve(x, bvec) }); allocs != 0 {
+			t.Errorf("n = %d: Solve allocates %v objects, want 0", a.N, allocs)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := s.Factorize(a, f); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("n = %d: reusing Factorize allocates %v objects, want 0", a.N, allocs)
+		}
 	}
 }
 

@@ -17,6 +17,18 @@
 // at any GOMAXPROCS. There is no knob; one worker runs the same code
 // inline.
 //
+// Smaller systems run the scalar column kernels, and their analysis fixes
+// a stream plan instead (ldlt_stream.go): a top closed under elimination
+// tree ancestors and two streams, each a union of complete subtrees
+// balanced by nnz(L). A lone Solve sweeps the two streams side by side on
+// one core, so that their independent dependency chains overlap, and the
+// top in one ascending forward pass and one descending backward pass.
+// Every entry still receives its subtractions in ascending column order,
+// every backward gather keeps its ascending row order, and a column whose
+// forward value is exactly zero still scatters nothing, so the result is
+// bit-identical to the one-column serial sweeps. A chain-shaped tree (RCM
+// below 512 nodes) gets an all-top plan, which is the serial loop.
+//
 // Go has no numerical ecosystem in the standard library, so this package is
 // deliberately self-contained and tuned only as far as the simulator
 // requires: matrices are assembled once per configuration, values (but not

@@ -56,8 +56,14 @@ func forEachStack(t *testing.T, fn func(t *testing.T, a *mat.CSR, s *mat.LDLSymb
 // stackSystem assembles the backward-Euler system (mid flow, dt = 0.1 s)
 // of a liquid-cooled stack at nx×ny cells per slab.
 func stackSystem(t *testing.T, newStack func(liquid bool) *floorplan.Stack, nx, ny int) *mat.CSR {
+	return cooledSystem(t, newStack, true, nx, ny)
+}
+
+// cooledSystem assembles the backward-Euler system (dt = 0.1 s) of a
+// liquid-cooled stack at mid flow, or of an air-cooled one.
+func cooledSystem(t *testing.T, newStack func(liquid bool) *floorplan.Stack, liquid bool, nx, ny int) *mat.CSR {
 	t.Helper()
-	g, err := grid.Build(newStack(true), grid.DefaultParams(nx, ny))
+	g, err := grid.Build(newStack(liquid), grid.DefaultParams(nx, ny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +71,10 @@ func stackSystem(t *testing.T, newStack func(liquid bool) *floorplan.Stack, nx, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetFlow(0.5); err != nil {
-		t.Fatal(err)
+	if liquid {
+		if err := m.SetFlow(0.5); err != nil {
+			t.Fatal(err)
+		}
 	}
 	a, err := m.SystemCSR(0.1)
 	if err != nil {
@@ -136,5 +144,39 @@ func TestSupernodalOrderingPinned(t *testing.T) {
 				t.Errorf("%s %s: permutation SHA-256 %s, pinned %s", sys.name, ordName[ord], got, sys.want[ord])
 			}
 		}
+	}
+}
+
+// TestScalarStreamsStackBitIdentical pins the two-stream scalar Solve to the
+// one-column serial loop on the simulator's scalar-kernel systems: the
+// 2-layer liquid 12×10 and 23×20 stacks, and the 4-layer air 23×20 stack,
+// whose lumped sink node couples to every top-die cell, so a subtree's
+// columns there do not form the range from its first descendant to its
+// root (the test asserts it, so that a plan built from such ranges would
+// fail here). The 2-layer 23×20 system, perfbench sweep's, and the air
+// system must get two non-empty streams, so the interleave is exercised.
+func TestScalarStreamsStackBitIdentical(t *testing.T) {
+	cases := []struct {
+		name     string
+		newStack func(liquid bool) *floorplan.Stack
+		liquid   bool
+		nx, ny   int
+		streams  bool
+	}{
+		{"2-layer-liquid-12x10", floorplan.NewT1Stack2, true, 12, 10, false},
+		{"2-layer-liquid-23x20", floorplan.NewT1Stack2, true, 23, 20, true},
+		{"4-layer-air-23x20", floorplan.NewT1Stack4, false, 23, 20, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a := cooledSystem(t, c.newStack, c.liquid, c.nx, c.ny)
+			s := mat.CheckStreamsBitIdentical(t, a, mat.OrderAuto)
+			if s0, s1, _ := mat.StreamSizes(s); c.streams && (s0 == 0 || s1 == 0) {
+				t.Errorf("streams of %d and %d columns, want two non-empty streams", s0, s1)
+			}
+			if !c.liquid && !mat.StreamRangesInterleave(s) {
+				t.Error("no stream subtree's column range holds another column: the air case no longer tests enumeration from parent")
+			}
+		})
 	}
 }
